@@ -4,7 +4,7 @@ baseline scorers.
 
 One run of one workload:
 
-    python3 bench/run.py --workload sweep-paper --seed 1 --seconds 10 --trace 0
+    python3 bench/run.py --workload sweep-paper --seed 1 --seconds 15 --trace 0
 
 repeats the workload's round of operations until --seconds have passed,
 checks every output, and prints as its last line one JSON object with the
@@ -12,11 +12,11 @@ keys correct, attempted, failed and metrics.  --trace 0 reports the
 end-to-end metrics; --trace 1 wraps netprobe's layers and reports the
 per-layer metrics instead.
 
-Steadiness mode runs two sets of runs of every workload, alternating the
-workloads, and says whether the two sets agree within BENCHMARK.json's
-bounds:
+Steadiness mode runs two sets of ten runs of every workload in
+BENCHMARK.json for its run_seconds, alternating the workloads, and says
+whether the two sets agree within BENCHMARK.json's bounds:
 
-    python3 bench/run.py --steadiness --runs 10 --seconds 10
+    python3 bench/run.py --steadiness
 
 Times other than setup_s are in ref: an operation's seconds divided by the
 mean time of a fixed reference loop run just before and just after it on the
@@ -46,6 +46,7 @@ SRC = ROOT / "src"
 OUT = ROOT / ".bench_out"
 
 SETUP_REPEATS = 3
+STEADINESS_RUNS = 10
 # setup_s is given in seconds at a nominal host speed: its cost in ref
 # times the seconds one ref takes on a host where the loop runs in 10 ms.
 REF_SECONDS = 0.010
@@ -319,15 +320,13 @@ def _extra_layer_metrics(wl, outs, adj, records) -> dict:
     return metrics
 
 
-def steadiness(args) -> int:
+def steadiness() -> int:
     """Two sets of runs, workloads alternating; medians, quartiles and
     whether the two sets agree within each metric's bound."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
-    if args.workload:
-        workloads = [args.workload]
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
-    seeds = list(range(1, args.runs + 1))
+    seconds = spec["run_seconds"]
+    seeds = list(range(1, STEADINESS_RUNS + 1))
     results: dict[tuple[int, str], list[dict]] = {}
     ok = True
     for set_no in (1, 2):
@@ -371,17 +370,26 @@ def steadiness(args) -> int:
                 q1, med, q3 = _quartiles(values)
                 spread = (q3 - q1) / med if med else 0.0
                 medians.append(med)
-                steady = m == "setup_s" or spread <= bound / 3
-                ok &= m == "setup_s" or spread <= bound
+                steady = spread <= bound / 3
+                ok &= spread <= bound
                 print(
                     f"{name:13s} {m:20s} {set_no:3d} {med:11.5g} {q1:11.5g} {q3:11.5g} "
                     f"{spread:7.2%} {bound:6.0%}  {'steady' if steady else 'SPREAD'}"
                 )
             worse = medians[1] - medians[0] if metric["better"] == "lower" else medians[0] - medians[1]
             drift = worse / medians[0] if medians[0] else 0.0
-            agree = drift <= bound
+            agree = abs(drift) <= bound
             ok &= agree
             print(f"{name:13s} {m:20s} second set worse by {drift:+.2%}: {'agree' if agree else 'DISAGREE'}")
+        # new_nodes_per_probe is deterministic for a seed, so each seed must
+        # give the same value in both sets.
+        nnp = [
+            [r["metrics"]["new_nodes_per_probe"]["value"] for r in results[(set_no, name)]]
+            for set_no in (1, 2)
+        ]
+        repeats = nnp[0] == nnp[1]
+        ok &= repeats
+        print(f"{name:13s} new_nodes_per_probe per seed: {'repeats' if repeats else 'DIFFERS'}")
         shares = {
             set_no: sorted({r["failed"] / r["attempted"] for r in results[(set_no, name)]})
             for set_no in (1, 2)
@@ -400,10 +408,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=None, help="how long a run measures")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--steadiness", action="store_true", help="run two sets of runs and compare them")
-    parser.add_argument("--runs", type=int, default=10, help="runs of each workload in one set")
     args = parser.parse_args(argv)
     if args.steadiness:
-        return steadiness(args)
+        if args.workload is not None or args.seconds is not None:
+            parser.error("--steadiness runs every workload for BENCHMARK.json's run_seconds")
+        return steadiness()
     if args.workload is None or args.seconds is None:
         parser.error("--workload and --seconds are required")
     return run_workload(args)

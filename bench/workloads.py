@@ -14,6 +14,9 @@ import functools
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import checks
@@ -40,6 +43,15 @@ def write_graph(path: Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for u, v in g.edges():
             fh.write(f"{u} {v}\n")
+
+
+def write_graph_apart(path: Path) -> None:
+    """Write the graph file from a child process, so the generator's
+    memory never counts in the peak RSS of the process that runs the
+    workload."""
+    src = str(Path(graphs.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, __file__, str(path)], env=env, check=True, timeout=120)
 
 
 def aggregate(rows: list[dict]) -> tuple[str, str]:
@@ -77,7 +89,7 @@ class SweepWorkload:
         self.g = None
 
     def make_inputs(self) -> None:
-        write_graph(self.graph_path)
+        write_graph_apart(self.graph_path)
 
     def setup_steps(self) -> list:
         return [self._load]
@@ -220,7 +232,7 @@ class ProbeSessionWorkload:
         return self.session_dir / f"s{index}"
 
     def make_inputs(self) -> None:
-        write_graph(self.graph_path)
+        write_graph_apart(self.graph_path)
         self.session_dir.mkdir(parents=True, exist_ok=True)
 
     def setup_steps(self) -> list:
@@ -350,3 +362,7 @@ def make(name: str, workdir: Path, seed: int):
         return ProbeSessionWorkload(workdir, seed)
     raise ValueError(f"unknown workload {name!r}")
 
+
+
+if __name__ == "__main__":
+    write_graph(Path(sys.argv[1]))
