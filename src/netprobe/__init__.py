@@ -27,7 +27,6 @@ from .graphs import (
     ObservedGraph,
     TriangleWedgeCounts,
     count_triangles_wedges,
-    degree,
     global_clustering,
     load_edge_list,
     local_clustering,
@@ -43,7 +42,7 @@ from .sampling import (
     sample_random_node,
     sample_random_walk,
 )
-from .probing import ProbeLedger, ProbeResult, candidates, probe
+from .probing import ProbeLedger, ProbeResult, probe
 from .estimators import (
     EstimateSet,
     SurvivalProbs,
@@ -64,8 +63,9 @@ from .communities import detect_communities, modularity
 from .strategies import (
     CandidateScore,
     ProbePlan,
-    STRATEGY_NAMES,
+    STRATEGIES,
     edge_dispersion,
+    estimate,
     make_probe_plan,
     score_clustering,
     score_cross_comm,
@@ -80,8 +80,10 @@ from .harness import (
     TrialConfig,
     TrialResult,
     auc,
+    budget_from_fraction,
     ccdf,
     percent_improvement,
+    run_session,
     run_trial,
     sweep,
 )

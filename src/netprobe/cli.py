@@ -4,8 +4,10 @@ Subcommands: sample | probe | estimate | sweep | stats.  Every command that
 writes output also writes a JSON run manifest (arguments, seeds, input file
 digests, tool version) sufficient to reproduce the run byte for byte.
 
-Exit codes: 0 success, 1 usage error, 2 runtime error.  The NETPROBE_JOBS
-environment variable sets the default sweep parallelism.
+Exit codes: 0 success, 1 usage error (bad flags or an invalid
+configuration), 2 runtime error.  A budget fraction must lie in (0, 1] and
+give at least one probe.  The NETPROBE_JOBS environment variable sets the
+default sweep parallelism.
 """
 
 from __future__ import annotations
@@ -18,13 +20,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import NetProbeError
-from .estimators import (
-    DEFAULT_ESTIMATION_PROBES,
-    known_edge_sample_estimates,
-    known_node_sample_estimates,
-    probe_based_estimates,
-)
+from .errors import ConfigError, NetProbeError
+from .estimators import DEFAULT_ESTIMATION_PROBES
 from .graphs import (
     count_triangles_wedges,
     global_clustering,
@@ -33,21 +30,24 @@ from .graphs import (
     write_observed,
 )
 from .harness import (
+    KNOWN_SAMPLE_KINDS,
     TrialConfig,
+    budget_from_fraction,
     improvement_curves,
+    run_session,
     sweep,
     write_curves_csv,
     write_results_csv,
-    derive_seed,
 )
-from .probing import PHASE_SELECTION, ProbeLedger, probe, write_probe_log
+# probe is not called here; bench/tracing.py wraps it by this module's name
+from .probing import ProbeLedger, probe, write_probe_log
 from .sampling import (
     DEFAULT_EDGE_FRACTION,
     DEFAULT_JUMP_PROB,
     SAMPLER_NAMES,
     run_sampler,
 )
-from .strategies import STRATEGY_NAMES, make_probe_plan
+from .strategies import STRATEGIES, estimate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -102,24 +102,22 @@ def _load_observed(path: str, g):
 
 
 def _parse_budget(args, n_nodes: int) -> int:
-    """Absolute --budget wins; otherwise floor the fraction, minimum 1."""
+    """Absolute --budget wins; otherwise the fraction of the graph's nodes."""
     if args.budget is not None:
         if args.budget < 1:
             raise UsageError(f"budget must be at least 1, got {args.budget}")
         return args.budget
-    return max(1, int(args.budget_frac * n_nodes))
+    return budget_from_fraction(args.budget_frac, n_nodes)
 
 
 def _known_sample_from_args(args) -> tuple[str, float] | None:
     if args.known_sampler is None:
         return None
-    if args.known_sampler == "randnode":
-        if args.f_n is None:
-            raise UsageError("--known-sampler randnode requires --f-n")
-        return ("node", args.f_n)
-    if args.f_e is None:
-        raise UsageError("--known-sampler randedge requires --f-e")
-    return ("edge", args.f_e)
+    kind = KNOWN_SAMPLE_KINDS[args.known_sampler]
+    flag, fraction = ("--f-n", args.f_n) if kind == "node" else ("--f-e", args.f_e)
+    if fraction is None:
+        raise UsageError(f"--known-sampler {args.known_sampler} requires {flag}")
+    return (kind, fraction)
 
 
 def cmd_sample(args) -> int:
@@ -158,21 +156,11 @@ def cmd_probe(args) -> int:
     obs = _load_observed(args.observed, g)
     budget = _parse_budget(args, g.n_nodes)
     known = _known_sample_from_args(args)
-
-    ledger = ProbeLedger(budget=budget)
-    plan, est = make_probe_plan(
-        args.strategy,
-        g,
-        obs,
-        ledger,
-        selection_seed=args.seed,
-        estimation_seed=derive_seed(args.seed, "estimation"),
-        estimation_probes=args.estimation_probes,
-        known_sample=known,
+    ledger, est = run_session(
+        g, obs, args.strategy, budget, args.seed,
+        estimation_probes=args.estimation_probes, known_sample=known,
         charge_estimation=not args.estimation_uncharged,
     )
-    for u in plan.nodes:
-        probe(g, obs, ledger, u, phase=PHASE_SELECTION)
 
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -212,22 +200,13 @@ def cmd_estimate(args) -> int:
     g = _load_graph(args.graph)
     obs = _load_observed(args.observed, g)
     known = _known_sample_from_args(args)
-    if known is not None:
-        kind, fraction = known
-        if kind == "node":
-            est = known_node_sample_estimates(obs, fraction)
-        else:
-            est = known_edge_sample_estimates(obs, fraction)
-    else:
-        budget = _parse_budget(args, g.n_nodes)
-        ledger = ProbeLedger(budget=budget)
-        n_probes = min(args.n_probes, budget // 2, len(obs.candidate_nodes()))
-        if n_probes < 1:
-            raise UsageError(
-                "budget too small for any estimation probe; "
-                "use --known-sampler or a larger budget"
-            )
-        est = probe_based_estimates(g, obs, ledger, n_probes=n_probes, seed=args.seed)
+    ledger = ProbeLedger(budget=_parse_budget(args, g.n_nodes))
+    est = estimate(g, obs, ledger, known, n_probes=args.n_probes, seed=args.seed)
+    if est is None:
+        raise UsageError(
+            "budget too small for any estimation probe; "
+            "use --known-sampler or a larger budget"
+        )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(est.report(), indent=2, sort_keys=True) + "\n")
@@ -254,22 +233,10 @@ def cmd_sweep(args) -> int:
     g = _load_graph(args.graph)
     samplers = [s for s in args.samplers.split(",") if s]
     strategies = [s for s in args.strategies.split(",") if s]
-    if not strategies:
-        raise UsageError("strategy list is empty")
-    if not samplers:
-        raise UsageError("sampler list is empty")
-    for s in samplers:
-        if s not in SAMPLER_NAMES:
-            raise UsageError(f"unknown sampler {s!r}; expected one of {SAMPLER_NAMES}")
-    for s in strategies:
-        if s not in STRATEGY_NAMES:
-            raise UsageError(f"unknown strategy {s!r}; expected one of {STRATEGY_NAMES}")
     try:
         budgets = [float(b) for b in args.budget_fracs.split(",") if b]
     except ValueError:
         raise UsageError(f"bad budget list {args.budget_fracs!r}") from None
-    if not budgets:
-        raise UsageError("budget list is empty")
 
     grid = [
         TrialConfig(
@@ -347,6 +314,20 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
+def _add_session_args(p) -> None:
+    """The inputs, budget, seed and known-sample flags of probe and estimate."""
+    p.add_argument("--graph", required=True)
+    p.add_argument("--observed", required=True)
+    p.add_argument("--budget", type=int, default=None, help="absolute probe budget")
+    p.add_argument("--budget-frac", type=float, default=0.05,
+                   help="budget as a fraction in (0, 1] of the complete graph's nodes")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--known-sampler", choices=tuple(KNOWN_SAMPLE_KINDS), default=None,
+                   help="use closed-form estimators for a sample of known origin")
+    p.add_argument("--f-n", type=float, default=None, help="known selected-node fraction")
+    p.add_argument("--f-e", type=float, default=None, help="known observed-edge fraction")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="netprobe", description=__doc__)
     parser.add_argument("--version", action="version", version=f"netprobe {__version__}")
@@ -364,33 +345,17 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("probe", help="plan and execute probes on an observed graph")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--observed", required=True)
-    p.add_argument("--strategy", required=True, choices=STRATEGY_NAMES)
-    p.add_argument("--budget", type=int, default=None, help="absolute probe budget")
-    p.add_argument("--budget-frac", type=float, default=0.05,
-                   help="budget as a fraction of the complete graph's nodes")
-    p.add_argument("--seed", type=int, default=0)
+    _add_session_args(p)
+    p.add_argument("--strategy", required=True, choices=tuple(STRATEGIES))
     p.add_argument("--estimation-probes", type=int, default=DEFAULT_ESTIMATION_PROBES)
     p.add_argument("--estimation-uncharged", action="store_true",
                    help="do not charge estimation probes against the budget")
-    p.add_argument("--known-sampler", choices=("randnode", "randedge"), default=None,
-                   help="use closed-form estimators for a sample of known origin")
-    p.add_argument("--f-n", type=float, default=None, help="known selected-node fraction")
-    p.add_argument("--f-e", type=float, default=None, help="known observed-edge fraction")
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("estimate", help="estimate degree scale and clustering only")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--observed", required=True)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--budget-frac", type=float, default=0.05)
+    _add_session_args(p)
     p.add_argument("--n-probes", type=int, default=DEFAULT_ESTIMATION_PROBES)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--known-sampler", choices=("randnode", "randedge"), default=None)
-    p.add_argument("--f-n", type=float, default=None)
-    p.add_argument("--f-e", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_estimate)
 
@@ -409,8 +374,8 @@ def build_parser() -> _Parser:
     p.add_argument("--known-sample", action="store_true",
                    help="give maxoutprobe the sampler's true fractions")
     p.add_argument("--master-seed", type=int, default=0)
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("NETPROBE_JOBS", "1")))
+    p.add_argument("--jobs", type=int, default=os.environ.get("NETPROBE_JOBS", "1"),
+                   help="worker processes (default: NETPROBE_JOBS, else 1)")
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_sweep)
 
@@ -427,7 +392,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NetProbeError as exc:

@@ -236,7 +236,7 @@ def known_node_sample_estimates(obs: ObservedGraph, node_fraction: float) -> Est
     clustering, clamped = unbiased_clustering_node_sampling(c_obs, node_fraction)
     return EstimateSet(
         method=METHOD_KNOWN_NODE,
-        scale_multiplier=max(1.0, 1.0 / node_fraction),
+        scale_multiplier=unbiased_degree_node_sampling(1, node_fraction),
         clustering=clustering,
         probes_used=0,
         clustering_clamped=clamped,
@@ -250,7 +250,7 @@ def known_edge_sample_estimates(obs: ObservedGraph, edge_fraction: float) -> Est
     clustering, clamped = unbiased_clustering_edge_sampling(c_obs, edge_fraction)
     return EstimateSet(
         method=METHOD_KNOWN_EDGE,
-        scale_multiplier=max(1.0, 1.0 / edge_fraction),
+        scale_multiplier=unbiased_degree_edge_sampling(1, edge_fraction),
         clustering=clustering,
         probes_used=0,
         clustering_clamped=clamped,

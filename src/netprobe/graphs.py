@@ -266,10 +266,6 @@ class ObservedGraph:
         self._status[u] = NodeStatus.EXPLORED
 
 
-def degree(g: CompleteGraph | ObservedGraph, u: str) -> int:
-    return g.degree(u)
-
-
 def _adjacency_items(g: CompleteGraph | ObservedGraph):
     """(node-key, neighbor-set) pairs plus a set lookup, label-free.
 

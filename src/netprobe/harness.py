@@ -13,12 +13,15 @@ from typing import IO, Sequence
 
 from .errors import ConfigError, NetProbeError
 from .estimators import DEFAULT_ESTIMATION_PROBES, EstimateSet
-from .graphs import CompleteGraph
+from .graphs import CompleteGraph, ObservedGraph
 from .probing import PHASE_SELECTION, ProbeLedger, probe
-from .sampling import DEFAULT_EDGE_FRACTION, DEFAULT_JUMP_PROB, run_sampler
-from .strategies import STRATEGY_NAMES, make_probe_plan
+from .sampling import DEFAULT_EDGE_FRACTION, DEFAULT_JUMP_PROB, SAMPLER_NAMES, run_sampler
+from .strategies import lookup_strategy, make_probe_plan
 
 logger = logging.getLogger(__name__)
+
+# The samplers with closed-form estimators, and the kind of fraction they take.
+KNOWN_SAMPLE_KINDS = {"randnode": "node", "randedge": "edge"}
 
 RESULT_COLUMNS = [
     "sampler",
@@ -53,11 +56,9 @@ class TrialConfig:
     edge_fraction: float = DEFAULT_EDGE_FRACTION
     budget_fraction: float = 0.05
     n_repeats: int = 20
-    seed: int = 0
     jump_prob: float = DEFAULT_JUMP_PROB
     estimation_probes: int = DEFAULT_ESTIMATION_PROBES
     known_sample: bool = False
-    charge_estimation: bool = True
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,61 @@ class TrialResult:
     estimate: EstimateSet | None = None
 
 
+def budget_from_fraction(fraction: float, n_nodes: int) -> int:
+    """The probe count of a budget given as a fraction of the complete
+    graph's nodes: floor(fraction * n_nodes), which must be at least 1."""
+    budget = int(fraction * n_nodes) if 0.0 < fraction <= 1.0 else 0
+    if budget < 1:
+        raise ConfigError(
+            f"budget_fraction {fraction} must be in (0, 1] and yield a budget "
+            f"of at least 1 on {n_nodes} nodes"
+        )
+    return budget
+
+
+def _check_config(config: TrialConfig) -> None:
+    """Reject a grid cell that no trial of it could run: an unknown sampler
+    or strategy, or known-sample estimates for a sampler without closed-form
+    estimators."""
+    if config.sampler not in SAMPLER_NAMES:
+        raise ConfigError(
+            f"unknown sampler {config.sampler!r}; expected one of {SAMPLER_NAMES}"
+        )
+    lookup_strategy(config.strategy)
+    if config.known_sample and config.sampler not in KNOWN_SAMPLE_KINDS:
+        raise ConfigError("known-sample estimators require the randnode or randedge sampler")
+
+
+def run_session(
+    g: CompleteGraph,
+    obs: ObservedGraph,
+    strategy: str,
+    budget: int,
+    seed: int,
+    *,
+    estimation_probes: int = DEFAULT_ESTIMATION_PROBES,
+    known_sample: tuple[str, float] | None = None,
+    charge_estimation: bool = True,
+) -> tuple[ProbeLedger, EstimateSet | None]:
+    """Plan then probe: spend a budget of probes on obs with a named strategy.
+
+    seed is the selection seed; the estimation seed is derived from it.
+    obs gains every probed neighbourhood, and the returned ledger's log
+    lists every probe in order, estimation probes first.  The estimate set
+    is None for strategies that use none.
+    """
+    ledger = ProbeLedger(budget=budget)
+    plan, est = make_probe_plan(
+        strategy, g, obs, ledger, selection_seed=seed,
+        estimation_seed=derive_seed(seed, "estimation"),
+        estimation_probes=estimation_probes, known_sample=known_sample,
+        charge_estimation=charge_estimation,
+    )
+    for u in plan.nodes:
+        probe(g, obs, ledger, u, phase=PHASE_SELECTION)
+    return ledger, est
+
+
 def run_trial(
     g: CompleteGraph,
     config: TrialConfig,
@@ -76,46 +132,20 @@ def run_trial(
     strategy_seed: int,
 ) -> TrialResult:
     """Sample, plan, probe, count.  Deterministic given both seeds."""
-    budget = int(config.budget_fraction * g.n_nodes)
-    if budget < 1:
-        raise ConfigError(
-            f"budget_fraction {config.budget_fraction} yields budget < 1 "
-            f"on {g.n_nodes} nodes"
-        )
-    if config.strategy not in STRATEGY_NAMES:
-        raise ConfigError(f"unknown strategy {config.strategy!r}")
-
+    budget = budget_from_fraction(config.budget_fraction, g.n_nodes)
+    _check_config(config)
     obs, fractions = run_sampler(
         g, config.sampler, config.edge_fraction, sampler_seed, jump_prob=config.jump_prob
     )
     nodes_before = obs.n_nodes
-
     known = None
     if config.known_sample:
-        if config.sampler == "randnode":
-            known = ("node", fractions.node_fraction)
-        elif config.sampler == "randedge":
-            known = ("edge", fractions.edge_fraction)
-        else:
-            raise ConfigError(
-                "known-sample estimators require the randnode or randedge sampler"
-            )
-
-    ledger = ProbeLedger(budget=budget)
-    plan, est = make_probe_plan(
-        config.strategy,
-        g,
-        obs,
-        ledger,
-        selection_seed=strategy_seed,
-        estimation_seed=derive_seed(strategy_seed, "estimation"),
-        estimation_probes=config.estimation_probes,
-        known_sample=known,
-        charge_estimation=config.charge_estimation,
+        kind = KNOWN_SAMPLE_KINDS[config.sampler]
+        known = (kind, fractions.node_fraction if kind == "node" else fractions.edge_fraction)
+    ledger, est = run_session(
+        g, obs, config.strategy, budget, strategy_seed,
+        estimation_probes=config.estimation_probes, known_sample=known,
     )
-    for u in plan.nodes:
-        probe(g, obs, ledger, u, phase=PHASE_SELECTION)
-
     return TrialResult(
         nodes_before=nodes_before,
         nodes_after=obs.n_nodes,
@@ -232,6 +262,12 @@ class _TrialSpec:
     sampler_seed: int
     strategy_seed: int
 
+    @property
+    def pair_key(self) -> tuple:
+        """The trials sharing this key share one sample and one baseline."""
+        c = self.config
+        return (c.sampler, c.edge_fraction, c.budget_fraction, self.repeat)
+
 
 _WORKER_GRAPH: CompleteGraph | None = None
 
@@ -259,11 +295,15 @@ def sweep(
 
     The sampler seed depends only on (sampler, repeat), so each repeat is
     one incomplete network probed by every strategy at every budget, and the
-    Random baseline sees the byte-identical sample.  Failed trials become
-    rows with blank measurements; the sweep continues.
+    Random baseline sees the byte-identical sample.  A config that no
+    trial could run raises ConfigError before any trial runs; trials that
+    fail on their own become rows with blank measurements, and the sweep
+    continues.
     """
     if not grid:
         raise ConfigError("sweep grid is empty")
+    for config in grid:
+        _check_config(config)
 
     baseline_keys: dict[tuple, _TrialSpec] = {}
     strategy_specs: list[_TrialSpec] = []
@@ -280,7 +320,7 @@ def sweep(
             )
             spec = _TrialSpec(config, repeat, sampler_seed, strategy_seed)
             strategy_specs.append(spec)
-            key = (config.sampler, config.edge_fraction, config.budget_fraction, repeat)
+            key = spec.pair_key
             if key not in baseline_keys:
                 baseline_config = replace(config, strategy="random")
                 baseline_seed = derive_seed(
@@ -324,24 +364,12 @@ def sweep(
     baseline_nodes: dict[tuple, int | None] = {}
     n_strategy = len(strategy_specs)
     for spec, result in zip(baseline_specs, results[n_strategy:]):
-        key = (
-            spec.config.sampler,
-            spec.config.edge_fraction,
-            spec.config.budget_fraction,
-            spec.repeat,
-        )
-        baseline_nodes[key] = result.nodes_after if result is not None else None
+        baseline_nodes[spec.pair_key] = result.nodes_after if result is not None else None
 
     rows = []
     for spec, result in zip(strategy_specs, results[:n_strategy]):
         row = _trial_row(spec.config, spec.repeat, spec.sampler_seed, result)
-        key = (
-            spec.config.sampler,
-            spec.config.edge_fraction,
-            spec.config.budget_fraction,
-            spec.repeat,
-        )
-        base = baseline_nodes.get(key)
+        base = baseline_nodes.get(spec.pair_key)
         if result is not None and base:
             if spec.config.strategy == "random":
                 row["improvement_vs_random"] = 0.0

@@ -82,11 +82,6 @@ def probe(
     )
 
 
-def candidates(obs: ObservedGraph) -> list[str]:
-    """All probe-eligible (unexplored) nodes, label-sorted."""
-    return obs.candidate_nodes()
-
-
 def write_probe_log(ledger: ProbeLedger, sink: IO[str]) -> None:
     """CSV export: phase,node,new_nodes,new_edges,spent_after."""
     writer = csv.writer(sink)

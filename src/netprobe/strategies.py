@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .communities import detect_communities
-from .errors import ConfigError, EstimationError, UnknownNodeError
+from .errors import ConfigError, UnknownNodeError
 from .estimators import (
     DEFAULT_ESTIMATION_PROBES,
     EstimateSet,
@@ -25,18 +25,6 @@ from .estimators import (
 )
 from .graphs import CompleteGraph, ObservedGraph, local_clustering, two_hop_open_wedges
 from .probing import ProbeLedger
-
-STRATEGY_NAMES = (
-    "maxoutprobe",
-    "highdeg",
-    "lowdeg",
-    "highdisp",
-    "lowdisp",
-    "crosscomm",
-    "highcc",
-    "lowcc",
-    "random",
-)
 
 HIGH = "high"
 LOW = "low"
@@ -92,8 +80,6 @@ def score_max_out_probe(obs: ObservedGraph, est: EstimateSet) -> list[CandidateS
                 open_wedge_count=w_u,
             )
         )
-    if not scores:
-        raise EstimationError("no candidate nodes to score")
     return scores
 
 
@@ -199,6 +185,72 @@ def select_random(obs: ObservedGraph, b_remaining: int, seed: int) -> ProbePlan:
     )
 
 
+Scorer = Callable[[ObservedGraph, int, EstimateSet | None], list[CandidateScore]]
+
+# Strategy name -> scorer(obs, selection_seed, est), in the order the CLI
+# lists them; random has no scorer and draws candidates uniformly.  Each
+# scorer looks up the module's function when it is called, so replacing a
+# module attribute (to trace it, say) reaches every strategy.
+STRATEGIES: dict[str, Scorer | None] = {
+    "maxoutprobe": lambda obs, seed, est: score_max_out_probe(obs, est),
+    "highdeg": lambda obs, seed, est: score_degree(obs, HIGH),
+    "lowdeg": lambda obs, seed, est: score_degree(obs, LOW),
+    "highdisp": lambda obs, seed, est: score_dispersion(obs, HIGH),
+    "lowdisp": lambda obs, seed, est: score_dispersion(obs, LOW),
+    "crosscomm": lambda obs, seed, est: score_cross_comm(
+        obs, detect_communities(obs, seed=seed)
+    ),
+    "highcc": lambda obs, seed, est: score_clustering(obs, HIGH),
+    "lowcc": lambda obs, seed, est: score_clustering(obs, LOW),
+    "random": None,
+}
+# The strategies that run the estimation phase first; their scorers get its
+# EstimateSet as est, the others get None.
+ESTIMATED = frozenset({"maxoutprobe"})
+
+
+def lookup_strategy(name: str) -> Scorer | None:
+    """The named strategy's scorer; ConfigError for an unknown name."""
+    try:
+        return STRATEGIES[name]
+    except KeyError:
+        raise ConfigError(
+            f"unknown strategy {name!r}; expected one of {tuple(STRATEGIES)}"
+        ) from None
+
+
+def estimate(
+    g: CompleteGraph,
+    obs: ObservedGraph,
+    ledger: ProbeLedger,
+    known_sample: tuple[str, float] | None = None,
+    n_probes: int = DEFAULT_ESTIMATION_PROBES,
+    seed: int = 0,
+) -> EstimateSet | None:
+    """Estimate the degree scale and the clustering of obs.
+
+    known_sample ("node" or "edge", fraction) selects the closed-form
+    estimators of a random-node or random-edge sample, which spend no
+    probes.  Otherwise up to n_probes estimation probes are charged to the
+    ledger, capped at half its budget so selection keeps at least half, at
+    its remaining budget and at the number of candidates.  Returns None
+    when that cap leaves no probe.
+    """
+    if known_sample is not None:
+        kind, fraction = known_sample
+        if kind == "node":
+            return known_node_sample_estimates(obs, fraction)
+        if kind == "edge":
+            return known_edge_sample_estimates(obs, fraction)
+        raise ConfigError(f"known_sample kind must be 'node' or 'edge', got {kind!r}")
+    n_probes = min(
+        n_probes, ledger.budget // 2, ledger.remaining, len(obs.candidate_nodes())
+    )
+    if n_probes < 1:
+        return None
+    return probe_based_estimates(g, obs, ledger, n_probes=n_probes, seed=seed)
+
+
 def make_probe_plan(
     strategy: str,
     g: CompleteGraph,
@@ -212,62 +264,23 @@ def make_probe_plan(
 ) -> tuple[ProbePlan, EstimateSet | None]:
     """Build the probe plan for a named strategy against one observed graph.
 
-    For the estimate-driven strategy this runs the estimation phase first
-    (consuming budget unless charge_estimation is False), or uses the
-    closed-form estimators when known_sample carries ("node", fraction) or
-    ("edge", fraction).  Estimation probes are drawn from the budget-many
-    highest-degree candidates and capped at half the budget so selection
-    always keeps at least half.
-
-    Returns the plan over the remaining budget plus the estimate set used
-    (None for baselines).
+    A strategy that needs estimates runs :func:`estimate` first, charging
+    its probes unless charge_estimation is False.  Returns the plan over the
+    remaining budget and the estimate set used, None for the other strategies.
     """
-    if strategy not in STRATEGY_NAMES:
-        raise ConfigError(
-            f"unknown strategy {strategy!r}; expected one of {STRATEGY_NAMES}"
-        )
+    scorer = lookup_strategy(strategy)
     est: EstimateSet | None = None
-    if strategy == "maxoutprobe":
-        if known_sample is not None:
-            kind, fraction = known_sample
-            if kind == "node":
-                est = known_node_sample_estimates(obs, fraction)
-            elif kind == "edge":
-                est = known_edge_sample_estimates(obs, fraction)
-            else:
-                raise ConfigError(f"known_sample kind must be 'node' or 'edge', got {kind!r}")
-        else:
-            n_probes = min(
-                estimation_probes,
-                ledger.budget // 2,
-                ledger.remaining,
-                len(obs.candidate_nodes()),
-            )
-            if n_probes >= 1:
-                est = probe_based_estimates(
-                    g, obs, ledger, n_probes=n_probes, seed=estimation_seed
-                )
-                if not charge_estimation:
-                    ledger.budget += est.probes_used
-            else:
-                # budget too small to estimate anything: with a neutral
-                # multiplier and zero clustering the ranking falls back to
-                # observed degree
-                est = EstimateSet(
-                    method=METHOD_PROBE, scale_multiplier=2.0, clustering=0.0
-                )
-        scores = score_max_out_probe(obs, est)
-        return select_top_b(scores, ledger.remaining, strategy=strategy), est
-
-    if strategy == "random":
+    if strategy in ESTIMATED:
+        est = estimate(
+            g, obs, ledger, known_sample, n_probes=estimation_probes, seed=estimation_seed
+        )
+        if est is None:
+            # no budget to estimate: a neutral multiplier and zero
+            # clustering fall back to ranking by observed degree
+            est = EstimateSet(method=METHOD_PROBE, scale_multiplier=2.0, clustering=0.0)
+        elif not charge_estimation:
+            ledger.budget += est.probes_used
+    if scorer is None:
         return select_random(obs, ledger.remaining, selection_seed), None
-    if strategy in ("highdeg", "lowdeg"):
-        scores = score_degree(obs, HIGH if strategy == "highdeg" else LOW)
-    elif strategy in ("highdisp", "lowdisp"):
-        scores = score_dispersion(obs, HIGH if strategy == "highdisp" else LOW)
-    elif strategy == "crosscomm":
-        partition = detect_communities(obs, seed=selection_seed)
-        scores = score_cross_comm(obs, partition)
-    else:  # highcc / lowcc
-        scores = score_clustering(obs, HIGH if strategy == "highcc" else LOW)
-    return select_top_b(scores, ledger.remaining, strategy=strategy), None
+    scores = scorer(obs, selection_seed, est)
+    return select_top_b(scores, ledger.remaining, strategy=strategy), est

@@ -34,7 +34,7 @@ from netprobe.graphs import (
     two_hop_open_wedges,
 )
 from netprobe.harness import TrialConfig, derive_seed, run_trial, sweep, write_results_csv
-from netprobe.probing import ProbeLedger, candidates, probe
+from netprobe.probing import ProbeLedger, probe
 from netprobe.sampling import (
     run_sampler,
     sample_node_bernoulli,
@@ -104,14 +104,14 @@ def test_criterion_1_exact_oracles():
             sampler = "randedge" if checked % 2 == 0 else "randnode"
             obs, _ = run_sampler(g, sampler, 0.5, seed=checked)
 
-            for u in candidates(obs):
+            for u in obs.candidate_nodes():
                 assert two_hop_open_wedges(obs, u) == brute_two_hop_open_wedges(obs, u)
             for u in obs.nodes():
                 for v in obs.neighbors(u):
                     if u < v:
                         assert edge_dispersion(obs, u, v) == brute_edge_dispersion(obs, u, v)
 
-            if candidates(obs):
+            if obs.candidate_nodes():
                 est = EstimateSet(
                     method=METHOD_PROBE,
                     scale_multiplier=1.0 + rng.uniform(0.5, 4.0),
@@ -129,7 +129,7 @@ def test_criterion_1_exact_oracles():
 
             expected_closure = brute_closure_nodes(g, obs)
             ledger = ProbeLedger(budget=g.n_nodes)
-            for u in list(candidates(obs)):
+            for u in list(obs.candidate_nodes()):
                 probe(g, obs, ledger, u)
             assert set(obs.nodes()) == expected_closure
             checked += 1
@@ -244,7 +244,7 @@ def test_criterion_4_low_clustering_reduction():
         for g in random_graphs(100, seed=9, max_nodes=40):
             sampler = ("randedge", "randnode", "rw")[checked % 3]
             obs, _ = run_sampler(g, sampler, 0.5, seed=checked)
-            if not candidates(obs):
+            if not obs.candidate_nodes():
                 obs, _ = sample_random_edge(g, 1.0, seed=checked)
             est = EstimateSet(
                 method=METHOD_PROBE,

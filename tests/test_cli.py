@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from netprobe.cli import main
+from netprobe.cli import build_parser, main
 from netprobe.generators import planted_partition_graph
 
 
@@ -117,6 +117,15 @@ class TestProbe:
                    "--out-prefix", tmp_path / "x")
         assert code == 1
 
+    @pytest.mark.parametrize("frac", ["-0.5", "0", "7", "0.001", "nan"])
+    def test_budget_frac_out_of_range_is_usage_error(self, graph_file, tmp_path, frac):
+        obs = self.make_sample(graph_file, tmp_path)
+        code = run("probe", "--graph", graph_file, "--observed", obs,
+                   "--strategy", "highdeg", "--budget-frac", frac,
+                   "--out-prefix", tmp_path / "x")
+        assert code == 1
+        assert not (tmp_path / "x.observed.txt").exists()
+
     def test_bad_strategy_is_usage_error(self, graph_file, tmp_path):
         obs = self.make_sample(graph_file, tmp_path)
         code = run("probe", "--graph", graph_file, "--observed", obs,
@@ -157,6 +166,16 @@ class TestEstimate:
         assert json.loads(out.read_text())["method"] == "known_node_sample"
 
 
+    @pytest.mark.parametrize("frac", ["-0.5", "0", "7", "0.001", "nan"])
+    def test_budget_frac_out_of_range_is_usage_error(self, graph_file, tmp_path, frac):
+        obs = TestProbe().make_sample(graph_file, tmp_path)
+        for known in ([], ["--known-sampler", "randedge", "--f-e", "0.2"]):
+            code = run("estimate", "--graph", graph_file, "--observed", obs,
+                       "--budget-frac", frac, "--out", tmp_path / "r.json", *known)
+            assert code == 1
+        assert not (tmp_path / "r.json").exists()
+
+
 class TestSweep:
     def test_outputs_and_reproducibility(self, graph_file, tmp_path):
         blobs = []
@@ -183,6 +202,24 @@ class TestSweep:
         code = run("sweep", "--graph", graph_file, "--strategies", "",
                    "--out-prefix", tmp_path / "x")
         assert code == 1
+
+    def test_known_sample_with_walk_sampler_is_usage_error(self, graph_file, tmp_path):
+        out = tmp_path / "ks"
+        code = run("sweep", "--graph", graph_file, "--samplers", "randedge,rw",
+                   "--budget-fracs", "0.1", "--repeats", "1", "--known-sample",
+                   "--out-prefix", out / "sweep")
+        assert code == 1
+        assert not out.exists()
+
+    def test_bad_jobs_environment_is_usage_error(self, graph_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("NETPROBE_JOBS", "x")
+        code = run("sweep", "--graph", graph_file, "--samplers", "randedge",
+                   "--strategies", "highdeg", "--budget-fracs", "0.1",
+                   "--repeats", "1", "--out-prefix", tmp_path / "j")
+        assert code == 1
+        monkeypatch.setenv("NETPROBE_JOBS", "2")
+        assert build_parser().parse_args(
+            ["sweep", "--graph", "g", "--out-prefix", "p"]).jobs == 2
 
     def test_parallel_jobs_flag(self, graph_file, tmp_path):
         prefix = tmp_path / "par" / "sweep"

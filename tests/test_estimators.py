@@ -29,7 +29,7 @@ from netprobe.generators import (
     random_graph,
 )
 from netprobe.graphs import CompleteGraph, ObservedGraph, global_clustering
-from netprobe.probing import ProbeLedger, candidates, probe
+from netprobe.probing import ProbeLedger, probe
 from netprobe.sampling import sample_node_bernoulli, sample_random_edge
 
 
@@ -88,7 +88,7 @@ class TestScaleFactor:
             estimate_scale_factor(g, obs, ledger, n_probes=0)
         with pytest.raises(BudgetError):
             estimate_scale_factor(g, obs, ledger, n_probes=3)
-        for u in list(candidates(obs)):
+        for u in list(obs.candidate_nodes()):
             probe(g, obs, ledger, u)
         with pytest.raises(EstimationError):
             estimate_scale_factor(g, obs, ledger, n_probes=1)

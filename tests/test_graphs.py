@@ -17,7 +17,6 @@ from netprobe.graphs import (
     NodeStatus,
     ObservedGraph,
     count_triangles_wedges,
-    degree,
     global_clustering,
     load_edge_list,
     local_clustering,
@@ -89,17 +88,17 @@ class TestLoadEdgeList:
 class TestDegree:
     def test_k4(self):
         g = k4()
-        assert all(degree(g, u) == 3 for u in g.labels())
+        assert all(g.degree(u) == 3 for u in g.labels())
 
     def test_path_center(self):
         g = CompleteGraph([("a", "b"), ("b", "c")])
-        assert degree(g, "b") == 2
-        assert degree(g, "a") == 1
+        assert g.degree("b") == 2
+        assert g.degree("a") == 1
 
     def test_unknown_node(self):
         g = k4()
         with pytest.raises(UnknownNodeError):
-            degree(g, "zzz")
+            g.degree("zzz")
 
 
 class TestTriangleWedgeCounts:

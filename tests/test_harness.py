@@ -5,12 +5,14 @@ import random
 
 import pytest
 
+from netprobe import harness
 from netprobe.errors import ConfigError
 from netprobe.generators import planted_partition_graph, random_graph
 from netprobe.harness import (
     AggregateCurve,
     TrialConfig,
     auc,
+    budget_from_fraction,
     ccdf,
     common_range_aucs,
     derive_seed,
@@ -86,6 +88,18 @@ class TestRunTrial:
                                  estimation_probes=2)
             result = run_trial(g, config, sampler_seed=55, strategy_seed=3)
             assert result.nodes_after <= upper_bound
+
+
+@pytest.mark.parametrize("fraction, n_nodes, budget", [
+    (1.0, 30, 30), (0.5, 3, 1), (0.05, 5030, 251), (0.1, 9, None), (0.0, 30, None),
+    (-0.5, 30, None), (1.01, 30, None), (float("nan"), 30, None),
+])
+def test_budget_from_fraction(fraction, n_nodes, budget):
+    if budget is None:
+        with pytest.raises(ConfigError):
+            budget_from_fraction(fraction, n_nodes)
+    else:
+        assert budget_from_fraction(fraction, n_nodes) == budget
 
 
 class TestPercentImprovement:
@@ -235,6 +249,19 @@ class TestSweep:
         serial = sweep(g, grid, master_seed=6, jobs=1)
         parallel = sweep(g, grid, master_seed=6, jobs=2)
         assert serial == parallel
+
+    def test_known_sample_with_walk_sampler_rejected_before_any_trial(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args: calls.append(args))
+        g = random_graph(20, 0.3, seed=14)
+        grid = [
+            TrialConfig(sampler=sampler, strategy="highdeg", budget_fraction=0.2,
+                        n_repeats=1, known_sample=True)
+            for sampler in ("randedge", "rw")
+        ]
+        with pytest.raises(ConfigError, match="known-sample"):
+            sweep(g, grid, master_seed=1)
+        assert calls == []
 
     def test_empty_grid_rejected(self):
         g = random_graph(20, 0.3, seed=14)

@@ -11,7 +11,6 @@ from netprobe.graphs import CompleteGraph, ObservedGraph
 from netprobe.probing import (
     PHASE_ESTIMATION,
     ProbeLedger,
-    candidates,
     probe,
     write_probe_log,
 )
@@ -71,7 +70,7 @@ class TestProbe:
             g = random_graph(25, 0.25, seed=trial)
             obs, _ = sample_random_edge(g, 0.3, seed=trial)
             ledger = ProbeLedger(budget=5)
-            pool = candidates(obs)
+            pool = obs.candidate_nodes()
             for u in pool[:5]:
                 probe(g, obs, ledger, u)
             for u in obs.nodes():
@@ -85,7 +84,7 @@ class TestCandidates:
     def test_edge_sample_all_candidates(self):
         g = random_graph(20, 0.3, seed=1)
         obs, _ = sample_random_edge(g, 0.5, seed=1)
-        assert candidates(obs) == obs.nodes()
+        assert obs.candidate_nodes() == obs.nodes()
 
     def test_node_sample_of_k4(self):
         g = CompleteGraph([("1", "2"), ("1", "3"), ("1", "4"),
@@ -93,15 +92,15 @@ class TestCandidates:
         obs, _ = sample_random_node(g, 0.5, seed=0)
         selected = obs.explored_nodes()[0]
         expected = sorted(set(g.labels()) - {selected})
-        assert candidates(obs) == expected
+        assert obs.candidate_nodes() == expected
 
     def test_probing_everything_empties_the_pool(self):
         g = random_graph(15, 0.3, seed=2)
         obs, _ = sample_random_edge(g, 0.5, seed=2)
         ledger = ProbeLedger(budget=g.n_nodes)
-        while candidates(obs):
-            probe(g, obs, ledger, candidates(obs)[0])
-        assert candidates(obs) == []
+        while obs.candidate_nodes():
+            probe(g, obs, ledger, obs.candidate_nodes()[0])
+        assert obs.candidate_nodes() == []
 
     def test_closure_matches_oracle(self):
         rng = random.Random(8)
@@ -110,7 +109,7 @@ class TestCandidates:
             obs, _ = sample_random_edge(g, 0.4, seed=trial)
             expected = brute_closure_nodes(g, obs)
             ledger = ProbeLedger(budget=g.n_nodes)
-            for u in list(candidates(obs)):
+            for u in list(obs.candidate_nodes()):
                 probe(g, obs, ledger, u)
             assert set(obs.nodes()) == expected
 
@@ -120,7 +119,7 @@ class TestLedgerAndLog:
         g = random_graph(20, 0.3, seed=5)
         obs, _ = sample_random_edge(g, 0.5, seed=5)
         ledger = ProbeLedger(budget=4)
-        names = candidates(obs)[:4]
+        names = obs.candidate_nodes()[:4]
         probe(g, obs, ledger, names[0], phase=PHASE_ESTIMATION)
         for u in names[1:]:
             probe(g, obs, ledger, u)

@@ -294,6 +294,21 @@ class TestMakeProbePlan:
         assert ledger.budget == 14
         assert len(plan.nodes) == 10
 
+    def test_estimation_that_explores_every_candidate_leaves_empty_plan(self):
+        # c is the only candidate and its probe reveals nothing new, so no
+        # candidate is left to rank; like the baselines, plan nothing
+        g = CompleteGraph([("a", "b"), ("a", "c"), ("b", "c")])
+        obs = full_view(g)
+        obs.mark_explored("a")
+        obs.mark_explored("b")
+        ledger = ProbeLedger(budget=4)
+        plan, est = make_probe_plan(
+            "maxoutprobe", g, obs, ledger, selection_seed=1, estimation_seed=2
+        )
+        assert est.probes_used == 1
+        assert plan.nodes == ()
+        assert ledger.spent == 1
+
     def test_tiny_budget_falls_back_to_degree_ranking(self):
         g, obs, _ = self.setup_sample()
         ledger = ProbeLedger(budget=1)
