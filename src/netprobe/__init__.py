@@ -27,6 +27,7 @@ from .graphs import (
     ObservedGraph,
     TriangleWedgeCounts,
     count_triangles_wedges,
+    edge_dispersion,
     global_clustering,
     load_edge_list,
     local_clustering,
@@ -42,7 +43,7 @@ from .sampling import (
     sample_random_node,
     sample_random_walk,
 )
-from .probing import ProbeLedger, ProbeResult, probe
+from .probing import ProbeLedger, ProbeLogEntry, probe
 from .estimators import (
     EstimateSet,
     SurvivalProbs,
@@ -64,7 +65,6 @@ from .strategies import (
     CandidateScore,
     ProbePlan,
     STRATEGIES,
-    edge_dispersion,
     estimate,
     make_probe_plan,
     score_clustering,

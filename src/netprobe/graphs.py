@@ -1,10 +1,12 @@
-"""Undirected simple-graph storage plus degree, triangle, wedge and
-clustering primitives.
+"""Undirected simple-graph storage plus degree, triangle, wedge, clustering
+and dispersion primitives.
 
 Two graph classes live here: :class:`CompleteGraph`, the immutable ground
 truth that answers probes, and :class:`ObservedGraph`, the partial view that
-samplers and probes build up.  All public interfaces speak external string
-labels; ``CompleteGraph`` maps them to dense integer indices internally.
+samplers and probes build up.  Both hold the complete graph's dense integer
+indices (``_nbrs`` maps an index to its neighbours' indices, ``_ix`` maps a
+label to its index), so each primitive has one path for both.  All public
+interfaces speak external string labels.
 """
 
 from __future__ import annotations
@@ -42,24 +44,29 @@ class NodeStatus(str, Enum):
     CANDIDATE = "C"
 
 
+# ObservedGraph._status holds one of these per complete-graph index; 0 marks
+# a node not yet observed.
+_CANDIDATE = 1
+_EXPLORED = 2
+_STATUSES = (None, NodeStatus.CANDIDATE, NodeStatus.EXPLORED)
+
+
 class CompleteGraph:
     """Immutable ground-truth graph.
 
     Safe for unrestricted concurrent reads once constructed.  Self-loops and
-    duplicate edges are dropped silently; the counts end up in
-    ``load_report``.
+    duplicate edges are dropped silently, before their endpoints get an
+    index, so every indexed node has at least one neighbour; the counts end
+    up in ``load_report``.
     """
 
-    __slots__ = ("_index", "_labels", "_adj", "_adj_sets", "_n_edges", "load_report")
+    __slots__ = ("_index", "_labels", "_adj", "_nbrs", "_n_edges", "load_report")
 
     def __init__(self, edges: Iterable[tuple[str, str]], lines_read: int = 0):
         index: dict[str, int] = {}
         labels: list[str] = []
-        adj: list[list[int]] = []
-        pair_set: set[tuple[int, int]] = set()
-        duplicates = 0
-        self_loops = 0
-
+        nbrs: list[set[int]] = []
+        n_edges = duplicates = self_loops = 0
         for a, b in edges:
             if a == b:
                 self_loops += 1
@@ -68,34 +75,31 @@ class CompleteGraph:
             if ia is None:
                 ia = index[a] = len(labels)
                 labels.append(a)
-                adj.append([])
+                nbrs.append(set())
             ib = index.get(b)
             if ib is None:
                 ib = index[b] = len(labels)
                 labels.append(b)
-                adj.append([])
-            key = (ia, ib) if ia < ib else (ib, ia)
-            if key in pair_set:
+                nbrs.append(set())
+            if ib in nbrs[ia]:
                 duplicates += 1
                 continue
-            pair_set.add(key)
-            adj[ia].append(ib)
-            adj[ib].append(ia)
+            nbrs[ia].add(ib)
+            nbrs[ib].add(ia)
+            n_edges += 1
 
-        if not pair_set:
+        if not n_edges:
             raise EmptyGraphError("graph must contain at least one edge")
-
-        for neighbors in adj:
-            neighbors.sort()
 
         self._index = index
         self._labels = labels
-        self._adj = adj
-        self._adj_sets = [frozenset(neighbors) for neighbors in adj]
-        self._n_edges = len(pair_set)
+        # sorted neighbour lists, for ordered reads and walk steps
+        self._adj = [sorted(neighbors) for neighbors in nbrs]
+        self._nbrs = {u: frozenset(neighbors) for u, neighbors in enumerate(nbrs)}
+        self._n_edges = n_edges
         self.load_report = LoadReport(
             lines_read=lines_read,
-            edges_kept=len(pair_set),
+            edges_kept=n_edges,
             duplicates_dropped=duplicates,
             self_loops_dropped=self_loops,
         )
@@ -129,7 +133,7 @@ class CompleteGraph:
         return [labels[v] for v in self._adj[self._ix(u)]]
 
     def has_edge(self, u: str, v: str) -> bool:
-        return self._ix(v) in self._adj_sets[self._ix(u)]
+        return self._ix(v) in self._nbrs[self._ix(u)]
 
     def edges(self) -> Iterator[tuple[str, str]]:
         """All edges once each, as label pairs in dense-index order."""
@@ -171,7 +175,8 @@ class ObservedGraph:
 
     Every node carries a status: EXPLORED nodes have had their complete
     neighborhood revealed; CANDIDATE nodes are present but only partially
-    known.  Mutation is single-writer: one trial owns one instance.
+    known.  Nodes are stored by their index in ``graph``.  Mutation is
+    single-writer: one trial owns one instance.
     """
 
     def __init__(
@@ -183,59 +188,63 @@ class ObservedGraph:
         self.graph = graph
         self.origin = origin
         self.target_edge_fraction = target_edge_fraction
-        self._adj: dict[str, set[str]] = {}
-        self._status: dict[str, NodeStatus] = {}
+        self._index = graph._index
+        self._labels = graph._labels
+        self._nbrs: dict[int, set[int]] = {}
+        self._status = bytearray(graph.n_nodes)
         self._n_edges = 0
 
     @property
     def n_nodes(self) -> int:
-        return len(self._adj)
+        return len(self._nbrs)
 
     @property
     def n_edges(self) -> int:
         return self._n_edges
 
+    def _ix(self, u: str) -> int:
+        i = self._index.get(u)
+        if i is None or not self._status[i]:
+            raise UnknownNodeError(f"node {u!r} not in observed graph")
+        return i
+
+    def _sorted_labels(self, indices: Iterable[int]) -> list[str]:
+        return sorted(map(self._labels.__getitem__, indices))
+
     def nodes(self) -> list[str]:
-        return sorted(self._adj)
+        return self._sorted_labels(self._nbrs)
 
     def has_node(self, u: str) -> bool:
-        return u in self._adj
+        i = self._index.get(u)
+        return i is not None and self._status[i] != 0
 
     def has_edge(self, u: str, v: str) -> bool:
-        return u in self._adj and v in self._adj[u]
+        neighbors = self._nbrs.get(self._index.get(u))
+        return neighbors is not None and self._index.get(v) in neighbors
 
     def degree(self, u: str) -> int:
-        if u not in self._adj:
-            raise UnknownNodeError(f"node {u!r} not in observed graph")
-        return len(self._adj[u])
+        return len(self._nbrs[self._ix(u)])
 
     def neighbors(self, u: str) -> list[str]:
-        if u not in self._adj:
-            raise UnknownNodeError(f"node {u!r} not in observed graph")
-        return sorted(self._adj[u])
+        return sorted(map(self._labels.__getitem__, self._nbrs[self._ix(u)]))
 
     def neighbor_set(self, u: str) -> frozenset[str]:
-        if u not in self._adj:
-            raise UnknownNodeError(f"node {u!r} not in observed graph")
-        return frozenset(self._adj[u])
+        return frozenset(map(self._labels.__getitem__, self._nbrs[self._ix(u)]))
 
     def status(self, u: str) -> NodeStatus:
-        if u not in self._status:
-            raise UnknownNodeError(f"node {u!r} not in observed graph")
-        return self._status[u]
+        return _STATUSES[self._status[self._ix(u)]]
 
     def is_candidate(self, u: str) -> bool:
-        return self._status.get(u) is NodeStatus.CANDIDATE
+        i = self._index.get(u)
+        return i is not None and self._status[i] == _CANDIDATE
 
     def candidate_nodes(self) -> list[str]:
-        return sorted(
-            u for u, s in self._status.items() if s is NodeStatus.CANDIDATE
-        )
+        status = self._status
+        return self._sorted_labels(i for i in self._nbrs if status[i] == _CANDIDATE)
 
     def explored_nodes(self) -> list[str]:
-        return sorted(
-            u for u, s in self._status.items() if s is NodeStatus.EXPLORED
-        )
+        status = self._status
+        return self._sorted_labels(i for i in self._nbrs if status[i] == _EXPLORED)
 
     def add_edge(self, u: str, v: str) -> bool:
         """Record an observed edge; returns True if it was new.
@@ -243,39 +252,47 @@ class ObservedGraph:
         The edge must exist in the complete graph (the observation is a
         subgraph by construction).  New endpoints enter as CANDIDATE.
         """
-        if not self.graph.has_edge(u, v):
+        i, j = self._index.get(u), self._index.get(v)
+        if i is None or j not in self.graph._nbrs[i]:
             raise UnknownNodeError(f"({u!r}, {v!r}) is not an edge of the complete graph")
-        adj_u = self._adj.get(u)
-        if adj_u is None:
-            adj_u = self._adj[u] = set()
-            self._status[u] = NodeStatus.CANDIDATE
-        if v in adj_u:
+        return self._link(i, j)
+
+    def _link(self, i: int, j: int) -> bool:
+        """add_edge on indices of an edge known to be in the complete graph."""
+        nbrs = self._nbrs
+        mine = nbrs.get(i)
+        if mine is None:
+            mine = nbrs[i] = set()
+            self._status[i] = _CANDIDATE
+        elif j in mine:
             return False
-        adj_v = self._adj.get(v)
-        if adj_v is None:
-            adj_v = self._adj[v] = set()
-            self._status[v] = NodeStatus.CANDIDATE
-        adj_u.add(v)
-        adj_v.add(u)
+        theirs = nbrs.get(j)
+        if theirs is None:
+            theirs = nbrs[j] = set()
+            self._status[j] = _CANDIDATE
+        mine.add(j)
+        theirs.add(i)
         self._n_edges += 1
         return True
 
+    def explore(self, u: str) -> tuple[int, int]:
+        """Reveal u's complete neighbourhood and mark u explored.
+
+        u is any node of the complete graph; it joins the observation if it
+        was not in it.  Edges among u's neighbours stay hidden.  Returns the
+        numbers of nodes (u not counted) and edges the reveal added.
+        """
+        i = self.graph._ix(u)
+        nbrs = self._nbrs
+        n_before = len(nbrs) + (i not in nbrs)
+        fresh = self.graph._nbrs[i].difference(nbrs.get(i, ()))
+        for j in fresh:
+            self._link(i, j)
+        self._status[i] = _EXPLORED
+        return len(nbrs) - n_before, len(fresh)
+
     def mark_explored(self, u: str) -> None:
-        if u not in self._status:
-            raise UnknownNodeError(f"node {u!r} not in observed graph")
-        self._status[u] = NodeStatus.EXPLORED
-
-
-def _adjacency_items(g: CompleteGraph | ObservedGraph):
-    """(node-key, neighbor-set) pairs plus a set lookup, label-free.
-
-    Counting primitives only care about incidence, so the complete graph
-    exposes its dense-index sets directly and the observed graph its label
-    sets; both key types are totally ordered.
-    """
-    if isinstance(g, CompleteGraph):
-        return list(enumerate(g._adj_sets)), g._adj_sets.__getitem__
-    return list(g._adj.items()), g._adj.__getitem__
+        self._status[self._ix(u)] = _EXPLORED
 
 
 def count_triangles_wedges(g: CompleteGraph | ObservedGraph) -> TriangleWedgeCounts:
@@ -283,15 +300,15 @@ def count_triangles_wedges(g: CompleteGraph | ObservedGraph) -> TriangleWedgeCou
 
     Wedges include closed ones: sum over nodes of C(degree, 2).
     """
-    items, lookup = _adjacency_items(g)
+    nbrs = g._nbrs
     wedges = 0
     triangle_sides = 0
-    for u, neighbors in items:
+    for u, neighbors in nbrs.items():
         d = len(neighbors)
         wedges += d * (d - 1) // 2
         for v in neighbors:
             if v > u:
-                triangle_sides += sum(1 for w in neighbors & lookup(v) if w > v)
+                triangle_sides += sum(1 for w in neighbors & nbrs[v] if w > v)
     return TriangleWedgeCounts(triangles=triangle_sides, wedges=wedges)
 
 
@@ -305,20 +322,32 @@ def global_clustering(g: CompleteGraph | ObservedGraph) -> float:
 
 def local_clustering(g: CompleteGraph | ObservedGraph, u: str) -> float:
     """Fraction of pairs of u's neighbors that are themselves connected."""
-    if isinstance(g, CompleteGraph):
-        key = g._ix(u)
-        lookup = g._adj_sets.__getitem__
-    else:
-        if not g.has_node(u):
-            raise UnknownNodeError(f"node {u!r} not in observed graph")
-        key = u
-        lookup = g._adj.__getitem__
-    neighbors = lookup(key)
+    nbrs = g._nbrs
+    neighbors = nbrs[g._ix(u)]
     d = len(neighbors)
     if d < 2:
         return 0.0
-    links = sum(len(neighbors & lookup(v)) for v in neighbors) // 2
+    links = sum(len(neighbors & nbrs[v]) for v in neighbors) // 2
     return links / (d * (d - 1) / 2)
+
+
+def edge_dispersion(g: CompleteGraph | ObservedGraph, u: str, v: str) -> int:
+    """Dispersion of an edge: the number of pairs of common neighbors of u
+    and v that are not connected and share no common neighbor other than u
+    and v themselves."""
+    nbrs = g._nbrs
+    i, j = g._ix(u), g._ix(v)
+    if j not in nbrs[i]:
+        raise UnknownNodeError(f"({u!r}, {v!r}) is not an edge of the graph")
+    ends = {i, j}
+    common = list(nbrs[i] & nbrs[j])
+    count = 0
+    for k, s in enumerate(common):
+        s_nbrs = nbrs[s]
+        for t in common[k + 1:]:
+            if t not in s_nbrs and s_nbrs & nbrs[t] <= ends:
+                count += 1
+    return count
 
 
 def two_hop_open_wedges(obs: ObservedGraph, u: str) -> set[str]:
@@ -329,18 +358,17 @@ def two_hop_open_wedges(obs: ObservedGraph, u: str) -> set[str]:
     because their neighborhoods are complete, so a missing edge to one of
     them is known to be absent rather than merely unobserved.
     """
-    if not obs.has_node(u):
-        raise UnknownNodeError(f"node {u!r} not in observed graph")
-    if not obs.is_candidate(u):
+    i = obs._ix(u)
+    status = obs._status
+    if status[i] != _CANDIDATE:
         raise NotCandidateError(f"node {u!r} is already explored")
-    adj = obs._adj
-    direct = adj[u]
-    partners: set[str] = set()
-    for v in direct:
-        partners.update(adj[v])
-    partners.discard(u)
+    nbrs = obs._nbrs
+    direct = nbrs[i]
+    partners = set().union(*map(nbrs.__getitem__, direct))
     partners -= direct
-    return {w for w in partners if obs.is_candidate(w)}
+    partners.discard(i)
+    labels = obs._labels
+    return {labels[w] for w in partners if status[w] == _CANDIDATE}
 
 
 def write_observed(obs: ObservedGraph, sink: IO[str]) -> None:
@@ -349,20 +377,26 @@ def write_observed(obs: ObservedGraph, sink: IO[str]) -> None:
     Output is canonical (label-sorted), so equal graphs serialize
     byte-identically.
     """
+    labels = obs._labels
     sink.write("# netprobe observed graph v1\n")
     sink.write(f"# origin: {obs.origin}\n")
     sink.write(f"# target_edge_fraction: {obs.target_edge_fraction!r}\n")
     sink.write("[edges]\n")
-    seen: list[tuple[str, str]] = []
-    for u, neighbors in obs._adj.items():
-        for v in neighbors:
-            if u < v:
-                seen.append((u, v))
-    for u, v in sorted(seen):
-        sink.write(f"{u} {v}\n")
+    pairs: list[tuple[str, str]] = []
+    for i, neighbors in obs._nbrs.items():
+        a = labels[i]
+        for j in neighbors:
+            b = labels[j]
+            if a < b:
+                pairs.append((a, b))
+    pairs.sort()
+    sink.writelines(f"{a} {b}\n" for a, b in pairs)
     sink.write("[status]\n")
-    for u in obs.nodes():
-        sink.write(f"{u} {obs._status[u].value}\n")
+    status = obs._status
+    codes = [s and s.value for s in _STATUSES]
+    sink.writelines(
+        f"{labels[i]} {codes[status[i]]}\n" for i in sorted(obs._nbrs, key=labels.__getitem__)
+    )
 
 
 def read_observed(source: IO[str], g: CompleteGraph) -> ObservedGraph:
@@ -418,7 +452,8 @@ def read_observed(source: IO[str], g: CompleteGraph) -> ObservedGraph:
         if not obs.has_node(u):
             raise ParseError(f"status entry for {u!r} but no incident edge")
         if flag == "E":
-            if obs._adj[u] != set(g.neighbors(u)):
+            # add_edge keeps obs a subgraph of g: equal degrees, equal sets
+            if obs.degree(u) != g.degree(u):
                 raise ParseError(
                     f"node {u!r} marked explored but its neighborhood is incomplete"
                 )

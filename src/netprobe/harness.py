@@ -11,11 +11,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import IO, Sequence
 
-from .errors import ConfigError, NetProbeError
+from .errors import ConfigError, NetProbeError, SamplingError
 from .estimators import DEFAULT_ESTIMATION_PROBES, EstimateSet
 from .graphs import CompleteGraph, ObservedGraph
 from .probing import PHASE_SELECTION, ProbeLedger, probe
-from .sampling import DEFAULT_EDGE_FRACTION, DEFAULT_JUMP_PROB, SAMPLER_NAMES, run_sampler
+from .sampling import DEFAULT_EDGE_FRACTION, DEFAULT_JUMP_PROB, check_sampler_args, run_sampler
 from .strategies import lookup_strategy, make_probe_plan
 
 logger = logging.getLogger(__name__)
@@ -82,17 +82,21 @@ def budget_from_fraction(fraction: float, n_nodes: int) -> int:
     return budget
 
 
-def _check_config(config: TrialConfig) -> None:
-    """Reject a grid cell that no trial of it could run: an unknown sampler
-    or strategy, or known-sample estimates for a sampler without closed-form
-    estimators."""
-    if config.sampler not in SAMPLER_NAMES:
-        raise ConfigError(
-            f"unknown sampler {config.sampler!r}; expected one of {SAMPLER_NAMES}"
-        )
+def _check_config(config: TrialConfig, n_nodes: int) -> int:
+    """Reject a grid cell that no trial of it could run on n_nodes nodes: an
+    unknown sampler or strategy, known-sample estimates for a sampler
+    without closed-form estimators, no repeats, or a budget fraction, edge
+    fraction or jump probability out of range.  Returns the trial budget."""
+    try:
+        check_sampler_args(config.sampler, config.edge_fraction, config.jump_prob)
+    except SamplingError as exc:
+        raise ConfigError(str(exc)) from None
     lookup_strategy(config.strategy)
     if config.known_sample and config.sampler not in KNOWN_SAMPLE_KINDS:
         raise ConfigError("known-sample estimators require the randnode or randedge sampler")
+    if config.n_repeats < 1:
+        raise ConfigError(f"n_repeats must be at least 1, got {config.n_repeats}")
+    return budget_from_fraction(config.budget_fraction, n_nodes)
 
 
 def run_session(
@@ -132,8 +136,7 @@ def run_trial(
     strategy_seed: int,
 ) -> TrialResult:
     """Sample, plan, probe, count.  Deterministic given both seeds."""
-    budget = budget_from_fraction(config.budget_fraction, g.n_nodes)
-    _check_config(config)
+    budget = _check_config(config, g.n_nodes)
     obs, fractions = run_sampler(
         g, config.sampler, config.edge_fraction, sampler_seed, jump_prob=config.jump_prob
     )
@@ -296,14 +299,14 @@ def sweep(
     The sampler seed depends only on (sampler, repeat), so each repeat is
     one incomplete network probed by every strategy at every budget, and the
     Random baseline sees the byte-identical sample.  A config that no
-    trial could run raises ConfigError before any trial runs; trials that
-    fail on their own become rows with blank measurements, and the sweep
-    continues.
+    trial could run, an out-of-range fraction among them, raises
+    ConfigError before any trial runs; trials that fail on their own become
+    rows with blank measurements, and the sweep continues.
     """
     if not grid:
         raise ConfigError("sweep grid is empty")
     for config in grid:
-        _check_config(config)
+        _check_config(config, g.n_nodes)
 
     baseline_keys: dict[tuple, _TrialSpec] = {}
     strategy_specs: list[_TrialSpec] = []

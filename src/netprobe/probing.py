@@ -35,21 +35,14 @@ class ProbeLedger:
         return self.budget - self.spent
 
 
-@dataclass(frozen=True)
-class ProbeResult:
-    node: str
-    new_nodes: frozenset[str]
-    new_edges: frozenset[tuple[str, str]]
-
-
 def probe(
     g: CompleteGraph,
     obs: ObservedGraph,
     ledger: ProbeLedger,
     u: str,
     phase: str = PHASE_SELECTION,
-) -> ProbeResult:
-    """Reveal all of u's neighbors in the complete graph.
+) -> ProbeLogEntry:
+    """Reveal u's neighbors in g, the complete graph of obs, and log it.
 
     u must already be observed (there is no master list of nodes) and still
     a candidate, and the budget must not be exhausted.  Only edges incident
@@ -62,24 +55,11 @@ def probe(
     if ledger.spent >= ledger.budget:
         raise BudgetError(f"probe budget {ledger.budget} exhausted")
 
-    new_nodes: set[str] = set()
-    new_edges: set[tuple[str, str]] = set()
-    for w in g.neighbors(u):
-        known = obs.has_node(w)
-        if obs.add_edge(u, w):
-            new_edges.add((u, w) if u < w else (w, u))
-            if not known:
-                new_nodes.add(w)
-    obs.mark_explored(u)
+    new_nodes, new_edges = obs.explore(u)
     ledger.spent += 1
-    ledger.log.append(
-        ProbeLogEntry(
-            node=u, new_nodes=len(new_nodes), new_edges=len(new_edges), phase=phase
-        )
-    )
-    return ProbeResult(
-        node=u, new_nodes=frozenset(new_nodes), new_edges=frozenset(new_edges)
-    )
+    entry = ProbeLogEntry(node=u, new_nodes=new_nodes, new_edges=new_edges, phase=phase)
+    ledger.log.append(entry)
+    return entry
 
 
 def write_probe_log(ledger: ProbeLedger, sink: IO[str]) -> None:

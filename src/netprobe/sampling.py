@@ -38,14 +38,29 @@ def _check_edge_fraction(edge_fraction: float) -> None:
         raise SamplingError(f"edge_fraction must be in (0, 1], got {edge_fraction}")
 
 
-def _explore(g: CompleteGraph, obs: ObservedGraph, u: str) -> int:
-    """Add u's full neighborhood to obs and mark u explored; returns new edges."""
-    added = 0
-    for w in g.neighbors(u):
-        if obs.add_edge(u, w):
-            added += 1
-    obs.mark_explored(u)
-    return added
+def _edge_target(g: CompleteGraph, edge_fraction: float) -> int:
+    """The number of edges to observe, floor(edge_fraction * |E|) >= 1."""
+    _check_edge_fraction(edge_fraction)
+    m = int(edge_fraction * g.n_edges)
+    if m == 0:
+        raise SamplingError(f"edge_fraction {edge_fraction} selects zero of {g.n_edges} edges")
+    return m
+
+
+def _check_jump_prob(jump_prob: float) -> None:
+    if not 0.0 <= jump_prob < 1.0:
+        raise SamplingError(f"jump_prob must be in [0, 1), got {jump_prob}")
+
+
+def check_sampler_args(sampler: str, edge_fraction: float, jump_prob: float) -> None:
+    """Raise SamplingError unless run_sampler takes these arguments: a
+    named sampler, an edge fraction in (0, 1] and, for rwj, a jump
+    probability in [0, 1)."""
+    if sampler not in SAMPLER_NAMES:
+        raise SamplingError(f"unknown sampler {sampler!r}; expected one of {SAMPLER_NAMES}")
+    _check_edge_fraction(edge_fraction)
+    if sampler == "rwj":
+        _check_jump_prob(jump_prob)
 
 
 def sample_random_node(
@@ -69,15 +84,11 @@ def sample_random_node(
         u = unselected[pick_at]
         unselected[pick_at] = unselected[-1]
         unselected.pop()
-        _explore(g, obs, u)
+        obs.explore(u)
         n_selected += 1
         if obs.n_edges >= target:
             break
-    fractions = SampleFractions(
-        node_fraction=n_selected / g.n_nodes,
-        edge_fraction=obs.n_edges / g.n_edges,
-    )
-    return obs, fractions
+    return obs, SampleFractions(n_selected / g.n_nodes, obs.n_edges / g.n_edges)
 
 
 def sample_random_edge(
@@ -85,22 +96,15 @@ def sample_random_edge(
 ) -> tuple[ObservedGraph, SampleFractions]:
     """Observe exactly floor(edge_fraction * |E|) edges, chosen uniformly
     without replacement.  No node is fully explored."""
-    _check_edge_fraction(edge_fraction)
-    m = int(edge_fraction * g.n_edges)
-    if m == 0:
-        raise SamplingError(
-            f"edge_fraction {edge_fraction} selects zero of {g.n_edges} edges"
-        )
+    m = _edge_target(g, edge_fraction)
     rng = random.Random(seed)
-    all_edges = list(g.edges())
+    # index pairs in g.edges() order, so the draws match label pairs'
+    all_edges = [(u, v) for u, neighbors in enumerate(g._adj) for v in neighbors if v > u]
     chosen = rng.sample(all_edges, m)
     obs = ObservedGraph(g, origin="randedge", target_edge_fraction=edge_fraction)
     for u, v in chosen:
-        obs.add_edge(u, v)
-    fractions = SampleFractions(
-        node_fraction=0.0, edge_fraction=m / g.n_edges
-    )
-    return obs, fractions
+        obs._link(u, v)
+    return obs, SampleFractions(node_fraction=0.0, edge_fraction=m / g.n_edges)
 
 
 def sample_random_walk(
@@ -123,14 +127,8 @@ def sample_random_walk(
 
     If ``stats`` is given it is filled with step/jump/restart counters.
     """
-    _check_edge_fraction(edge_fraction)
-    if not 0.0 <= jump_prob < 1.0:
-        raise SamplingError(f"jump_prob must be in [0, 1), got {jump_prob}")
-    m = int(edge_fraction * g.n_edges)
-    if m == 0:
-        raise SamplingError(
-            f"edge_fraction {edge_fraction} selects zero of {g.n_edges} edges"
-        )
+    m = _edge_target(g, edge_fraction)
+    _check_jump_prob(jump_prob)
     if stall_threshold is None:
         stall_threshold = 100 * g.n_nodes
     if max_steps is None:
@@ -139,8 +137,11 @@ def sample_random_walk(
     rng = random.Random(seed)
     origin = "rwj" if jump_prob > 0 else "rw"
     obs = ObservedGraph(g, origin=origin, target_edge_fraction=edge_fraction)
-    labels = g.labels()
-    current = rng.choice(labels)
+    # the walk steps on indices; randrange(n) and choice(adj[i]) draw as
+    # choice(labels) and choice(g.neighbors(u)) would
+    n = g.n_nodes
+    adj = g._adj
+    current = rng.randrange(n)
     steps = 0
     jumps = 0
     restarts = 0
@@ -153,30 +154,23 @@ def sample_random_walk(
                 f"{obs.n_edges / g.n_edges:.4f} of {edge_fraction} edge fraction"
             )
         if jump_prob > 0 and rng.random() < jump_prob:
-            current = rng.choice(labels)
+            current = rng.randrange(n)
             jumps += 1
             continue
-        if g.degree(current) == 0:
-            current = rng.choice(labels)
-            restarts += 1
-            continue
-        nxt = rng.choice(g.neighbors(current))
-        if obs.add_edge(current, nxt):
+        nxt = rng.choice(adj[current])
+        if obs._link(current, nxt):
             stalled = 0
         else:
             stalled += 1
             if jump_prob == 0 and stalled > stall_threshold:
-                current = rng.choice(labels)
+                current = rng.randrange(n)
                 restarts += 1
                 stalled = 0
                 continue
         current = nxt
     if stats is not None:
         stats.update(steps=steps, jumps=jumps, restarts=restarts)
-    fractions = SampleFractions(
-        node_fraction=0.0, edge_fraction=obs.n_edges / g.n_edges
-    )
-    return obs, fractions
+    return obs, SampleFractions(node_fraction=0.0, edge_fraction=obs.n_edges / g.n_edges)
 
 
 def sample_node_bernoulli(
@@ -197,12 +191,9 @@ def sample_node_bernoulli(
     if not selected:
         raise SamplingError("no node selected; try a larger node_prob or another seed")
     for u in selected:
-        _explore(g, obs, u)
+        obs.explore(u)
     obs.target_edge_fraction = obs.n_edges / g.n_edges
-    fractions = SampleFractions(
-        node_fraction=node_prob, edge_fraction=obs.n_edges / g.n_edges
-    )
-    return obs, fractions
+    return obs, SampleFractions(node_prob, obs.target_edge_fraction)
 
 
 def run_sampler(
@@ -213,12 +204,9 @@ def run_sampler(
     jump_prob: float = DEFAULT_JUMP_PROB,
 ) -> tuple[ObservedGraph, SampleFractions]:
     """Dispatch one of the named samplers: randnode, randedge, rw, rwj."""
+    check_sampler_args(sampler, edge_fraction, jump_prob)
     if sampler == "randnode":
         return sample_random_node(g, edge_fraction, seed)
     if sampler == "randedge":
         return sample_random_edge(g, edge_fraction, seed)
-    if sampler == "rw":
-        return sample_random_walk(g, edge_fraction, 0.0, seed)
-    if sampler == "rwj":
-        return sample_random_walk(g, edge_fraction, jump_prob, seed)
-    raise SamplingError(f"unknown sampler {sampler!r}; expected one of {SAMPLER_NAMES}")
+    return sample_random_walk(g, edge_fraction, jump_prob if sampler == "rwj" else 0.0, seed)

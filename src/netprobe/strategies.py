@@ -23,7 +23,13 @@ from .estimators import (
     known_node_sample_estimates,
     probe_based_estimates,
 )
-from .graphs import CompleteGraph, ObservedGraph, local_clustering, two_hop_open_wedges
+from .graphs import (
+    CompleteGraph,
+    ObservedGraph,
+    edge_dispersion,
+    local_clustering,
+    two_hop_open_wedges,
+)
 from .probing import ProbeLedger
 
 HIGH = "high"
@@ -105,35 +111,14 @@ def score_degree(obs: ObservedGraph, direction: str = HIGH) -> list[CandidateSco
     ]
 
 
-def edge_dispersion(obs: ObservedGraph, u: str, v: str) -> int:
-    """Dispersion of an observed edge: the number of pairs of common
-    neighbors of u and v that are not connected and share no common
-    neighbor other than u and v themselves."""
-    if not obs.has_edge(u, v):
-        raise UnknownNodeError(f"({u!r}, {v!r}) is not an observed edge")
-    common = sorted(obs.neighbor_set(u) & obs.neighbor_set(v))
-    neighbor_sets = {s: obs.neighbor_set(s) for s in common}
-    count = 0
-    for i, s in enumerate(common):
-        for t in common[i + 1:]:
-            if t in neighbor_sets[s]:
-                continue
-            if (neighbor_sets[s] & neighbor_sets[t]) - {u, v}:
-                continue
-            count += 1
-    return count
-
-
 def score_dispersion(obs: ObservedGraph, direction: str = HIGH) -> list[CandidateScore]:
-    """Mean dispersion of a candidate's incident observed edges."""
+    """Mean dispersion of a candidate's incident observed edges (every
+    observed node has at least one)."""
     sign = _direction_sign(direction)
     scores = []
     for u in obs.candidate_nodes():
         neighbors = obs.neighbors(u)
-        if neighbors:
-            mean_disp = sum(edge_dispersion(obs, u, v) for v in neighbors) / len(neighbors)
-        else:
-            mean_disp = 0.0
+        mean_disp = sum(edge_dispersion(obs, u, v) for v in neighbors) / len(neighbors)
         scores.append(CandidateScore(node=u, score=sign * mean_disp, known_degree=len(neighbors)))
     return scores
 
@@ -147,9 +132,6 @@ def score_cross_comm(
         if u not in partition:
             raise UnknownNodeError(f"node {u!r} missing from the community partition")
         neighbors = obs.neighbors(u)
-        if not neighbors:
-            scores.append(CandidateScore(node=u, score=0.0))
-            continue
         cu = partition[u]
         outside = 0
         for v in neighbors:

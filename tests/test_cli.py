@@ -211,6 +211,21 @@ class TestSweep:
         assert code == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ("--budget-fracs", "7,0.1"),
+        ("--edge-fraction", "0"),
+        ("--edge-fraction", "1.5"),
+        ("--jump-prob", "1.5"),
+        ("--repeats", "0"),
+    ])
+    def test_out_of_range_grid_value_is_usage_error(self, graph_file, tmp_path, flags):
+        out = tmp_path / "range"
+        code = run("sweep", "--graph", graph_file, "--samplers", "randedge,rwj",
+                   "--strategies", "highdeg", "--budget-fracs", "0.1",
+                   "--repeats", "1", *flags, "--out-prefix", out / "sweep")
+        assert code == 1
+        assert not out.exists()
+
     def test_bad_jobs_environment_is_usage_error(self, graph_file, tmp_path, monkeypatch):
         monkeypatch.setenv("NETPROBE_JOBS", "x")
         code = run("sweep", "--graph", graph_file, "--samplers", "randedge",

@@ -2,11 +2,12 @@
 
 import io
 import random
+from dataclasses import replace
 
 import pytest
 
 from netprobe import harness
-from netprobe.errors import ConfigError
+from netprobe.errors import ConfigError, SamplingError
 from netprobe.generators import planted_partition_graph, random_graph
 from netprobe.harness import (
     AggregateCurve,
@@ -232,16 +233,23 @@ class TestSweep:
         write_results_csv(rows_b, buf_b)
         assert buf_a.getvalue() == buf_b.getvalue()
 
-    def test_failed_trials_become_blank_rows(self):
+    def test_failed_trials_become_blank_rows(self, monkeypatch):
         g = planted_partition_graph(6, 10, 0.5, 0.02, seed=12)
-        grid = self.small_grid() + [
-            TrialConfig(sampler="randedge", strategy="highdeg",
-                        edge_fraction=0.2, budget_fraction=0.001, n_repeats=2)
-        ]
-        rows = sweep(g, grid, master_seed=5)
+        failing_seed = derive_seed(5, "sampler", "randedge", 1)
+
+        def run_sampler_failing_once(g, sampler, edge_fraction, seed, **kwargs):
+            if seed == failing_seed:
+                raise SamplingError("sampler failed")
+            return run_sampler(g, sampler, edge_fraction, seed, **kwargs)
+
+        monkeypatch.setattr(harness, "run_sampler", run_sampler_failing_once)
+        rows = sweep(g, self.small_grid(), master_seed=5)
         failed = [r for r in rows if r["nodes_after"] == ""]
-        assert len(failed) >= 2
-        assert all(r["budget_fraction"] == 0.001 for r in failed if r["strategy"] != "random")
+        # repeat 1 of every strategy and budget, and its two baselines
+        assert len(failed) == 6
+        assert all(r["seed"] == failing_seed and r["repeat"] == 1 for r in failed)
+        assert all(r["improvement_vs_random"] == "" for r in failed)
+        assert all(r["nodes_after"] != "" for r in rows if r["repeat"] != 1)
 
     def test_parallel_matches_serial(self):
         g = planted_partition_graph(5, 8, 0.5, 0.02, seed=13)
@@ -261,6 +269,26 @@ class TestSweep:
         ]
         with pytest.raises(ConfigError, match="known-sample"):
             sweep(g, grid, master_seed=1)
+        assert calls == []
+
+    @pytest.mark.parametrize("field, value", [
+        ("budget_fraction", 7.0),
+        ("budget_fraction", 0.001),
+        ("edge_fraction", 0.0),
+        ("edge_fraction", 1.5),
+        ("jump_prob", 1.5),
+        ("n_repeats", 0),
+    ])
+    def test_out_of_range_grid_value_rejected_before_any_trial(
+        self, monkeypatch, field, value
+    ):
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args: calls.append(args))
+        g = random_graph(20, 0.3, seed=14)
+        good = TrialConfig(sampler="rwj", strategy="highdeg", budget_fraction=0.2,
+                           n_repeats=1)
+        with pytest.raises(ConfigError):
+            sweep(g, [good, replace(good, **{field: value})], master_seed=1)
         assert calls == []
 
     def test_empty_grid_rejected(self):

@@ -30,9 +30,10 @@ class TestProbe:
     def test_reveals_full_neighborhood(self):
         g, obs = small_world()
         ledger = ProbeLedger(budget=2)
-        result = probe(g, obs, ledger, "u")
-        assert result.new_nodes == {"b", "c"}
-        assert result.new_edges == {("b", "u"), ("c", "u")}
+        entry = probe(g, obs, ledger, "u")
+        assert entry == ledger.log[0]
+        assert (entry.node, entry.new_nodes, entry.new_edges) == ("u", 2, 2)
+        assert obs.nodes() == ["a", "b", "c", "u"]
         assert obs.neighbors("u") == ["a", "b", "c"]
         assert not obs.is_candidate("u")
         assert ledger.spent == 1
