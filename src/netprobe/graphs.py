@@ -238,9 +238,14 @@ class ObservedGraph:
         i = self._index.get(u)
         return i is not None and self._status[i] == _CANDIDATE
 
-    def candidate_nodes(self) -> list[str]:
+    def _candidate_ixs(self) -> list[int]:
+        """Candidate indices, in ascending label order."""
         status = self._status
-        return self._sorted_labels(i for i in self._nbrs if status[i] == _CANDIDATE)
+        ixs = [i for i in self._nbrs if status[i] == _CANDIDATE]
+        return sorted(ixs, key=self._labels.__getitem__)
+
+    def candidate_nodes(self) -> list[str]:
+        return list(map(self._labels.__getitem__, self._candidate_ixs()))
 
     def explored_nodes(self) -> list[str]:
         status = self._status
@@ -283,13 +288,30 @@ class ObservedGraph:
         numbers of nodes (u not counted) and edges the reveal added.
         """
         i = self.graph._ix(u)
-        nbrs = self._nbrs
+        nbrs, status = self._nbrs, self._status
         n_before = len(nbrs) + (i not in nbrs)
-        fresh = self.graph._nbrs[i].difference(nbrs.get(i, ()))
+        mine = nbrs.setdefault(i, set())
+        fresh = self.graph._nbrs[i] - mine
         for j in fresh:
-            self._link(i, j)
-        self._status[i] = _EXPLORED
+            theirs = nbrs.get(j)
+            if theirs is None:
+                nbrs[j] = {i}
+                status[j] = _CANDIDATE
+            else:
+                theirs.add(i)
+        mine |= fresh
+        self._n_edges += len(fresh)
+        status[i] = _EXPLORED
         return len(nbrs) - n_before, len(fresh)
+
+    def copy(self) -> ObservedGraph:
+        """An independent observation with the same nodes, edges, statuses,
+        origin and target edge fraction."""
+        other = ObservedGraph(self.graph, self.origin, self.target_edge_fraction)
+        other._nbrs = {i: neighbors.copy() for i, neighbors in self._nbrs.items()}
+        other._status[:] = self._status
+        other._n_edges = self._n_edges
+        return other
 
     def mark_explored(self, u: str) -> None:
         self._status[self._ix(u)] = _EXPLORED

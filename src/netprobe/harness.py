@@ -9,13 +9,15 @@ import hashlib
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import IO, Sequence
 
 from .errors import ConfigError, NetProbeError, SamplingError
 from .estimators import DEFAULT_ESTIMATION_PROBES, EstimateSet
 from .graphs import CompleteGraph, ObservedGraph
 from .probing import PHASE_SELECTION, ProbeLedger, probe
-from .sampling import DEFAULT_EDGE_FRACTION, DEFAULT_JUMP_PROB, check_sampler_args, run_sampler
+from .sampling import DEFAULT_EDGE_FRACTION, DEFAULT_JUMP_PROB, SampleFractions
+from .sampling import check_sampler_args, run_sampler
 from .strategies import lookup_strategy, make_probe_plan
 
 logger = logging.getLogger(__name__)
@@ -82,13 +84,13 @@ def budget_from_fraction(fraction: float, n_nodes: int) -> int:
     return budget
 
 
-def _check_config(config: TrialConfig, n_nodes: int) -> int:
-    """Reject a grid cell that no trial of it could run on n_nodes nodes: an
-    unknown sampler or strategy, known-sample estimates for a sampler
-    without closed-form estimators, no repeats, or a budget fraction, edge
-    fraction or jump probability out of range.  Returns the trial budget."""
+def _check_config(config: TrialConfig, g: CompleteGraph) -> None:
+    """Reject a grid cell that no trial of it could run on g: an unknown
+    sampler or strategy, known-sample estimates for a sampler without
+    closed-form estimators, no repeats, or a budget fraction, edge fraction
+    or jump probability that check_sampler_args or budget_from_fraction refuse."""
     try:
-        check_sampler_args(config.sampler, config.edge_fraction, config.jump_prob)
+        check_sampler_args(config.sampler, config.edge_fraction, config.jump_prob, g.n_edges)
     except SamplingError as exc:
         raise ConfigError(str(exc)) from None
     lookup_strategy(config.strategy)
@@ -96,7 +98,7 @@ def _check_config(config: TrialConfig, n_nodes: int) -> int:
         raise ConfigError("known-sample estimators require the randnode or randedge sampler")
     if config.n_repeats < 1:
         raise ConfigError(f"n_repeats must be at least 1, got {config.n_repeats}")
-    return budget_from_fraction(config.budget_fraction, n_nodes)
+    budget_from_fraction(config.budget_fraction, g.n_nodes)
 
 
 def run_session(
@@ -136,10 +138,23 @@ def run_trial(
     strategy_seed: int,
 ) -> TrialResult:
     """Sample, plan, probe, count.  Deterministic given both seeds."""
-    budget = _check_config(config, g.n_nodes)
+    _check_config(config, g)
     obs, fractions = run_sampler(
         g, config.sampler, config.edge_fraction, sampler_seed, jump_prob=config.jump_prob
     )
+    return _probe_sample(g, config, obs, fractions, strategy_seed)
+
+
+def _probe_sample(
+    g: CompleteGraph,
+    config: TrialConfig,
+    obs: ObservedGraph,
+    fractions: SampleFractions,
+    strategy_seed: int,
+) -> TrialResult:
+    """Plan, probe and count on obs, a sample config's sampler drew with
+    these fractions; obs gains every probed neighbourhood."""
+    budget = budget_from_fraction(config.budget_fraction, g.n_nodes)
     nodes_before = obs.n_nodes
     known = None
     if config.known_sample:
@@ -280,11 +295,25 @@ def _init_worker(g: CompleteGraph) -> None:
     _WORKER_GRAPH = g
 
 
-def _run_spec_in_worker(spec: _TrialSpec):
+def _run_sample_in_worker(specs: list[_TrialSpec]) -> list:
+    """Draw the sample the specs share once, then run each spec's trial on
+    its own copy of it.  Returns one TrialResult or NetProbeError per spec;
+    a sample that fails fails every trial."""
+    g, c = _WORKER_GRAPH, specs[0].config
     try:
-        return run_trial(_WORKER_GRAPH, spec.config, spec.sampler_seed, spec.strategy_seed)
+        sample, fractions = run_sampler(
+            g, c.sampler, c.edge_fraction, specs[0].sampler_seed, jump_prob=c.jump_prob
+        )
     except NetProbeError as exc:
-        return exc
+        return [exc] * len(specs)
+    outcomes = []
+    for spec in specs:
+        try:
+            obs = sample.copy()
+            outcomes.append(_probe_sample(g, spec.config, obs, fractions, spec.strategy_seed))
+        except NetProbeError as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 def sweep(
@@ -298,15 +327,16 @@ def sweep(
 
     The sampler seed depends only on (sampler, repeat), so each repeat is
     one incomplete network probed by every strategy at every budget, and the
-    Random baseline sees the byte-identical sample.  A config that no
-    trial could run, an out-of-range fraction among them, raises
-    ConfigError before any trial runs; trials that fail on their own become
-    rows with blank measurements, and the sweep continues.
+    Random baseline sees the byte-identical sample, drawn once and copied
+    for each trial.  A config that no trial could run, an out-of-range
+    fraction among them, raises ConfigError before any trial runs; trials
+    that fail on their own become rows with blank measurements, and the
+    sweep continues.
     """
     if not grid:
         raise ConfigError("sweep grid is empty")
     for config in grid:
-        _check_config(config, g.n_nodes)
+        _check_config(config, g)
 
     baseline_keys: dict[tuple, _TrialSpec] = {}
     strategy_specs: list[_TrialSpec] = []
@@ -341,16 +371,26 @@ def sweep(
     baseline_specs = [baseline_keys[k] for k in sorted(baseline_keys)]
     specs = strategy_specs + baseline_specs
 
-    results: list[TrialResult | None] = []
+    # one work unit per sample: the trials that share its sampler arguments
+    units: dict[tuple, list[_TrialSpec]] = {}
+    for spec in specs:
+        c = spec.config
+        key = (c.sampler, c.edge_fraction, c.jump_prob, spec.sampler_seed)
+        units.setdefault(key, []).append(spec)
     if jobs > 1:
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(g,)
         ) as pool:
-            outcomes = list(pool.map(_run_spec_in_worker, specs, chunksize=1))
+            unit_outcomes = list(pool.map(_run_sample_in_worker, units.values(), chunksize=1))
     else:
         _init_worker(g)
-        outcomes = [_run_spec_in_worker(spec) for spec in specs]
-    for spec, outcome in zip(specs, outcomes):
+        unit_outcomes = [_run_sample_in_worker(unit) for unit in units.values()]
+    # equal specs have equal seeds, so one outcome serves them all
+    outcomes = dict(zip(chain(*units.values()), chain(*unit_outcomes)))
+
+    results: list[TrialResult | None] = []
+    for spec in specs:
+        outcome = outcomes[spec]
         if isinstance(outcome, NetProbeError):
             logger.warning(
                 "trial failed (%s/%s b=%s rep=%d): %s",

@@ -38,12 +38,12 @@ def _check_edge_fraction(edge_fraction: float) -> None:
         raise SamplingError(f"edge_fraction must be in (0, 1], got {edge_fraction}")
 
 
-def _edge_target(g: CompleteGraph, edge_fraction: float) -> int:
-    """The number of edges to observe, floor(edge_fraction * |E|) >= 1."""
+def _edge_target(n_edges: int, edge_fraction: float) -> int:
+    """The number of edges to observe, floor(edge_fraction * n_edges) >= 1."""
     _check_edge_fraction(edge_fraction)
-    m = int(edge_fraction * g.n_edges)
+    m = int(edge_fraction * n_edges)
     if m == 0:
-        raise SamplingError(f"edge_fraction {edge_fraction} selects zero of {g.n_edges} edges")
+        raise SamplingError(f"edge_fraction {edge_fraction} selects zero of {n_edges} edges")
     return m
 
 
@@ -52,13 +52,18 @@ def _check_jump_prob(jump_prob: float) -> None:
         raise SamplingError(f"jump_prob must be in [0, 1), got {jump_prob}")
 
 
-def check_sampler_args(sampler: str, edge_fraction: float, jump_prob: float) -> None:
-    """Raise SamplingError unless run_sampler takes these arguments: a
-    named sampler, an edge fraction in (0, 1] and, for rwj, a jump
-    probability in [0, 1)."""
+def check_sampler_args(
+    sampler: str, edge_fraction: float, jump_prob: float, n_edges: int
+) -> None:
+    """Raise SamplingError unless run_sampler takes these arguments on a
+    graph of n_edges edges: a named sampler, an edge fraction in (0, 1]
+    that selects at least one edge (randnode explores at least one node
+    whatever it selects) and, for rwj, a jump probability in [0, 1)."""
     if sampler not in SAMPLER_NAMES:
         raise SamplingError(f"unknown sampler {sampler!r}; expected one of {SAMPLER_NAMES}")
     _check_edge_fraction(edge_fraction)
+    if sampler != "randnode":
+        _edge_target(n_edges, edge_fraction)
     if sampler == "rwj":
         _check_jump_prob(jump_prob)
 
@@ -96,7 +101,7 @@ def sample_random_edge(
 ) -> tuple[ObservedGraph, SampleFractions]:
     """Observe exactly floor(edge_fraction * |E|) edges, chosen uniformly
     without replacement.  No node is fully explored."""
-    m = _edge_target(g, edge_fraction)
+    m = _edge_target(g.n_edges, edge_fraction)
     rng = random.Random(seed)
     # index pairs in g.edges() order, so the draws match label pairs'
     all_edges = [(u, v) for u, neighbors in enumerate(g._adj) for v in neighbors if v > u]
@@ -127,7 +132,7 @@ def sample_random_walk(
 
     If ``stats`` is given it is filled with step/jump/restart counters.
     """
-    m = _edge_target(g, edge_fraction)
+    m = _edge_target(g.n_edges, edge_fraction)
     _check_jump_prob(jump_prob)
     if stall_threshold is None:
         stall_threshold = 100 * g.n_nodes
@@ -204,7 +209,7 @@ def run_sampler(
     jump_prob: float = DEFAULT_JUMP_PROB,
 ) -> tuple[ObservedGraph, SampleFractions]:
     """Dispatch one of the named samplers: randnode, randedge, rw, rwj."""
-    check_sampler_args(sampler, edge_fraction, jump_prob)
+    check_sampler_args(sampler, edge_fraction, jump_prob, g.n_edges)
     if sampler == "randnode":
         return sample_random_node(g, edge_fraction, seed)
     if sampler == "randedge":

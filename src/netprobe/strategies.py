@@ -28,7 +28,7 @@ from .graphs import (
     ObservedGraph,
     edge_dispersion,
     local_clustering,
-    two_hop_open_wedges,
+    two_hop_open_wedges,  # unused here; bench/tracing.py wraps it at this name
 )
 from .probing import ProbeLedger
 
@@ -71,15 +71,23 @@ def score_max_out_probe(obs: ObservedGraph, est: EstimateSet) -> list[CandidateS
     expected number of open-wedge partners that are really neighbors
     (clustering estimate times partner count).  Negative scores clamp to 0.
     """
+    nbrs, labels = obs._nbrs, obs._labels
+    order = obs._candidate_ixs()
+    cands = set(order)
     scores = []
-    for u in obs.candidate_nodes():
-        d_known = obs.degree(u)
+    for i in order:
+        mine = nbrs[i]
+        d_known = len(mine)
         d_hat = est.scale_multiplier * d_known
-        w_u = len(two_hop_open_wedges(obs, u))
+        # two_hop_open_wedges on indices, less i itself (a candidate)
+        partners = set().union(*map(nbrs.__getitem__, mine))
+        partners &= cands
+        partners -= mine
+        w_u = len(partners) - 1
         outside = d_hat - d_known - est.clustering * w_u
         scores.append(
             CandidateScore(
-                node=u,
+                node=labels[i],
                 score=max(0.0, outside),
                 est_degree=d_hat,
                 known_degree=d_known,
@@ -105,9 +113,10 @@ def select_top_b(
 
 def score_degree(obs: ObservedGraph, direction: str = HIGH) -> list[CandidateScore]:
     sign = _direction_sign(direction)
+    nbrs, labels = obs._nbrs, obs._labels
     return [
-        CandidateScore(node=u, score=sign * obs.degree(u), known_degree=obs.degree(u))
-        for u in obs.candidate_nodes()
+        CandidateScore(node=labels[i], score=sign * len(nbrs[i]), known_degree=len(nbrs[i]))
+        for i in obs._candidate_ixs()
     ]
 
 

@@ -217,6 +217,7 @@ class TestSweep:
         ("--edge-fraction", "1.5"),
         ("--jump-prob", "1.5"),
         ("--repeats", "0"),
+        ("--edge-fraction", "0.001"),
     ])
     def test_out_of_range_grid_value_is_usage_error(self, graph_file, tmp_path, flags):
         out = tmp_path / "range"

@@ -251,6 +251,24 @@ class TestSweep:
         assert all(r["improvement_vs_random"] == "" for r in failed)
         assert all(r["nodes_after"] != "" for r in rows if r["repeat"] != 1)
 
+    def test_each_sample_drawn_once(self, monkeypatch):
+        g = planted_partition_graph(6, 10, 0.5, 0.02, seed=8)
+        calls = []
+
+        def counting_run_sampler(g, sampler, edge_fraction, seed, **kwargs):
+            calls.append((sampler, edge_fraction, seed))
+            return run_sampler(g, sampler, edge_fraction, seed, **kwargs)
+
+        monkeypatch.setattr(harness, "run_sampler", counting_run_sampler)
+        rows = sweep(g, self.small_grid(n_repeats=2), master_seed=1)
+        # 2 strategies x 2 budgets x 2 repeats plus 4 baselines, on 2 samples
+        assert len(rows) == 12
+        assert all(r["nodes_after"] != "" for r in rows)
+        assert sorted(calls) == sorted(
+            ("randedge", 0.2, derive_seed(1, "sampler", "randedge", repeat))
+            for repeat in range(2)
+        )
+
     def test_parallel_matches_serial(self):
         g = planted_partition_graph(5, 8, 0.5, 0.02, seed=13)
         grid = self.small_grid(n_repeats=2)
@@ -260,7 +278,7 @@ class TestSweep:
 
     def test_known_sample_with_walk_sampler_rejected_before_any_trial(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(harness, "run_trial", lambda *args: calls.append(args))
+        monkeypatch.setattr(harness, "run_sampler", lambda *args, **kw: calls.append(args))
         g = random_graph(20, 0.3, seed=14)
         grid = [
             TrialConfig(sampler=sampler, strategy="highdeg", budget_fraction=0.2,
@@ -283,12 +301,27 @@ class TestSweep:
         self, monkeypatch, field, value
     ):
         calls = []
-        monkeypatch.setattr(harness, "run_trial", lambda *args: calls.append(args))
+        monkeypatch.setattr(harness, "run_sampler", lambda *args, **kw: calls.append(args))
         g = random_graph(20, 0.3, seed=14)
         good = TrialConfig(sampler="rwj", strategy="highdeg", budget_fraction=0.2,
                            n_repeats=1)
         with pytest.raises(ConfigError):
             sweep(g, [good, replace(good, **{field: value})], master_seed=1)
+        assert calls == []
+
+    @pytest.mark.parametrize("sampler", ["randedge", "rw", "rwj"])
+    def test_edge_fraction_selecting_no_edge_rejected_before_any_trial(
+        self, monkeypatch, sampler
+    ):
+        g = random_graph(60, 0.1, seed=1)
+        config = TrialConfig(sampler="randnode", strategy="highdeg", edge_fraction=0.001,
+                             budget_fraction=0.1, n_repeats=1)
+        # randnode explores at least one node, whatever the fraction
+        assert all(r["nodes_after"] != "" for r in sweep(g, [config], master_seed=1))
+        calls = []
+        monkeypatch.setattr(harness, "run_sampler", lambda *args, **kw: calls.append(args))
+        with pytest.raises(ConfigError, match="selects zero"):
+            sweep(g, [replace(config, sampler=sampler)], master_seed=1)
         assert calls == []
 
     def test_empty_grid_rejected(self):

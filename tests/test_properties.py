@@ -3,7 +3,9 @@ sampler and every strategy: the budget holds, the probe log explains the
 final observation, the observation stays a subgraph whose explored nodes
 have complete neighbourhoods, the observed-graph file round-trips, and
 every observation is a consistent graph whose counting primitives agree
-with brute force.  Then properties of the CCDF and AUC aggregation."""
+with brute force.  A copy of an observation is equal to it and independent
+of it, and a reveal reports exactly what it added.  Then properties of the
+CCDF and AUC aggregation."""
 
 import io
 
@@ -12,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from netprobe.errors import EmptyGraphError, SamplingError
+from netprobe.estimators import METHOD_PROBE, EstimateSet
 from netprobe.generators import random_graph
 from netprobe.graphs import (
     NodeStatus,
@@ -25,7 +28,7 @@ from netprobe.graphs import (
 from netprobe.harness import KNOWN_SAMPLE_KINDS, auc, ccdf, common_range_aucs, run_session
 from netprobe.probing import PHASE_ESTIMATION, ProbeLedger, probe
 from netprobe.sampling import SAMPLER_NAMES, run_sampler
-from netprobe.strategies import STRATEGIES
+from netprobe.strategies import STRATEGIES, score_max_out_probe
 
 from oracles import (
     adjacency,
@@ -134,6 +137,54 @@ def test_session_invariants(
     assert again.candidate_nodes() == obs.candidate_nodes()
     assert again.n_edges == obs.n_edges
     _check_representation(again)
+
+
+def _edge_set(adj) -> set:
+    return {frozenset((u, v)) for u in adj for v in adj[u]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(6, 24),
+    p=st.floats(0.1, 0.5),
+    graph_seed=st.integers(0, 10_000),
+    sampler=st.sampled_from(SAMPLER_NAMES),
+    edge_fraction=st.floats(0.1, 0.6),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_copy_is_independent_and_explore_counts_its_reveal(
+    n, p, graph_seed, sampler, edge_fraction, seed, data
+):
+    try:
+        g = random_graph(n, p, seed=graph_seed)
+        obs, _ = run_sampler(g, sampler, edge_fraction, seed)
+    except (EmptyGraphError, SamplingError):
+        assume(False)
+    start, n_edges = _text(obs), obs.n_edges
+    copy = obs.copy()
+    _check_representation(copy)
+    # the file holds the nodes, edges, statuses, origin and target fraction
+    assert _text(copy) == start
+    assert copy.n_edges == n_edges
+    est = EstimateSet(method=METHOD_PROBE, scale_multiplier=2.0, clustering=0.5)
+    for score in score_max_out_probe(copy, est):
+        assert score.open_wedge_count == len(brute_two_hop_open_wedges(copy, score.node))
+        assert score.known_degree == len(adjacency(copy)[score.node])
+
+    # explore any node of g on the copy, observed or not, explored or not
+    for u in data.draw(st.lists(st.sampled_from(g.labels()), max_size=6)):
+        before = adjacency(copy)
+        new_nodes, new_edges = copy.explore(u)
+        after = adjacency(copy)
+        # u itself is not counted among the new nodes
+        assert new_nodes == len(after.keys() - before.keys() - {u})
+        assert new_edges == len(_edge_set(after) - _edge_set(before))
+        assert copy.status(u) is NodeStatus.EXPLORED
+        assert after[u] == set(g.neighbors(u))
+    _check_representation(copy)
+    assert _text(obs) == start
+    assert obs.n_edges == n_edges
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
