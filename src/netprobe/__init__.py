@@ -62,7 +62,6 @@ from .estimators import (
 )
 from .communities import detect_communities, modularity
 from .strategies import (
-    CandidateScore,
     ProbePlan,
     STRATEGIES,
     estimate,

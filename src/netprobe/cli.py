@@ -6,8 +6,9 @@ digests, tool version) sufficient to reproduce the run byte for byte.
 
 Exit codes: 0 success, 1 usage error (bad flags or an invalid
 configuration), 2 runtime error.  A budget fraction must lie in (0, 1] and
-give at least one probe.  The NETPROBE_JOBS environment variable sets the
-default sweep parallelism.
+give at least one probe; every count flag (budget, probes, jobs) must be at
+least 1.  The NETPROBE_JOBS environment variable sets the default sweep
+parallelism.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigError, NetProbeError
+from .errors import ConfigError, NetProbeError, SamplingError
 from .estimators import DEFAULT_ESTIMATION_PROBES
 from .graphs import (
     count_triangles_wedges,
@@ -45,6 +46,7 @@ from .sampling import (
     DEFAULT_EDGE_FRACTION,
     DEFAULT_JUMP_PROB,
     SAMPLER_NAMES,
+    check_sampler_args,
     run_sampler,
 )
 from .strategies import STRATEGIES, estimate
@@ -101,11 +103,17 @@ def _load_observed(path: str, g):
         return read_observed(fh, g)
 
 
+def positive_int(text: str) -> int:
+    """argparse type of a count flag: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_budget(args, n_nodes: int) -> int:
     """Absolute --budget wins; otherwise the fraction of the graph's nodes."""
     if args.budget is not None:
-        if args.budget < 1:
-            raise UsageError(f"budget must be at least 1, got {args.budget}")
         return args.budget
     return budget_from_fraction(args.budget_frac, n_nodes)
 
@@ -117,10 +125,16 @@ def _known_sample_from_args(args) -> tuple[str, float] | None:
     flag, fraction = ("--f-n", args.f_n) if kind == "node" else ("--f-e", args.f_e)
     if fraction is None:
         raise UsageError(f"--known-sampler {args.known_sampler} requires {flag}")
+    if not 0.0 < fraction <= 1.0:
+        raise UsageError(f"{flag} must be in (0, 1], got {fraction}")
     return (kind, fraction)
 
 
 def cmd_sample(args) -> int:
+    try:
+        check_sampler_args(args.sampler, args.fraction, args.jump_prob)
+    except SamplingError as exc:
+        raise UsageError(str(exc)) from None
     g = _load_graph(args.graph)
     obs, fractions = run_sampler(
         g, args.sampler, args.fraction, args.seed, jump_prob=args.jump_prob
@@ -318,7 +332,7 @@ def _add_session_args(p) -> None:
     """The inputs, budget, seed and known-sample flags of probe and estimate."""
     p.add_argument("--graph", required=True)
     p.add_argument("--observed", required=True)
-    p.add_argument("--budget", type=int, default=None, help="absolute probe budget")
+    p.add_argument("--budget", type=positive_int, default=None, help="absolute probe budget")
     p.add_argument("--budget-frac", type=float, default=0.05,
                    help="budget as a fraction in (0, 1] of the complete graph's nodes")
     p.add_argument("--seed", type=int, default=0)
@@ -347,7 +361,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("probe", help="plan and execute probes on an observed graph")
     _add_session_args(p)
     p.add_argument("--strategy", required=True, choices=tuple(STRATEGIES))
-    p.add_argument("--estimation-probes", type=int, default=DEFAULT_ESTIMATION_PROBES)
+    p.add_argument("--estimation-probes", type=positive_int, default=DEFAULT_ESTIMATION_PROBES)
     p.add_argument("--estimation-uncharged", action="store_true",
                    help="do not charge estimation probes against the budget")
     p.add_argument("--out-prefix", required=True)
@@ -355,7 +369,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("estimate", help="estimate degree scale and clustering only")
     _add_session_args(p)
-    p.add_argument("--n-probes", type=int, default=DEFAULT_ESTIMATION_PROBES)
+    p.add_argument("--n-probes", type=positive_int, default=DEFAULT_ESTIMATION_PROBES)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_estimate)
 
@@ -370,11 +384,11 @@ def build_parser() -> _Parser:
     p.add_argument("--edge-fraction", type=float, default=DEFAULT_EDGE_FRACTION)
     p.add_argument("--repeats", type=int, default=20)
     p.add_argument("--jump-prob", type=float, default=DEFAULT_JUMP_PROB)
-    p.add_argument("--estimation-probes", type=int, default=DEFAULT_ESTIMATION_PROBES)
+    p.add_argument("--estimation-probes", type=positive_int, default=DEFAULT_ESTIMATION_PROBES)
     p.add_argument("--known-sample", action="store_true",
                    help="give maxoutprobe the sampler's true fractions")
     p.add_argument("--master-seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=os.environ.get("NETPROBE_JOBS", "1"),
+    p.add_argument("--jobs", type=positive_int, default=os.environ.get("NETPROBE_JOBS", "1"),
                    help="worker processes (default: NETPROBE_JOBS, else 1)")
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_sweep)

@@ -87,8 +87,9 @@ def budget_from_fraction(fraction: float, n_nodes: int) -> int:
 def _check_config(config: TrialConfig, g: CompleteGraph) -> None:
     """Reject a grid cell that no trial of it could run on g: an unknown
     sampler or strategy, known-sample estimates for a sampler without
-    closed-form estimators, no repeats, or a budget fraction, edge fraction
-    or jump probability that check_sampler_args or budget_from_fraction refuse."""
+    closed-form estimators, no repeats or estimation probes, or a budget
+    fraction, edge fraction or jump probability that check_sampler_args or
+    budget_from_fraction refuse."""
     try:
         check_sampler_args(config.sampler, config.edge_fraction, config.jump_prob, g.n_edges)
     except SamplingError as exc:
@@ -98,6 +99,8 @@ def _check_config(config: TrialConfig, g: CompleteGraph) -> None:
         raise ConfigError("known-sample estimators require the randnode or randedge sampler")
     if config.n_repeats < 1:
         raise ConfigError(f"n_repeats must be at least 1, got {config.n_repeats}")
+    if config.estimation_probes < 1:
+        raise ConfigError(f"estimation_probes must be at least 1, got {config.estimation_probes}")
     budget_from_fraction(config.budget_fraction, g.n_nodes)
 
 
@@ -297,8 +300,9 @@ def _init_worker(g: CompleteGraph) -> None:
 
 def _run_sample_in_worker(specs: list[_TrialSpec]) -> list:
     """Draw the sample the specs share once, then run each spec's trial on
-    its own copy of it.  Returns one TrialResult or NetProbeError per spec;
-    a sample that fails fails every trial."""
+    its own copy of it, the last trial on the sample itself.  Returns one
+    TrialResult or NetProbeError per spec; a sample that fails fails every
+    trial."""
     g, c = _WORKER_GRAPH, specs[0].config
     try:
         sample, fractions = run_sampler(
@@ -307,9 +311,10 @@ def _run_sample_in_worker(specs: list[_TrialSpec]) -> list:
     except NetProbeError as exc:
         return [exc] * len(specs)
     outcomes = []
-    for spec in specs:
+    last = len(specs) - 1
+    for k, spec in enumerate(specs):
         try:
-            obs = sample.copy()
+            obs = sample if k == last else sample.copy()
             outcomes.append(_probe_sample(g, spec.config, obs, fractions, spec.strategy_seed))
         except NetProbeError as exc:
             outcomes.append(exc)

@@ -2,16 +2,17 @@
 plus the popular baselines (degree, dispersion, community-crossing,
 clustering, random).
 
-Every strategy scores the candidate nodes of an observed graph and a shared
-selector takes the top b, breaking ties by ascending label so runs are
-reproducible.
+Every strategy but random maps each candidate node of an observed graph to a
+score (see Scores) and one selector takes the top b, breaking ties by
+ascending label so runs are reproducible.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .communities import detect_communities
 from .errors import ConfigError, UnknownNodeError
@@ -24,6 +25,7 @@ from .estimators import (
     probe_based_estimates,
 )
 from .graphs import (
+    _CANDIDATE,
     CompleteGraph,
     ObservedGraph,
     edge_dispersion,
@@ -36,24 +38,16 @@ HIGH = "high"
 LOW = "low"
 
 
-@dataclass(frozen=True)
-class CandidateScore:
-    """Ranking score for one candidate; the estimate-driven strategy also
-    records its components (estimated true degree, observed degree, and the
-    open-wedge partner count)."""
-
-    node: str
-    score: float
-    est_degree: float = 0.0
-    known_degree: int = 0
-    open_wedge_count: int = 0
+# A ranking: each candidate's complete-graph index mapped to its score.
+# Every scorer builds it by walking obs._candidate_ixs(), so its keys come
+# in ascending label order, one per candidate; select_top_b relies on that
+# order to break ties by label.
+Scores = dict[int, float]
 
 
 @dataclass(frozen=True)
 class ProbePlan:
-    strategy: str
     nodes: tuple[str, ...]
-    scores: tuple[float, ...]
 
 
 def _direction_sign(direction: str) -> float:
@@ -64,80 +58,68 @@ def _direction_sign(direction: str) -> float:
     raise ConfigError(f"direction must be 'high' or 'low', got {direction!r}")
 
 
-def score_max_out_probe(obs: ObservedGraph, est: EstimateSet) -> list[CandidateScore]:
+def score_max_out_probe(obs: ObservedGraph, est: EstimateSet) -> Scores:
     """Score candidates by estimated neighbors outside the observed graph.
 
-    For candidate u: estimated true degree minus observed degree, minus the
-    expected number of open-wedge partners that are really neighbors
-    (clustering estimate times partner count).  Negative scores clamp to 0.
+    For candidate u with observed degree d: the estimated true degree m̂·d,
+    minus d, minus the expected number of open-wedge partners that are
+    really neighbors (the clustering estimate ĉ times the partner count w).
+    Negative scores clamp to 0.
     """
-    nbrs, labels = obs._nbrs, obs._labels
+    nbrs = obs._nbrs
     order = obs._candidate_ixs()
     cands = set(order)
-    scores = []
+    m_hat, c_hat = est.scale_multiplier, est.clustering
+    scores = {}
     for i in order:
         mine = nbrs[i]
         d_known = len(mine)
-        d_hat = est.scale_multiplier * d_known
         # two_hop_open_wedges on indices, less i itself (a candidate)
         partners = set().union(*map(nbrs.__getitem__, mine))
         partners &= cands
         partners -= mine
-        w_u = len(partners) - 1
-        outside = d_hat - d_known - est.clustering * w_u
-        scores.append(
-            CandidateScore(
-                node=labels[i],
-                score=max(0.0, outside),
-                est_degree=d_hat,
-                known_degree=d_known,
-                open_wedge_count=w_u,
-            )
-        )
+        scores[i] = max(0.0, m_hat * d_known - d_known - c_hat * (len(partners) - 1))
     return scores
 
 
-def select_top_b(
-    scores: Sequence[CandidateScore], b_remaining: int, strategy: str = ""
-) -> ProbePlan:
-    """The b_remaining highest-scoring candidates, ties by ascending label."""
+def select_top_b(obs: ObservedGraph, scores: Scores, b_remaining: int) -> ProbePlan:
+    """The b_remaining highest-scoring candidates, ties by ascending label.
+
+    nlargest equals sorted(..., reverse=True)[:b], which is stable, so equal
+    scores keep the label order of the keys.
+    """
     if b_remaining < 1:
         raise ConfigError(f"b_remaining must be at least 1, got {b_remaining}")
-    ranked = sorted(scores, key=lambda s: (-s.score, s.node))[:b_remaining]
-    return ProbePlan(
-        strategy=strategy,
-        nodes=tuple(s.node for s in ranked),
-        scores=tuple(s.score for s in ranked),
-    )
+    top = heapq.nlargest(b_remaining, scores, key=scores.__getitem__)
+    return ProbePlan(nodes=tuple(map(obs._labels.__getitem__, top)))
 
 
-def score_degree(obs: ObservedGraph, direction: str = HIGH) -> list[CandidateScore]:
+def score_degree(obs: ObservedGraph, direction: str = HIGH) -> Scores:
     sign = _direction_sign(direction)
-    nbrs, labels = obs._nbrs, obs._labels
-    return [
-        CandidateScore(node=labels[i], score=sign * len(nbrs[i]), known_degree=len(nbrs[i]))
-        for i in obs._candidate_ixs()
-    ]
+    nbrs = obs._nbrs
+    return {i: sign * len(nbrs[i]) for i in obs._candidate_ixs()}
 
 
-def score_dispersion(obs: ObservedGraph, direction: str = HIGH) -> list[CandidateScore]:
+def score_dispersion(obs: ObservedGraph, direction: str = HIGH) -> Scores:
     """Mean dispersion of a candidate's incident observed edges (every
     observed node has at least one)."""
     sign = _direction_sign(direction)
-    scores = []
-    for u in obs.candidate_nodes():
+    labels = obs._labels
+    scores = {}
+    for i in obs._candidate_ixs():
+        u = labels[i]
         neighbors = obs.neighbors(u)
         mean_disp = sum(edge_dispersion(obs, u, v) for v in neighbors) / len(neighbors)
-        scores.append(CandidateScore(node=u, score=sign * mean_disp, known_degree=len(neighbors)))
+        scores[i] = sign * mean_disp
     return scores
 
 
-def score_cross_comm(
-    obs: ObservedGraph, partition: dict[str, int]
-) -> list[CandidateScore]:
+def score_cross_comm(obs: ObservedGraph, partition: dict[str, int]) -> Scores:
     """Fraction of a candidate's observed neighbors outside its community."""
-    scores = []
-    for u in obs.candidate_nodes():
+    labels = obs._labels
+    scores = {}
+    for i in obs._candidate_ixs():
+        u = labels[i]
         if u not in partition:
             raise UnknownNodeError(f"node {u!r} missing from the community partition")
         neighbors = obs.neighbors(u)
@@ -148,18 +130,14 @@ def score_cross_comm(
                 raise UnknownNodeError(f"node {v!r} missing from the community partition")
             if partition[v] != cu:
                 outside += 1
-        scores.append(
-            CandidateScore(node=u, score=outside / len(neighbors), known_degree=len(neighbors))
-        )
+        scores[i] = outside / len(neighbors)
     return scores
 
 
-def score_clustering(obs: ObservedGraph, direction: str = HIGH) -> list[CandidateScore]:
+def score_clustering(obs: ObservedGraph, direction: str = HIGH) -> Scores:
     sign = _direction_sign(direction)
-    return [
-        CandidateScore(node=u, score=sign * local_clustering(obs, u))
-        for u in obs.candidate_nodes()
-    ]
+    labels = obs._labels
+    return {i: sign * local_clustering(obs, labels[i]) for i in obs._candidate_ixs()}
 
 
 def select_random(obs: ObservedGraph, b_remaining: int, seed: int) -> ProbePlan:
@@ -168,15 +146,10 @@ def select_random(obs: ObservedGraph, b_remaining: int, seed: int) -> ProbePlan:
         raise ConfigError(f"b_remaining must be at least 1, got {b_remaining}")
     pool = obs.candidate_nodes()
     rng = random.Random(seed)
-    chosen = rng.sample(pool, min(b_remaining, len(pool)))
-    return ProbePlan(
-        strategy="random",
-        nodes=tuple(chosen),
-        scores=tuple(0.0 for _ in chosen),
-    )
+    return ProbePlan(nodes=tuple(rng.sample(pool, min(b_remaining, len(pool)))))
 
 
-Scorer = Callable[[ObservedGraph, int, EstimateSet | None], list[CandidateScore]]
+Scorer = Callable[[ObservedGraph, int, EstimateSet | None], Scores]
 
 # Strategy name -> scorer(obs, selection_seed, est), in the order the CLI
 # lists them; random has no scorer and draws candidates uniformly.  Each
@@ -234,9 +207,8 @@ def estimate(
         if kind == "edge":
             return known_edge_sample_estimates(obs, fraction)
         raise ConfigError(f"known_sample kind must be 'node' or 'edge', got {kind!r}")
-    n_probes = min(
-        n_probes, ledger.budget // 2, ledger.remaining, len(obs.candidate_nodes())
-    )
+    n_candidates = obs._status.count(_CANDIDATE)
+    n_probes = min(n_probes, ledger.budget // 2, ledger.remaining, n_candidates)
     if n_probes < 1:
         return None
     return probe_based_estimates(g, obs, ledger, n_probes=n_probes, seed=seed)
@@ -273,5 +245,4 @@ def make_probe_plan(
             ledger.budget += est.probes_used
     if scorer is None:
         return select_random(obs, ledger.remaining, selection_seed), None
-    scores = scorer(obs, selection_seed, est)
-    return select_top_b(scores, ledger.remaining, strategy=strategy), est
+    return select_top_b(obs, scorer(obs, selection_seed, est), ledger.remaining), est

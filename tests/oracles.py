@@ -65,6 +65,24 @@ def brute_two_hop_open_wedges(obs, u):
     }
 
 
+def brute_max_out_scores(obs, est):
+    """MaxOutProbe's score of every candidate by definition, label -> score:
+    max(0, m̂·d − d − ĉ·w) with d the observed degree and w the open-wedge
+    partner count."""
+    adj = adjacency(obs)
+    scores = {}
+    for u in sorted(adj):
+        if obs.is_candidate(u):
+            d, w = len(adj[u]), len(brute_two_hop_open_wedges(obs, u))
+            scores[u] = max(0.0, est.scale_multiplier * d - d - est.clustering * w)
+    return scores
+
+
+def by_label(obs, scores):
+    """A scorer's {candidate index: score} map keyed by label, in its order."""
+    return {obs._labels[i]: score for i, score in scores.items()}
+
+
 def brute_edge_dispersion(obs, u, v):
     """Definitional enumeration over common-neighbor pairs."""
     adj = adjacency(obs)

@@ -53,9 +53,11 @@ from oracles import (
     brute_edge_dispersion,
     brute_global_clustering,
     brute_local_clustering,
+    brute_max_out_scores,
     brute_triangles,
     brute_two_hop_open_wedges,
     brute_wedges,
+    by_label,
 )
 
 
@@ -117,15 +119,14 @@ def test_criterion_1_exact_oracles():
                     scale_multiplier=1.0 + rng.uniform(0.5, 4.0),
                     clustering=rng.uniform(0.0, 1.0),
                 )
-                for s in score_max_out_probe(obs, est):
-                    assert s.known_degree == obs.degree(s.node)
-                    assert s.open_wedge_count == len(brute_two_hop_open_wedges(obs, s.node))
-                    raw = (
-                        est.scale_multiplier * s.known_degree
-                        - s.known_degree
-                        - est.clustering * s.open_wedge_count
-                    )
-                    assert s.score == max(0.0, raw)
+                # m̂ = |V| + 2, ĉ = 1 clamps no score and pins every d and w
+                unclamped = EstimateSet(
+                    method=METHOD_PROBE, scale_multiplier=obs.n_nodes + 2, clustering=1.0
+                )
+                for e in (est, unclamped):
+                    scores = score_max_out_probe(obs, e)
+                    assert list(scores) == obs._candidate_ixs()
+                    assert by_label(obs, scores) == brute_max_out_scores(obs, e)
 
             expected_closure = brute_closure_nodes(g, obs)
             ledger = ProbeLedger(budget=g.n_nodes)
@@ -252,8 +253,8 @@ def test_criterion_4_low_clustering_reduction():
                 clustering=0.0,
             )
             b = rng.randrange(1, 12)
-            mop = select_top_b(score_max_out_probe(obs, est), b)
-            deg = select_top_b(score_degree(obs, "high"), b)
+            mop = select_top_b(obs, score_max_out_probe(obs, est), b)
+            deg = select_top_b(obs, score_degree(obs, "high"), b)
             assert mop.nodes == deg.nodes
             checked += 1
         assert checked == 100

@@ -25,6 +25,15 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def assert_usage_error(code, capsys, flag=None):
+    """Exit 1 with one error line on stderr, naming flag if given."""
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    errors = [line for line in err if line.startswith("error:")]
+    assert len(errors) == 1
+    assert flag is None or flag in errors[0]
+
+
 class TestSample:
     def test_roundtrip_and_manifest(self, graph_file, tmp_path):
         out = tmp_path / "obs.txt"
@@ -53,6 +62,17 @@ class TestSample:
         code = run("sample", "--graph", graph_file, "--sampler", "randedge",
                    "--fraction", "0.00001", "--out", tmp_path / "x.txt")
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ("--sampler", "randedge", "--fraction", "0"),
+        ("--sampler", "randnode", "--fraction", "1.5"),
+        ("--sampler", "rwj", "--jump-prob", "1"),
+    ])
+    def test_out_of_range_flag_is_usage_error(self, graph_file, tmp_path, capsys, flags):
+        out = tmp_path / "x.txt"
+        code = run("sample", "--graph", graph_file, *flags, "--out", out)
+        assert_usage_error(code, capsys)
+        assert not out.exists()
 
     def test_identical_args_identical_bytes(self, graph_file, tmp_path):
         outs = []
@@ -133,6 +153,23 @@ class TestProbe:
                    "--out-prefix", tmp_path / "x")
         assert code == 1
 
+    @pytest.mark.parametrize("flags", [
+        ("--known-sampler", "randnode", "--f-n", "7"),
+        ("--known-sampler", "randnode", "--f-n", "0"),
+        ("--known-sampler", "randedge", "--f-e", "0"),
+        ("--known-sampler", "randedge", "--f-e", "nan"),
+        ("--estimation-probes", "0"),
+        ("--estimation-probes", "-3"),
+    ])
+    def test_out_of_range_flag_is_usage_error(self, graph_file, tmp_path, capsys, flags):
+        obs = self.make_sample(graph_file, tmp_path)
+        capsys.readouterr()
+        code = run("probe", "--graph", graph_file, "--observed", obs,
+                   "--strategy", "maxoutprobe", "--budget", "6", *flags,
+                   "--out-prefix", tmp_path / "x")
+        assert_usage_error(code, capsys, flags[-2])
+        assert list(tmp_path.glob("x.*")) == []
+
     def test_known_sampler_requires_fraction(self, graph_file, tmp_path):
         obs = self.make_sample(graph_file, tmp_path)
         code = run("probe", "--graph", graph_file, "--observed", obs,
@@ -174,6 +211,22 @@ class TestEstimate:
                        "--budget-frac", frac, "--out", tmp_path / "r.json", *known)
             assert code == 1
         assert not (tmp_path / "r.json").exists()
+
+
+    @pytest.mark.parametrize("flags", [
+        ("--known-sampler", "randnode", "--f-n", "7"),
+        ("--known-sampler", "randedge", "--f-e", "0"),
+        ("--n-probes", "0"),
+        ("--n-probes", "-1"),
+    ])
+    def test_out_of_range_flag_is_usage_error(self, graph_file, tmp_path, capsys, flags):
+        obs = TestProbe().make_sample(graph_file, tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "r.json"
+        code = run("estimate", "--graph", graph_file, "--observed", obs,
+                   "--budget", "10", *flags, "--out", out)
+        assert_usage_error(code, capsys, flags[-2])
+        assert not out.exists()
 
 
 class TestSweep:
@@ -218,21 +271,27 @@ class TestSweep:
         ("--jump-prob", "1.5"),
         ("--repeats", "0"),
         ("--edge-fraction", "0.001"),
+        ("--jobs", "0"),
+        ("--jobs", "-2"),
+        ("--estimation-probes", "0"),
+        ("--estimation-probes", "-5"),
     ])
-    def test_out_of_range_grid_value_is_usage_error(self, graph_file, tmp_path, flags):
+    def test_out_of_range_grid_value_is_usage_error(self, graph_file, tmp_path, capsys, flags):
         out = tmp_path / "range"
         code = run("sweep", "--graph", graph_file, "--samplers", "randedge,rwj",
                    "--strategies", "highdeg", "--budget-fracs", "0.1",
                    "--repeats", "1", *flags, "--out-prefix", out / "sweep")
-        assert code == 1
+        assert_usage_error(code, capsys)
         assert not out.exists()
 
     def test_bad_jobs_environment_is_usage_error(self, graph_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("NETPROBE_JOBS", "x")
-        code = run("sweep", "--graph", graph_file, "--samplers", "randedge",
-                   "--strategies", "highdeg", "--budget-fracs", "0.1",
-                   "--repeats", "1", "--out-prefix", tmp_path / "j")
-        assert code == 1
+        for value in ("x", "0"):
+            monkeypatch.setenv("NETPROBE_JOBS", value)
+            code = run("sweep", "--graph", graph_file, "--samplers", "randedge",
+                       "--strategies", "highdeg", "--budget-fracs", "0.1",
+                       "--repeats", "1", "--out-prefix", tmp_path / "j")
+            assert code == 1
+            assert not (tmp_path / "j.results.csv").exists()
         monkeypatch.setenv("NETPROBE_JOBS", "2")
         assert build_parser().parse_args(
             ["sweep", "--graph", "g", "--out-prefix", "p"]).jobs == 2

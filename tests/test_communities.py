@@ -7,6 +7,8 @@ from netprobe.generators import planted_partition_graph, random_graph
 from netprobe.graphs import CompleteGraph, ObservedGraph
 from netprobe.sampling import sample_random_edge
 
+from oracles import by_label
+
 
 def full_view(g):
     obs = ObservedGraph(g)
@@ -117,5 +119,5 @@ def test_bridge_node_crosses_half():
     partition = detect_communities(obs, seed=2)
     from netprobe.strategies import score_cross_comm
 
-    scores = {s.node: s.score for s in score_cross_comm(obs, partition)}
+    scores = by_label(obs, score_cross_comm(obs, partition))
     assert scores["bridge"] == 0.5

@@ -9,6 +9,7 @@ import pytest
 from netprobe import harness
 from netprobe.errors import ConfigError, SamplingError
 from netprobe.generators import planted_partition_graph, random_graph
+from netprobe.graphs import ObservedGraph
 from netprobe.harness import (
     AggregateCurve,
     TrialConfig,
@@ -269,6 +270,26 @@ class TestSweep:
             for repeat in range(2)
         )
 
+    def test_last_trial_of_a_sample_probes_it_uncopied(self, monkeypatch):
+        g = planted_partition_graph(6, 10, 0.5, 0.02, seed=8)
+        copies = []
+        copy = ObservedGraph.copy
+        monkeypatch.setattr(ObservedGraph, "copy", lambda obs: copies.append(1) or copy(obs))
+        units = []
+        run_unit = harness._run_sample_in_worker
+
+        def counting_run_unit(specs):
+            before = len(copies)
+            outcomes = run_unit(specs)
+            units.append((len(specs), len(copies) - before))
+            return outcomes
+
+        monkeypatch.setattr(harness, "_run_sample_in_worker", counting_run_unit)
+        rows = sweep(g, self.small_grid(n_repeats=2), master_seed=1)
+        assert all(r["nodes_after"] != "" for r in rows)
+        # per sample: 2 strategies x 2 budgets plus 2 baselines
+        assert units == [(6, 5), (6, 5)]
+
     def test_parallel_matches_serial(self):
         g = planted_partition_graph(5, 8, 0.5, 0.02, seed=13)
         grid = self.small_grid(n_repeats=2)
@@ -296,6 +317,8 @@ class TestSweep:
         ("edge_fraction", 1.5),
         ("jump_prob", 1.5),
         ("n_repeats", 0),
+        ("estimation_probes", 0),
+        ("estimation_probes", -5),
     ])
     def test_out_of_range_grid_value_rejected_before_any_trial(
         self, monkeypatch, field, value

@@ -4,8 +4,10 @@ final observation, the observation stays a subgraph whose explored nodes
 have complete neighbourhoods, the observed-graph file round-trips, and
 every observation is a consistent graph whose counting primitives agree
 with brute force.  A copy of an observation is equal to it and independent
-of it, and a reveal reports exactly what it added.  Then properties of the
-CCDF and AUC aggregation."""
+of it, and a reveal reports exactly what it added.  Every scorer keys its
+scores by candidate index in label order, and the selector keeps the same
+top b as a full sort by (-score, label).  Then properties of the CCDF and
+AUC aggregation."""
 
 import io
 
@@ -28,15 +30,17 @@ from netprobe.graphs import (
 from netprobe.harness import KNOWN_SAMPLE_KINDS, auc, ccdf, common_range_aucs, run_session
 from netprobe.probing import PHASE_ESTIMATION, ProbeLedger, probe
 from netprobe.sampling import SAMPLER_NAMES, run_sampler
-from netprobe.strategies import STRATEGIES, score_max_out_probe
+from netprobe.strategies import STRATEGIES, score_max_out_probe, select_top_b
 
 from oracles import (
     adjacency,
     brute_edge_dispersion,
     brute_local_clustering,
+    brute_max_out_scores,
     brute_triangles,
     brute_two_hop_open_wedges,
     brute_wedges,
+    by_label,
 )
 
 
@@ -167,10 +171,11 @@ def test_copy_is_independent_and_explore_counts_its_reveal(
     # the file holds the nodes, edges, statuses, origin and target fraction
     assert _text(copy) == start
     assert copy.n_edges == n_edges
-    est = EstimateSet(method=METHOD_PROBE, scale_multiplier=2.0, clustering=0.5)
-    for score in score_max_out_probe(copy, est):
-        assert score.open_wedge_count == len(brute_two_hop_open_wedges(copy, score.node))
-        assert score.known_degree == len(adjacency(copy)[score.node])
+    # m̂ = |V| + 2, ĉ = 1 clamps no score and pins every degree and partner count
+    for m_hat, c_hat in ((2.0, 0.5), (copy.n_nodes + 2, 1.0)):
+        est = EstimateSet(method=METHOD_PROBE, scale_multiplier=m_hat, clustering=c_hat)
+        scores = score_max_out_probe(copy, est)
+        assert by_label(copy, scores) == brute_max_out_scores(copy, est)
 
     # explore any node of g on the copy, observed or not, explored or not
     for u in data.draw(st.lists(st.sampled_from(g.labels()), max_size=6)):
@@ -185,6 +190,38 @@ def test_copy_is_independent_and_explore_counts_its_reveal(
     _check_representation(copy)
     assert _text(obs) == start
     assert obs.n_edges == n_edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(6, 24),
+    p=st.floats(0.1, 0.5),
+    graph_seed=st.integers(0, 10_000),
+    sampler=st.sampled_from(SAMPLER_NAMES),
+    edge_fraction=st.floats(0.1, 0.6),
+    seed=st.integers(0, 2**32),
+    strategy=st.sampled_from([name for name, scorer in STRATEGIES.items() if scorer]),
+    # few distinct estimates, so that MaxOutProbe scores tie too
+    m_hat=st.sampled_from([1.0, 1.5, 2.0, 4.0]),
+    c_hat=st.sampled_from([0.0, 0.5, 1.0]),
+)
+def test_select_top_b_equals_the_full_label_tie_sort(
+    n, p, graph_seed, sampler, edge_fraction, seed, strategy, m_hat, c_hat
+):
+    try:
+        g = random_graph(n, p, seed=graph_seed)
+        obs, _ = run_sampler(g, sampler, edge_fraction, seed)
+    except (EmptyGraphError, SamplingError):
+        assume(False)
+    est = EstimateSet(method=METHOD_PROBE, scale_multiplier=m_hat, clustering=c_hat)
+    scores = STRATEGIES[strategy](obs, seed, est)
+    assert list(scores) == obs._candidate_ixs()
+    # the selector's definition before score maps: sort every candidate by
+    # (-score, label) and keep the first b
+    candidates = [(obs._labels[i], score) for i, score in scores.items()]
+    reference = [u for u, _ in sorted(candidates, key=lambda c: (-c[1], c[0]))]
+    for b in range(1, len(candidates) + 2):
+        assert select_top_b(obs, scores, b).nodes == tuple(reference[:b])
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)

@@ -12,7 +12,6 @@ from netprobe.graphs import CompleteGraph, ObservedGraph
 from netprobe.probing import ProbeLedger
 from netprobe.sampling import sample_random_edge, sample_random_node
 from netprobe.strategies import (
-    CandidateScore,
     edge_dispersion,
     make_probe_plan,
     score_clustering,
@@ -24,7 +23,13 @@ from netprobe.strategies import (
     select_top_b,
 )
 
-from oracles import brute_edge_dispersion
+from oracles import (
+    adjacency,
+    brute_edge_dispersion,
+    brute_max_out_scores,
+    brute_two_hop_open_wedges,
+    by_label,
+)
 
 
 def probe_est(scale, clustering):
@@ -38,6 +43,12 @@ def full_view(g):
     return obs
 
 
+def unclamped_est(obs):
+    """An estimate under which no MaxOutProbe score clamps: m̂ = |V| + 2 and
+    ĉ = 1 give (|V| + 1)·d − w > 0, whose value pins both d and w < |V|."""
+    return probe_est(obs.n_nodes + 2, 1.0)
+
+
 def star(n_leaves=4):
     return CompleteGraph([("hub", f"leaf{i}") for i in range(n_leaves)])
 
@@ -48,68 +59,83 @@ class TestScoreMaxOutProbe:
         edges += [("n0", f"w{i}") for i in range(10)]
         g = CompleteGraph(edges)
         obs = full_view(g)
-        scores = {s.node: s for s in score_max_out_probe(obs, probe_est(10.0, 0.2))}
-        u = scores["u"]
-        assert u.known_degree == 5
-        assert u.est_degree == pytest.approx(50.0)
-        assert u.open_wedge_count == 10
-        assert u.score == pytest.approx(50 - 5 - 0.2 * 10)
+        assert len(adjacency(obs)["u"]) == 5
+        assert len(brute_two_hop_open_wedges(obs, "u")) == 10
+        est = probe_est(10.0, 0.2)
+        scores = by_label(obs, score_max_out_probe(obs, est))
+        assert scores["u"] == pytest.approx(50 - 5 - 0.2 * 10)
+        assert scores == brute_max_out_scores(obs, est)
+        # 16 nodes: m̂ = 18, ĉ = 1 score u as 17·5 − 10
+        est = unclamped_est(obs)
+        scores = by_label(obs, score_max_out_probe(obs, est))
+        assert scores["u"] == 75.0
+        assert scores == brute_max_out_scores(obs, est)
 
     def test_negative_scores_clamp_to_zero(self):
         edges = [("u", f"n{i}") for i in range(5)] + [("n0", f"w{i}") for i in range(4)]
         g = CompleteGraph(edges)
         obs = full_view(g)
-        scores = {s.node: s for s in score_max_out_probe(obs, probe_est(1.0, 0.5))}
+        scores = by_label(obs, score_max_out_probe(obs, probe_est(1.0, 0.5)))
         # raw score for u: 5 - 5 - 0.5*4 = -2
-        assert scores["u"].score == 0.0
+        assert scores["u"] == 0.0
 
     def test_zero_clustering_matches_degree_ranking(self):
         rng = random.Random(2)
         for trial in range(10):
             g = random_graph(rng.randrange(10, 30), 0.3, seed=trial)
             obs, _ = sample_random_edge(g, 0.5, seed=trial)
-            mop = select_top_b(score_max_out_probe(obs, probe_est(3.7, 0.0)), 5)
-            deg = select_top_b(score_degree(obs, "high"), 5)
+            mop = select_top_b(obs, score_max_out_probe(obs, probe_est(3.7, 0.0)), 5)
+            deg = select_top_b(obs, score_degree(obs, "high"), 5)
             assert mop.nodes == deg.nodes
 
     def test_explored_nodes_not_scored(self):
         g = random_graph(20, 0.3, seed=3)
         obs, _ = sample_random_node(g, 0.4, seed=3)
-        nodes = {s.node for s in score_max_out_probe(obs, probe_est(2.0, 0.1))}
-        assert nodes == set(obs.candidate_nodes())
+        scores = score_max_out_probe(obs, probe_est(2.0, 0.1))
+        assert list(by_label(obs, scores)) == obs.candidate_nodes()
 
 
 class TestSelectTopB:
+    def scores(self, obs, values):
+        """values given to the candidates in label order, keyed by index"""
+        return dict(zip(obs._candidate_ixs(), values))
+
     def test_tie_broken_by_label(self):
-        scores = [
-            CandidateScore(node="a", score=3.0),
-            CandidateScore(node="c", score=5.0),
-            CandidateScore(node="b", score=5.0),
-        ]
-        plan = select_top_b(scores, 2)
+        # indexed c, b, a: ties must follow the labels, not the indices
+        obs = full_view(CompleteGraph([("c", "b"), ("b", "a")]))
+        ixs = obs._candidate_ixs()
+        assert [obs._labels[i] for i in ixs] == ["a", "b", "c"]
+        assert ixs != sorted(ixs)
+        plan = select_top_b(obs, self.scores(obs, [3.0, 5.0, 5.0]), 2)
         assert plan.nodes == ("b", "c")
 
     def test_budget_exceeds_candidates(self):
-        scores = [CandidateScore(node="a", score=1.0)]
-        assert select_top_b(scores, 10).nodes == ("a",)
+        obs = full_view(CompleteGraph([("a", "b")]))
+        obs.mark_explored("b")
+        assert select_top_b(obs, self.scores(obs, [1.0]), 10).nodes == ("a",)
 
     def test_single_max(self):
-        scores = [CandidateScore(node=n, score=s) for n, s in [("x", 1), ("y", 9), ("z", 2)]]
-        assert select_top_b(scores, 1).nodes == ("y",)
+        obs = full_view(CompleteGraph([("x", "y"), ("y", "z")]))
+        assert select_top_b(obs, self.scores(obs, [1.0, 9.0, 2.0]), 1).nodes == ("y",)
+
+    def test_no_budget_rejected(self):
+        obs = full_view(star())
+        with pytest.raises(ConfigError):
+            select_top_b(obs, score_degree(obs), 0)
 
 
 class TestScoreDegree:
     def test_star_high_and_low(self):
         obs = full_view(star())
-        high = select_top_b(score_degree(obs, "high"), 1)
+        high = select_top_b(obs, score_degree(obs, "high"), 1)
         assert high.nodes == ("hub",)
-        low = select_top_b(score_degree(obs, "low"), 2)
+        low = select_top_b(obs, score_degree(obs, "low"), 2)
         assert low.nodes == ("leaf0", "leaf1")
 
     def test_equal_degrees_order_by_label(self):
         g = CompleteGraph([("a", "b"), ("c", "d")])
         obs = full_view(g)
-        plan = select_top_b(score_degree(obs, "high"), 4)
+        plan = select_top_b(obs, score_degree(obs, "high"), 4)
         assert plan.nodes == ("a", "b", "c", "d")
 
     def test_direction_validated(self):
@@ -157,12 +183,12 @@ class TestEdgeDispersion:
 class TestScoreDispersion:
     def test_k4_members_zero(self):
         obs = TestEdgeDispersion().k4_view()
-        assert all(s.score == 0.0 for s in score_dispersion(obs, "high"))
+        assert all(s == 0.0 for s in score_dispersion(obs, "high").values())
 
     def test_gadget_average(self):
         g = CompleteGraph([("u", "v"), ("u", "s"), ("v", "s"), ("u", "t"), ("v", "t")])
         obs = full_view(g)
-        scores = {s.node: s.score for s in score_dispersion(obs, "high")}
+        scores = by_label(obs, score_dispersion(obs, "high"))
         # u's incident edges: (u,v) disp 1, (u,s) disp 0, (u,t) disp 0
         assert scores["u"] == pytest.approx(1 / 3)
         assert scores["s"] == 0.0
@@ -170,8 +196,8 @@ class TestScoreDispersion:
     def test_low_negates(self):
         g = CompleteGraph([("u", "v"), ("u", "s"), ("v", "s"), ("u", "t"), ("v", "t")])
         obs = full_view(g)
-        high = {s.node: s.score for s in score_dispersion(obs, "high")}
-        low = {s.node: s.score for s in score_dispersion(obs, "low")}
+        high = by_label(obs, score_dispersion(obs, "high"))
+        low = by_label(obs, score_dispersion(obs, "low"))
         assert low["u"] == -high["u"]
 
 
@@ -180,13 +206,13 @@ class TestScoreCrossComm:
         g = CompleteGraph([("u", "a"), ("u", "b"), ("u", "c"), ("u", "d")])
         obs = full_view(g)
         partition = {"u": 0, "a": 0, "b": 1, "c": 1, "d": 2}
-        scores = {s.node: s.score for s in score_cross_comm(obs, partition)}
+        scores = by_label(obs, score_cross_comm(obs, partition))
         assert scores["u"] == pytest.approx(0.75)
 
     def test_all_inside_is_zero(self):
         g = CompleteGraph([("u", "a"), ("u", "b")])
         obs = full_view(g)
-        scores = {s.node: s.score for s in score_cross_comm(obs, {"u": 0, "a": 0, "b": 0})}
+        scores = by_label(obs, score_cross_comm(obs, {"u": 0, "a": 0, "b": 0}))
         assert scores["u"] == 0.0
 
     def test_missing_node_rejected(self):
@@ -198,18 +224,18 @@ class TestScoreCrossComm:
 class TestScoreClustering:
     def test_k4_member(self):
         obs = TestEdgeDispersion().k4_view()
-        scores = {s.node: s.score for s in score_clustering(obs, "high")}
+        scores = by_label(obs, score_clustering(obs, "high"))
         assert all(v == 1.0 for v in scores.values())
 
     def test_star_center(self):
         obs = full_view(star())
-        scores = {s.node: s.score for s in score_clustering(obs, "high")}
+        scores = by_label(obs, score_clustering(obs, "high"))
         assert scores["hub"] == 0.0
 
     def test_triangle_with_pendant_apex(self):
         g = CompleteGraph([("a", "b"), ("b", "c"), ("a", "c"), ("a", "p")])
         obs = full_view(g)
-        scores = {s.node: s.score for s in score_clustering(obs, "high")}
+        scores = by_label(obs, score_clustering(obs, "high"))
         assert scores["a"] == pytest.approx(1 / 3)
 
 
@@ -316,7 +342,7 @@ class TestMakeProbePlan:
             "maxoutprobe", g, obs, ledger, selection_seed=1, estimation_seed=2
         )
         assert est.probes_used == 0
-        deg_plan = select_top_b(score_degree(obs, "high"), 1)
+        deg_plan = select_top_b(obs, score_degree(obs, "high"), 1)
         assert plan.nodes == deg_plan.nodes
 
     def test_all_plans_contain_distinct_candidates(self):
