@@ -131,11 +131,11 @@ def _known_sample_from_args(args) -> tuple[str, float] | None:
 
 
 def cmd_sample(args) -> int:
+    g = _load_graph(args.graph)
     try:
-        check_sampler_args(args.sampler, args.fraction, args.jump_prob)
+        check_sampler_args(args.sampler, args.fraction, args.jump_prob, g.n_edges)
     except SamplingError as exc:
         raise UsageError(str(exc)) from None
-    g = _load_graph(args.graph)
     obs, fractions = run_sampler(
         g, args.sampler, args.fraction, args.seed, jump_prob=args.jump_prob
     )

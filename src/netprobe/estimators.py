@@ -12,6 +12,7 @@ Two routes to the same pair of statistics:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -207,7 +208,10 @@ def unbiased_clustering_node_sampling(
     if not 0.0 < node_fraction <= 1.0:
         raise SamplingError(f"node_fraction must be in (0, 1], got {node_fraction}")
     probs = survival_probs(node_fraction)
-    raw = (probs.p_wedge / probs.p_triangle) * c_observed
+    # below f ~ 1e-162 the triangle survival underflows to 0, where the
+    # ratio's limit is +inf: any observed clustering then clamps to 1
+    ratio = probs.p_wedge / probs.p_triangle if probs.p_triangle > 0.0 else math.inf
+    raw = ratio * c_observed if c_observed else 0.0
     return min(1.0, max(0.0, raw)), not 0.0 <= raw <= 1.0
 
 

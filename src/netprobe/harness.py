@@ -247,41 +247,25 @@ def common_range_aucs(curves: dict[str, AggregateCurve]) -> dict[str, float]:
     return {name: auc(c, x_lo, x_hi) for name, c in curves.items()}
 
 
-def _trial_row(
-    config: TrialConfig, repeat: int, sampler_seed: int, result: TrialResult | None
-) -> dict:
-    row = {
-        "sampler": config.sampler,
-        "strategy": config.strategy,
-        "edge_fraction": config.edge_fraction,
-        "budget_fraction": config.budget_fraction,
-        "repeat": repeat,
-        "seed": sampler_seed,
-        "nodes_before": "",
-        "nodes_after": "",
-        "edges_after": "",
-        "probes_spent": "",
-        "c_hat": "",
-        "m_hat": "",
-        "improvement_vs_random": "",
-    }
-    if result is not None:
-        row["nodes_before"] = result.nodes_before
-        row["nodes_after"] = result.nodes_after
-        row["edges_after"] = result.edges_after
-        row["probes_spent"] = result.probes_spent
-        if result.estimate is not None:
-            row["c_hat"] = result.estimate.clustering
-            row["m_hat"] = result.estimate.scale_multiplier
-    return row
-
-
 @dataclass(frozen=True)
 class _TrialSpec:
+    """One trial of a sweep: a grid config's repeat and its two seeds.
+    Equal specs have equal outcomes."""
+
     config: TrialConfig
     repeat: int
     sampler_seed: int
     strategy_seed: int
+
+    @classmethod
+    def derive(cls, master_seed: int, config: TrialConfig, repeat: int) -> _TrialSpec:
+        """The spec with its seeds, derived by one rule for strategy trials
+        and baselines alike.  The sampler seed depends only on (sampler,
+        repeat), so each repeat is one sample probed at every budget."""
+        c = config
+        selection = (c.sampler, c.strategy, c.budget_fraction, repeat)
+        sampler_seed = derive_seed(master_seed, "sampler", c.sampler, repeat)
+        return cls(config, repeat, sampler_seed, derive_seed(master_seed, "selection", *selection))
 
     @property
     def pair_key(self) -> tuple:
@@ -289,21 +273,41 @@ class _TrialSpec:
         c = self.config
         return (c.sampler, c.edge_fraction, c.budget_fraction, self.repeat)
 
+    @property
+    def sample_key(self) -> tuple:
+        """The trials sharing this key share one drawn sample: a work unit."""
+        c = self.config
+        return (c.sampler, c.edge_fraction, c.jump_prob, self.sampler_seed)
 
-_WORKER_GRAPH: CompleteGraph | None = None
+    def row(self, outcome, baseline) -> dict:
+        """This trial's result row, given its outcome and its paired Random
+        baseline's, each a TrialResult or a NetProbeError.  A failed trial
+        leaves its measurements blank, and the improvement over the
+        baseline is blank if either trial failed."""
+        c = self.config
+        row = dict.fromkeys(RESULT_COLUMNS, "")
+        row.update(sampler=c.sampler, strategy=c.strategy, edge_fraction=c.edge_fraction,
+                   budget_fraction=c.budget_fraction, repeat=self.repeat, seed=self.sampler_seed)
+        if isinstance(outcome, TrialResult):
+            row.update(nodes_before=outcome.nodes_before, nodes_after=outcome.nodes_after,
+                       edges_after=outcome.edges_after, probes_spent=outcome.probes_spent)
+            if outcome.estimate is not None:
+                row.update(c_hat=outcome.estimate.clustering,
+                           m_hat=outcome.estimate.scale_multiplier)
+            if isinstance(baseline, TrialResult):
+                row["improvement_vs_random"] = (
+                    0.0 if c.strategy == "random"
+                    else percent_improvement(outcome.nodes_after, baseline.nodes_after)
+                )
+        return row
 
 
-def _init_worker(g: CompleteGraph) -> None:
-    global _WORKER_GRAPH
-    _WORKER_GRAPH = g
-
-
-def _run_sample_in_worker(specs: list[_TrialSpec]) -> list:
+def _run_unit(g: CompleteGraph, specs: list[_TrialSpec]) -> list:
     """Draw the sample the specs share once, then run each spec's trial on
     its own copy of it, the last trial on the sample itself.  Returns one
     TrialResult or NetProbeError per spec; a sample that fails fails every
     trial."""
-    g, c = _WORKER_GRAPH, specs[0].config
+    c = specs[0].config
     try:
         sample, fractions = run_sampler(
             g, c.sampler, c.edge_fraction, specs[0].sampler_seed, jump_prob=c.jump_prob
@@ -321,6 +325,19 @@ def _run_sample_in_worker(specs: list[_TrialSpec]) -> list:
     return outcomes
 
 
+_WORKER_GRAPH: CompleteGraph | None = None
+
+
+def _init_worker(g: CompleteGraph) -> None:
+    global _WORKER_GRAPH
+    _WORKER_GRAPH = g
+
+
+def _run_unit_in_worker(specs: list[_TrialSpec]) -> list:
+    """_run_unit in a pool worker, on the graph its initializer stored."""
+    return _run_unit(_WORKER_GRAPH, specs)
+
+
 def sweep(
     g: CompleteGraph,
     grid: Sequence[TrialConfig],
@@ -330,107 +347,54 @@ def sweep(
     """Run every grid config for its repeats, plus one paired Random
     baseline per (sampler, edge fraction, budget, repeat).
 
-    The sampler seed depends only on (sampler, repeat), so each repeat is
-    one incomplete network probed by every strategy at every budget, and the
-    Random baseline sees the byte-identical sample, drawn once and copied
-    for each trial.  A config that no trial could run, an out-of-range
-    fraction among them, raises ConfigError before any trial runs; trials
-    that fail on their own become rows with blank measurements, and the
-    sweep continues.
+    Each repeat is one incomplete network probed by every strategy at every
+    budget, and the Random baseline sees the byte-identical sample, drawn
+    once and copied for each trial.  A config that no trial could run, an
+    out-of-range fraction among them, or jobs below 1 raises ConfigError
+    before any trial runs; trials that fail on their own become rows with
+    blank measurements, and the sweep continues.  Rows list the strategy
+    trials in grid order, then the baselines in pair-key order.
     """
     if not grid:
         raise ConfigError("sweep grid is empty")
     for config in grid:
         _check_config(config, g)
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
 
-    baseline_keys: dict[tuple, _TrialSpec] = {}
-    strategy_specs: list[_TrialSpec] = []
-    for config in grid:
-        for repeat in range(config.n_repeats):
-            sampler_seed = derive_seed(master_seed, "sampler", config.sampler, repeat)
-            strategy_seed = derive_seed(
-                master_seed,
-                "selection",
-                config.sampler,
-                config.strategy,
-                config.budget_fraction,
-                repeat,
-            )
-            spec = _TrialSpec(config, repeat, sampler_seed, strategy_seed)
-            strategy_specs.append(spec)
-            key = spec.pair_key
-            if key not in baseline_keys:
-                baseline_config = replace(config, strategy="random")
-                baseline_seed = derive_seed(
-                    master_seed,
-                    "selection",
-                    config.sampler,
-                    "random",
-                    config.budget_fraction,
-                    repeat,
-                )
-                baseline_keys[key] = _TrialSpec(
-                    baseline_config, repeat, sampler_seed, baseline_seed
-                )
-
-    baseline_specs = [baseline_keys[k] for k in sorted(baseline_keys)]
-    specs = strategy_specs + baseline_specs
-
-    # one work unit per sample: the trials that share its sampler arguments
-    units: dict[tuple, list[_TrialSpec]] = {}
+    specs = [
+        _TrialSpec.derive(master_seed, config, repeat)
+        for config in grid
+        for repeat in range(config.n_repeats)
+    ]
+    baselines: dict[tuple, _TrialSpec] = {}
     for spec in specs:
-        c = spec.config
-        key = (c.sampler, c.edge_fraction, c.jump_prob, spec.sampler_seed)
-        units.setdefault(key, []).append(spec)
+        if spec.pair_key not in baselines:
+            random_config = replace(spec.config, strategy="random")
+            baselines[spec.pair_key] = _TrialSpec.derive(master_seed, random_config, spec.repeat)
+    specs += [baselines[key] for key in sorted(baselines)]
+
+    # a grid's own random trial can equal its baseline; each runs once
+    units: dict[tuple, list[_TrialSpec]] = {}
+    for spec in dict.fromkeys(specs):
+        units.setdefault(spec.sample_key, []).append(spec)
     if jobs > 1:
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(g,)
         ) as pool:
-            unit_outcomes = list(pool.map(_run_sample_in_worker, units.values(), chunksize=1))
+            unit_outcomes = list(pool.map(_run_unit_in_worker, units.values(), chunksize=1))
     else:
-        _init_worker(g)
-        unit_outcomes = [_run_sample_in_worker(unit) for unit in units.values()]
-    # equal specs have equal seeds, so one outcome serves them all
+        unit_outcomes = [_run_unit(g, unit) for unit in units.values()]
     outcomes = dict(zip(chain(*units.values()), chain(*unit_outcomes)))
 
-    results: list[TrialResult | None] = []
+    rows = []
     for spec in specs:
         outcome = outcomes[spec]
         if isinstance(outcome, NetProbeError):
-            logger.warning(
-                "trial failed (%s/%s b=%s rep=%d): %s",
-                spec.config.sampler,
-                spec.config.strategy,
-                spec.config.budget_fraction,
-                spec.repeat,
-                outcome,
-            )
-            results.append(None)
-        else:
-            results.append(outcome)
-
-    baseline_nodes: dict[tuple, int | None] = {}
-    n_strategy = len(strategy_specs)
-    for spec, result in zip(baseline_specs, results[n_strategy:]):
-        baseline_nodes[spec.pair_key] = result.nodes_after if result is not None else None
-
-    rows = []
-    for spec, result in zip(strategy_specs, results[:n_strategy]):
-        row = _trial_row(spec.config, spec.repeat, spec.sampler_seed, result)
-        base = baseline_nodes.get(spec.pair_key)
-        if result is not None and base:
-            if spec.config.strategy == "random":
-                row["improvement_vs_random"] = 0.0
-            else:
-                row["improvement_vs_random"] = percent_improvement(
-                    result.nodes_after, base
-                )
-        rows.append(row)
-    for spec, result in zip(baseline_specs, results[n_strategy:]):
-        row = _trial_row(spec.config, spec.repeat, spec.sampler_seed, result)
-        if result is not None:
-            row["improvement_vs_random"] = 0.0
-        rows.append(row)
+            c = spec.config
+            logger.warning("trial failed (%s/%s b=%s rep=%d): %s",
+                           c.sampler, c.strategy, c.budget_fraction, spec.repeat, outcome)
+        rows.append(spec.row(outcome, outcomes[baselines[spec.pair_key]]))
     return rows
 
 

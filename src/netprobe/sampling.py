@@ -52,17 +52,15 @@ def _check_jump_prob(jump_prob: float) -> None:
         raise SamplingError(f"jump_prob must be in [0, 1), got {jump_prob}")
 
 
-def check_sampler_args(
-    sampler: str, edge_fraction: float, jump_prob: float, n_edges: int | None = None
-) -> None:
-    """Raise SamplingError unless run_sampler takes these arguments: a named
-    sampler, an edge fraction in (0, 1] and, for rwj, a jump probability in
-    [0, 1).  Given the graph's n_edges, the fraction must also select at
-    least one edge (randnode explores at least one node whatever it selects)."""
+def check_sampler_args(sampler: str, edge_fraction: float, jump_prob: float, n_edges: int) -> None:
+    """Raise SamplingError unless run_sampler takes these arguments on a
+    graph of n_edges edges: a named sampler, an edge fraction in (0, 1]
+    that selects at least one edge (randnode explores at least one node
+    whatever it selects) and, for rwj, a jump probability in [0, 1)."""
     if sampler not in SAMPLER_NAMES:
         raise SamplingError(f"unknown sampler {sampler!r}; expected one of {SAMPLER_NAMES}")
     _check_edge_fraction(edge_fraction)
-    if sampler != "randnode" and n_edges is not None:
+    if sampler != "randnode":
         _edge_target(n_edges, edge_fraction)
     if sampler == "rwj":
         _check_jump_prob(jump_prob)

@@ -1,24 +1,36 @@
 """CLI workflows: subcommands, manifests, exit codes, reproducibility."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netprobe.cli import build_parser, main
 from netprobe.generators import planted_partition_graph
+from netprobe.sampling import SAMPLER_NAMES
 
 
-@pytest.fixture()
-def graph_file(tmp_path):
+def write_graph(directory):
+    """The 60-node, 168-edge test graph as an edge-list file."""
     g = planted_partition_graph(6, 10, 0.5, 0.02, seed=1)
-    path = tmp_path / "graph.edges"
+    path = directory / "graph.edges"
     with open(path, "w") as fh:
         for u, v in g.edges():
             fh.write(f"{u} {v}\n")
     return path
+
+
+@pytest.fixture()
+def graph_file(tmp_path):
+    return write_graph(tmp_path)
 
 
 def run(*argv):
@@ -58,21 +70,24 @@ class TestSample:
                    "--out", tmp_path / "x.txt")
         assert code == 1
 
-    def test_module_error_is_runtime_exit(self, graph_file, tmp_path):
-        code = run("sample", "--graph", graph_file, "--sampler", "randedge",
-                   "--fraction", "0.00001", "--out", tmp_path / "x.txt")
+    def test_module_error_is_runtime_exit(self, tmp_path):
+        graph = tmp_path / "bad.edges"
+        graph.write_text("1 2\n3\n")
+        code = run("sample", "--graph", graph, "--sampler", "randedge",
+                   "--out", tmp_path / "x.txt")
         assert code == 2
 
     @pytest.mark.parametrize("flags", [
         ("--sampler", "randedge", "--fraction", "0"),
         ("--sampler", "randnode", "--fraction", "1.5"),
         ("--sampler", "rwj", "--jump-prob", "1"),
+        ("--sampler", "randedge", "--fraction", "0.001"),
     ])
     def test_out_of_range_flag_is_usage_error(self, graph_file, tmp_path, capsys, flags):
         out = tmp_path / "x.txt"
         code = run("sample", "--graph", graph_file, *flags, "--out", out)
         assert_usage_error(code, capsys)
-        assert not out.exists()
+        assert list(tmp_path.glob("x.*")) == []
 
     def test_identical_args_identical_bytes(self, graph_file, tmp_path):
         outs = []
@@ -322,6 +337,149 @@ class TestStats:
         stats = json.loads(capsys.readouterr().out)
         assert stats["observed"]["explored"] == 0
         assert stats["observed"]["origin"] == "randedge"
+
+
+N_NODES, N_EDGES = 60, 168
+
+def mostly_in_range(in_range, anything):
+    """Four draws in five from in_range, so that examples with every flag
+    in range stay common."""
+    return st.integers(0, 4).flatmap(lambda i: anything if i == 0 else in_range)
+
+
+NAN, INF = float("nan"), float("inf")
+fractions = mostly_in_range(st.floats(0.05, 1.0), st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-200, 1e-5, 0.001, 0.01, 0.02, 1.5, NAN, INF, -INF]),
+    st.floats(-0.5, 1.5),
+))
+jump_probs = mostly_in_range(st.floats(0.0, 1.0, exclude_max=True), st.one_of(
+    st.sampled_from([1.0, NAN, INF]), st.floats(-0.5, 1.5),
+))
+counts = mostly_in_range(st.integers(1, 12), st.integers(-3, 0))
+seeds = st.integers(-5, 10**6)
+budget_flags = st.one_of(st.tuples(st.just("--budget"), counts),
+                         st.tuples(st.just("--budget-frac"), fractions))
+known_flags = st.one_of(st.none(), st.tuples(st.sampled_from(["randnode", "randedge"]), fractions))
+
+
+def in_unit_interval(f):
+    return 0.0 < f <= 1.0
+
+
+def budget_in_range(flag, value):
+    """The probe count a valid budget flag gives, or None."""
+    if flag == "--budget":
+        return value if value >= 1 else None
+    budget = int(value * N_NODES) if in_unit_interval(value) else 0
+    return budget if budget >= 1 else None
+
+
+def edge_fraction_in_range(f, sampler):
+    # randnode explores at least one node whatever the fraction
+    return in_unit_interval(f) and (sampler == "randnode" or int(f * N_EDGES) >= 1)
+
+
+def jump_prob_in_range(p, sampler):
+    return sampler != "rwj" or 0.0 <= p < 1.0
+
+
+def known_args(known):
+    if known is None:
+        return [], True
+    sampler, fraction = known
+    flag = "--f-n" if sampler == "randnode" else "--f-e"
+    return ["--known-sampler", sampler, f"{flag}={fraction}"], in_unit_interval(fraction)
+
+
+@pytest.fixture(scope="module")
+def flag_inputs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("flags")
+    graph = write_graph(directory)
+    observed = directory / "obs.txt"
+    assert run("sample", "--graph", graph, "--sampler", "randedge",
+               "--fraction", "0.2", "--seed", "3", "--out", observed) == 0
+    return graph, observed
+
+
+def check_exit_contract(argv, in_range, out_of):
+    """Run argv, whose outputs go into a fresh directory passed to out_of.
+    In range it never exits 1; out of range it exits 1 with one error line,
+    no traceback and no output file."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([str(a) for a in [*argv, *out_of(out_dir)]])
+        written = list(out_dir.iterdir())
+    assert "Traceback" not in err.getvalue()
+    if in_range:
+        assert code != 1, err.getvalue()
+    else:
+        assert code == 1
+        assert len([ln for ln in err.getvalue().splitlines() if ln.startswith("error:")]) == 1
+        assert written == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(sampler=st.sampled_from(SAMPLER_NAMES), fraction=fractions, jump_prob=jump_probs,
+       seed=seeds)
+def test_sample_numeric_flags(flag_inputs, sampler, fraction, jump_prob, seed):
+    graph, _ = flag_inputs
+    argv = ["sample", "--graph", graph, "--sampler", sampler, f"--fraction={fraction}",
+            f"--jump-prob={jump_prob}", f"--seed={seed}"]
+    in_range = edge_fraction_in_range(fraction, sampler) and jump_prob_in_range(jump_prob, sampler)
+    check_exit_contract(argv, in_range, lambda out: ["--out", out / "obs.txt"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(budget=budget_flags, known=known_flags, estimation_probes=counts, seed=seeds)
+def test_probe_numeric_flags(flag_inputs, budget, known, estimation_probes, seed):
+    graph, observed = flag_inputs
+    known_argv, known_in_range = known_args(known)
+    argv = ["probe", "--graph", graph, "--observed", observed, "--strategy", "maxoutprobe",
+            f"{budget[0]}={budget[1]}", f"--estimation-probes={estimation_probes}",
+            f"--seed={seed}", *known_argv]
+    in_range = (budget_in_range(*budget) is not None and known_in_range
+                and estimation_probes >= 1)
+    check_exit_contract(argv, in_range, lambda out: ["--out-prefix", out / "run"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(budget=budget_flags, known=known_flags, n_probes=counts, seed=seeds)
+def test_estimate_numeric_flags(flag_inputs, budget, known, n_probes, seed):
+    graph, observed = flag_inputs
+    known_argv, known_in_range = known_args(known)
+    argv = ["estimate", "--graph", graph, "--observed", observed,
+            f"{budget[0]}={budget[1]}", f"--n-probes={n_probes}", f"--seed={seed}", *known_argv]
+    n_budget = budget_in_range(*budget)
+    # without known-sample estimators, a budget of 1 leaves no estimation probe
+    in_range = (n_budget is not None and known_in_range and n_probes >= 1
+                and (known is not None or n_budget >= 2))
+    check_exit_contract(argv, in_range, lambda out: ["--out", out / "report.json"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(samplers=st.lists(st.sampled_from(SAMPLER_NAMES), min_size=1, max_size=2, unique=True),
+       budgets=st.lists(fractions, min_size=1, max_size=2), edge_fraction=fractions,
+       jump_prob=jump_probs, repeats=mostly_in_range(st.integers(1, 2), st.integers(-2, 0)),
+       estimation_probes=counts, jobs=mostly_in_range(st.just(1), st.integers(-3, 0)),
+       seed=seeds)
+def test_sweep_numeric_flags(flag_inputs, samplers, budgets, edge_fraction, jump_prob,
+                             repeats, estimation_probes, jobs, seed):
+    graph, _ = flag_inputs
+    argv = ["sweep", "--graph", graph, "--samplers", ",".join(samplers),
+            "--strategies", "maxoutprobe,highdeg",
+            f"--budget-fracs={','.join(map(str, budgets))}",
+            f"--edge-fraction={edge_fraction}", f"--jump-prob={jump_prob}",
+            f"--repeats={repeats}", f"--estimation-probes={estimation_probes}",
+            f"--jobs={jobs}", f"--master-seed={seed}"]
+    in_range = (
+        all(budget_in_range("--budget-frac", b) is not None for b in budgets)
+        and all(edge_fraction_in_range(edge_fraction, s) and jump_prob_in_range(jump_prob, s)
+                for s in samplers)
+        and repeats >= 1 and estimation_probes >= 1 and jobs >= 1
+    )
+    check_exit_contract(argv, in_range, lambda out: ["--out-prefix", out / "sweep"])
 
 
 def test_console_script_runs():

@@ -272,6 +272,11 @@ class TestUnbiasedClustering:
         assert value == 1.0
         assert clamped
 
+    def test_node_fraction_whose_triangle_survival_underflows(self):
+        # f**2 underflows to 0 below about 1e-162: the estimate clamps
+        assert unbiased_clustering_node_sampling(0.3, 1e-200) == (1.0, True)
+        assert unbiased_clustering_node_sampling(0.0, 1e-200) == (0.0, False)
+
     def test_node_sampling_unbiased_monte_carlo(self):
         g = planted_partition_graph(6, 10, 0.7, 0.02, seed=19)
         truth = global_clustering(g)

@@ -11,6 +11,7 @@ from netprobe.errors import ConfigError, SamplingError
 from netprobe.generators import planted_partition_graph, random_graph
 from netprobe.graphs import ObservedGraph
 from netprobe.harness import (
+    RESULT_COLUMNS,
     AggregateCurve,
     TrialConfig,
     auc,
@@ -270,21 +271,40 @@ class TestSweep:
             for repeat in range(2)
         )
 
+    def test_random_trial_equal_to_its_baseline_runs_once(self, monkeypatch):
+        g = planted_partition_graph(6, 10, 0.5, 0.02, seed=8)
+        calls = []
+        run_session = harness.run_session
+
+        def counting_run_session(g, obs, strategy, budget, seed, **kwargs):
+            calls.append((strategy, seed))
+            return run_session(g, obs, strategy, budget, seed, **kwargs)
+
+        monkeypatch.setattr(harness, "run_session", counting_run_session)
+        grid = [TrialConfig(sampler="randedge", strategy=strategy, edge_fraction=0.2,
+                            budget_fraction=0.1, n_repeats=2)
+                for strategy in ("highdeg", "random")]
+        rows = sweep(g, grid, master_seed=1)
+        # 2 highdeg and 2 random rows, then 2 baseline rows equal to the random ones
+        assert [r["strategy"] for r in rows] == ["highdeg"] * 2 + ["random"] * 4
+        assert rows[2:4] == rows[4:]
+        assert sorted(calls) == sorted(set(calls)) and len(calls) == 4
+
     def test_last_trial_of_a_sample_probes_it_uncopied(self, monkeypatch):
         g = planted_partition_graph(6, 10, 0.5, 0.02, seed=8)
         copies = []
         copy = ObservedGraph.copy
         monkeypatch.setattr(ObservedGraph, "copy", lambda obs: copies.append(1) or copy(obs))
         units = []
-        run_unit = harness._run_sample_in_worker
+        run_unit = harness._run_unit
 
-        def counting_run_unit(specs):
+        def counting_run_unit(g, specs):
             before = len(copies)
-            outcomes = run_unit(specs)
+            outcomes = run_unit(g, specs)
             units.append((len(specs), len(copies) - before))
             return outcomes
 
-        monkeypatch.setattr(harness, "_run_sample_in_worker", counting_run_unit)
+        monkeypatch.setattr(harness, "_run_unit", counting_run_unit)
         rows = sweep(g, self.small_grid(n_repeats=2), master_seed=1)
         assert all(r["nodes_after"] != "" for r in rows)
         # per sample: 2 strategies x 2 budgets plus 2 baselines
@@ -296,6 +316,49 @@ class TestSweep:
         serial = sweep(g, grid, master_seed=6, jobs=1)
         parallel = sweep(g, grid, master_seed=6, jobs=2)
         assert serial == parallel
+
+    def test_failed_baseline_blanks_its_rows_and_every_improvement(self, monkeypatch, caplog):
+        g = planted_partition_graph(6, 10, 0.5, 0.02, seed=12)
+        run_session = harness.run_session
+
+        def run_session_failing_random(g, obs, strategy, *args, **kwargs):
+            if strategy == "random":
+                raise SamplingError("random failed")
+            return run_session(g, obs, strategy, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_session", run_session_failing_random)
+        grid = self.small_grid(n_repeats=2)
+        with caplog.at_level("WARNING", logger="netprobe.harness"):
+            rows = sweep(g, grid, master_seed=5)
+        baseline_rows = [r for r in rows if r["strategy"] == "random"]
+        strategy_rows = [r for r in rows if r["strategy"] != "random"]
+        assert len(baseline_rows) == 4 and len(strategy_rows) == 8
+        measured = RESULT_COLUMNS[RESULT_COLUMNS.index("nodes_before"):]
+        assert all(r[col] == "" for r in baseline_rows for col in measured)
+        assert all(r["nodes_after"] != "" and r["probes_spent"] != "" for r in strategy_rows)
+        assert all(r["improvement_vs_random"] == "" for r in strategy_rows)
+        # one warning per failed trial: the baselines, in pair-key order
+        assert [rec.getMessage() for rec in caplog.records] == [
+            f"trial failed (randedge/random b={b} rep={rep}): random failed"
+            for b, rep in sorted((b, rep) for b in (0.1, 0.2) for rep in range(2))
+        ]
+        # forked pool workers inherit the patched run_session
+        assert sweep(g, grid, master_seed=5, jobs=2) == rows
+
+    def test_serial_sweep_leaves_no_worker_graph(self, monkeypatch):
+        monkeypatch.setattr(harness, "_WORKER_GRAPH", None)
+        g = planted_partition_graph(5, 8, 0.5, 0.02, seed=13)
+        assert sweep(g, self.small_grid(n_repeats=1), master_seed=6)
+        assert harness._WORKER_GRAPH is None
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected_before_any_trial(self, monkeypatch, jobs):
+        calls = []
+        monkeypatch.setattr(harness, "run_sampler", lambda *args, **kw: calls.append(args))
+        g = random_graph(40, 0.2, seed=14)
+        with pytest.raises(ConfigError, match="jobs"):
+            sweep(g, self.small_grid(n_repeats=1), master_seed=1, jobs=jobs)
+        assert calls == []
 
     def test_known_sample_with_walk_sampler_rejected_before_any_trial(self, monkeypatch):
         calls = []
