@@ -46,13 +46,9 @@ from .sampling import (
 from .probing import ProbeLedger, ProbeLogEntry, probe
 from .estimators import (
     EstimateSet,
-    SurvivalProbs,
-    estimate_avg_clustering,
-    estimate_scale_factor,
     known_edge_sample_estimates,
     known_node_sample_estimates,
     probe_based_estimates,
-    survival_probs,
     triangle_survival_prob,
     unbiased_clustering_edge_sampling,
     unbiased_clustering_node_sampling,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -125,8 +126,8 @@ def _known_sample_from_args(args) -> tuple[str, float] | None:
     flag, fraction = ("--f-n", args.f_n) if kind == "node" else ("--f-e", args.f_e)
     if fraction is None:
         raise UsageError(f"--known-sampler {args.known_sampler} requires {flag}")
-    if not 0.0 < fraction <= 1.0:
-        raise UsageError(f"{flag} must be in (0, 1], got {fraction}")
+    if not 0.0 < fraction <= 1.0 or math.isinf(1.0 / fraction):
+        raise UsageError(f"{flag} must be in (0, 1] with a finite reciprocal, got {fraction}")
     return (kind, fraction)
 
 

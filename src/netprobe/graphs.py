@@ -372,6 +372,16 @@ def edge_dispersion(g: CompleteGraph | ObservedGraph, u: str, v: str) -> int:
     return count
 
 
+def _open_wedge_partners(obs: ObservedGraph, i: int) -> set[int]:
+    """Indices of the candidates two hops from index i and not adjacent to it."""
+    nbrs, status = obs._nbrs, obs._status
+    direct = nbrs[i]
+    partners = set().union(*map(nbrs.__getitem__, direct))
+    partners -= direct
+    partners.discard(i)
+    return {w for w in partners if status[w] == _CANDIDATE}
+
+
 def two_hop_open_wedges(obs: ObservedGraph, u: str) -> set[str]:
     """Unexplored nodes exactly two hops from candidate u, not adjacent to u.
 
@@ -381,16 +391,10 @@ def two_hop_open_wedges(obs: ObservedGraph, u: str) -> set[str]:
     them is known to be absent rather than merely unobserved.
     """
     i = obs._ix(u)
-    status = obs._status
-    if status[i] != _CANDIDATE:
+    if obs._status[i] != _CANDIDATE:
         raise NotCandidateError(f"node {u!r} is already explored")
-    nbrs = obs._nbrs
-    direct = nbrs[i]
-    partners = set().union(*map(nbrs.__getitem__, direct))
-    partners -= direct
-    partners.discard(i)
     labels = obs._labels
-    return {labels[w] for w in partners if status[w] == _CANDIDATE}
+    return {labels[w] for w in _open_wedge_partners(obs, i)}
 
 
 def write_observed(obs: ObservedGraph, sink: IO[str]) -> None:

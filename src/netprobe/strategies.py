@@ -74,7 +74,7 @@ def score_max_out_probe(obs: ObservedGraph, est: EstimateSet) -> Scores:
     for i in order:
         mine = nbrs[i]
         d_known = len(mine)
-        # two_hop_open_wedges on indices, less i itself (a candidate)
+        # graphs._open_wedge_partners in bulk, less i itself (a candidate)
         partners = set().union(*map(nbrs.__getitem__, mine))
         partners &= cands
         partners -= mine

@@ -78,6 +78,26 @@ def brute_max_out_scores(obs, est):
     return scores
 
 
+def brute_probe_estimates(g, obs, nodes):
+    """The probe-based (m̂, ĉ, open-wedge count) by definition, for
+    estimation probes of nodes in order on obs, which they reveal.
+
+    m̂ is max(1, mean true/observed degree ratio); ĉ is the share of each
+    node's open-wedge partners, found just before its probe, that are its
+    true neighbours, or 0 without partners."""
+    ratio_sum, n_partners, n_closed = 0.0, 0, 0
+    for u in nodes:
+        partners = brute_two_hop_open_wedges(obs, u)
+        true_nbrs = set(g.neighbors(u))
+        # a plain loop: sum() of floats rounds differently from 3.12 on
+        ratio_sum += len(true_nbrs) / len(obs.neighbors(u))
+        n_partners += len(partners)
+        n_closed += len(partners & true_nbrs)
+        obs.explore(u)
+    m_hat = max(1.0, ratio_sum / len(nodes))
+    return m_hat, n_closed / n_partners if n_partners else 0.0, n_partners
+
+
 def by_label(obs, scores):
     """A scorer's {candidate index: score} map keyed by label, in its order."""
     return {obs._labels[i]: score for i, score in scores.items()}

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -173,6 +174,9 @@ class TestProbe:
         ("--known-sampler", "randnode", "--f-n", "0"),
         ("--known-sampler", "randedge", "--f-e", "0"),
         ("--known-sampler", "randedge", "--f-e", "nan"),
+        # positive, but 1/f overflows to inf
+        ("--known-sampler", "randnode", "--f-n", "5e-324"),
+        ("--known-sampler", "randedge", "--f-e", "5e-324"),
         ("--estimation-probes", "0"),
         ("--estimation-probes", "-3"),
     ])
@@ -231,6 +235,8 @@ class TestEstimate:
     @pytest.mark.parametrize("flags", [
         ("--known-sampler", "randnode", "--f-n", "7"),
         ("--known-sampler", "randedge", "--f-e", "0"),
+        ("--known-sampler", "randnode", "--f-n", "5e-324"),
+        ("--known-sampler", "randedge", "--f-e", "5e-324"),
         ("--n-probes", "0"),
         ("--n-probes", "-1"),
     ])
@@ -388,7 +394,8 @@ def known_args(known):
         return [], True
     sampler, fraction = known
     flag = "--f-n" if sampler == "randnode" else "--f-e"
-    return ["--known-sampler", sampler, f"{flag}={fraction}"], in_unit_interval(fraction)
+    in_range = in_unit_interval(fraction) and not math.isinf(1 / fraction)
+    return ["--known-sampler", sampler, f"{flag}={fraction}"], in_range
 
 
 @pytest.fixture(scope="module")

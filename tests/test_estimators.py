@@ -1,5 +1,6 @@
-"""Estimation: degree-scale ratios, wedge-closure clustering, survival
-probabilities, and the closed-form estimators for known sample origins."""
+"""Estimation: the probe-based pass (degree-scale ratios and wedge-closure
+clustering), survival probabilities, and the closed-form estimators for
+known sample origins."""
 
 import random
 from itertools import combinations
@@ -9,13 +10,9 @@ import pytest
 from netprobe.errors import BudgetError, EstimationError, SamplingError
 from netprobe.estimators import (
     DEFAULT_ESTIMATION_PROBES,
-    EstimationProbeRecord,
-    estimate_avg_clustering,
-    estimate_scale_factor,
     known_edge_sample_estimates,
     known_node_sample_estimates,
     probe_based_estimates,
-    survival_probs,
     triangle_survival_prob,
     unbiased_clustering_edge_sampling,
     unbiased_clustering_node_sampling,
@@ -32,6 +29,8 @@ from netprobe.graphs import CompleteGraph, ObservedGraph, global_clustering
 from netprobe.probing import ProbeLedger, probe
 from netprobe.sampling import sample_node_bernoulli, sample_random_edge
 
+from oracles import brute_probe_estimates
+
 
 def two_hub_graph():
     """Two hubs with disjoint leaf sets: true degrees 8 and 9."""
@@ -47,15 +46,19 @@ def partial_view(g, kept):
     return obs
 
 
+def probed(ledger):
+    return [entry.node for entry in ledger.log]
+
+
 class TestScaleFactor:
     def test_mean_of_ratios(self):
         g = two_hub_graph()
         kept = [("p1", f"a{i}") for i in range(4)] + [("p2", f"b{i}") for i in range(3)]
         obs = partial_view(g, kept)
         ledger = ProbeLedger(budget=2)
-        est, records = estimate_scale_factor(g, obs, ledger, n_probes=2, seed=0)
+        est = probe_based_estimates(g, obs, ledger, n_probes=2, seed=0)
         # pool is the budget (2) highest-degree candidates: p1 (4) and p2 (3)
-        assert {r.node for r in records} == {"p1", "p2"}
+        assert set(probed(ledger)) == {"p1", "p2"}
         assert est.scale_multiplier == pytest.approx((8 / 4 + 9 / 3) / 2)
         assert est.probes_used == 2
         assert ledger.spent == 2
@@ -64,7 +67,7 @@ class TestScaleFactor:
         g = random_graph(25, 0.3, seed=2)
         obs, _ = sample_random_edge(g, 1.0, seed=0)
         ledger = ProbeLedger(budget=10)
-        est, _ = estimate_scale_factor(g, obs, ledger, n_probes=5, seed=1)
+        est = probe_based_estimates(g, obs, ledger, n_probes=5, seed=1)
         assert est.scale_multiplier == 1.0
         assert not est.scale_clamped
 
@@ -76,8 +79,8 @@ class TestScaleFactor:
         kept = [("p1", f"a{i}") for i in range(4)] + [("p2", f"b{i}") for i in range(3)]
         obs = partial_view(g, kept)
         ledger = ProbeLedger(budget=2)
-        _, records = estimate_scale_factor(g, obs, ledger, n_probes=2, seed=3)
-        assert all(r.node in ("p1", "p2") for r in records)
+        probe_based_estimates(g, obs, ledger, n_probes=2, seed=3)
+        assert all(u in ("p1", "p2") for u in probed(ledger))
 
     def test_errors(self):
         g = CompleteGraph([("a", "b")])
@@ -85,48 +88,49 @@ class TestScaleFactor:
         obs.add_edge("a", "b")
         ledger = ProbeLedger(budget=2)
         with pytest.raises(EstimationError):
-            estimate_scale_factor(g, obs, ledger, n_probes=0)
+            probe_based_estimates(g, obs, ledger, n_probes=0)
         with pytest.raises(BudgetError):
-            estimate_scale_factor(g, obs, ledger, n_probes=3)
+            probe_based_estimates(g, obs, ledger, n_probes=3)
         for u in list(obs.candidate_nodes()):
             probe(g, obs, ledger, u)
         with pytest.raises(EstimationError):
-            estimate_scale_factor(g, obs, ledger, n_probes=1)
+            probe_based_estimates(g, obs, ledger, n_probes=1)
 
     def test_multiplier_clamped_at_one(self):
-        # ratios are never below 1 in honest observations, so force the
-        # degenerate case through the record arithmetic instead
+        # ratios are never below 1 in honest observations
         g = random_graph(25, 0.3, seed=4)
         obs, _ = sample_random_edge(g, 1.0, seed=0)
         ledger = ProbeLedger(budget=5)
-        est, _ = estimate_scale_factor(g, obs, ledger, n_probes=3, seed=2)
+        est = probe_based_estimates(g, obs, ledger, n_probes=3, seed=2)
         assert est.scale_multiplier >= 1.0
 
 
 class TestAvgClustering:
     def test_ratio(self):
-        records = [
-            EstimationProbeRecord(
-                node="x",
-                observed_degree=2,
-                true_degree=4,
-                open_wedge_partners=frozenset(f"w{i}" for i in range(20)),
-                closed_partners=frozenset(f"w{i}" for i in range(5)),
-            )
-        ]
-        assert estimate_avg_clustering(records) == pytest.approx(0.25)
+        # hub h explored; candidate a sees h's 20 other neighbours as open
+        # wedges, and 5 of them are its true neighbours
+        edges = [("h", "a")] + [("h", f"w{i}") for i in range(20)]
+        edges += [("a", f"w{i}") for i in range(5)]
+        g = CompleteGraph(edges)
+        obs = ObservedGraph(g)
+        obs.explore("h")
+        # every candidate has degree 1, so the budget-1 pool is label "a"
+        ledger = ProbeLedger(budget=1)
+        est = probe_based_estimates(g, obs, ledger, n_probes=1, seed=0)
+        assert probed(ledger) == ["a"]
+        assert est.clustering == 0.25
+        assert est.scale_multiplier == 6.0
 
     def test_degenerate_no_partners(self):
-        records = [
-            EstimationProbeRecord(
-                node="x",
-                observed_degree=1,
-                true_degree=2,
-                open_wedge_partners=frozenset(),
-                closed_partners=frozenset(),
-            )
-        ]
-        assert estimate_avg_clustering(records) == 0.0
+        # one observed edge: neither endpoint has an open-wedge partner
+        g = two_hub_graph()
+        obs = partial_view(g, [("p1", "a0")])
+        start = obs.copy()
+        ledger = ProbeLedger(budget=2)
+        est = probe_based_estimates(g, obs, ledger, n_probes=1, seed=0)
+        assert brute_probe_estimates(g, start, probed(ledger))[2] == 0
+        assert est.probes_used == 1
+        assert est.clustering == 0.0
 
     def test_triangle_free_graph_estimates_zero(self):
         g = random_bipartite_graph(30, 30, 0.15, seed=6)
@@ -139,10 +143,12 @@ class TestAvgClustering:
         # every open wedge in a clique closes when probed
         g = planted_partition_graph(4, 6, 1.0, 0.0, seed=0)
         obs, _ = sample_random_edge(g, 0.3, seed=3)
+        start = obs.copy()
         ledger = ProbeLedger(budget=20)
-        _, records = estimate_scale_factor(g, obs, ledger, n_probes=10, seed=4)
-        assert sum(len(r.open_wedge_partners) for r in records) > 0
-        assert estimate_avg_clustering(records) == 1.0
+        est = probe_based_estimates(g, obs, ledger, n_probes=10, seed=4)
+        _, _, n_partners = brute_probe_estimates(g, start, probed(ledger))
+        assert n_partners > 0
+        assert est.clustering == 1.0
 
     def test_in_unit_interval_on_random_inputs(self):
         rng = random.Random(11)
@@ -164,8 +170,6 @@ class TestSurvivalProbs:
     def test_half_spot_values(self):
         assert triangle_survival_prob(0.5) == 0.5
         assert wedge_survival_prob(0.5) == 0.625
-        probs = survival_probs(0.5)
-        assert probs.p_closed == pytest.approx(0.8)
 
     def test_triangle_never_exceeds_wedge(self):
         for i in range(101):
@@ -212,12 +216,17 @@ class TestUnbiasedDegree:
         assert unbiased_degree_node_sampling(7, 1.0) == 7.0
         with pytest.raises(SamplingError):
             unbiased_degree_node_sampling(5, 0.0)
+        # 1 / 5e-324 overflows to inf
+        with pytest.raises(SamplingError):
+            unbiased_degree_node_sampling(1, 5e-324)
 
     def test_edge_sampling_formula(self):
         assert unbiased_degree_edge_sampling(3, 0.1) == pytest.approx(30.0)
         assert unbiased_degree_edge_sampling(4, 1.0) == 4.0
         with pytest.raises(SamplingError):
             unbiased_degree_edge_sampling(3, 0.0)
+        with pytest.raises(SamplingError):
+            unbiased_degree_edge_sampling(1, 5e-324)
 
     def test_node_sampling_unbiased_monte_carlo(self):
         g = random_graph(60, 0.3, seed=17)
@@ -259,6 +268,8 @@ class TestUnbiasedClustering:
         assert not clamped
         value, clamped = unbiased_clustering_node_sampling(0.4, 1.0)
         assert value == 0.4
+        with pytest.raises(SamplingError):
+            unbiased_clustering_node_sampling(0.4, 5e-324)
 
     def test_edge_sampling_formula(self):
         value, clamped = unbiased_clustering_edge_sampling(0.05, 0.1)
@@ -266,6 +277,8 @@ class TestUnbiasedClustering:
         assert not clamped
         value, _ = unbiased_clustering_edge_sampling(0.3, 1.0)
         assert value == pytest.approx(0.3)
+        with pytest.raises(SamplingError):
+            unbiased_clustering_edge_sampling(0.05, 5e-324)
 
     def test_clamping(self):
         value, clamped = unbiased_clustering_edge_sampling(0.8, 0.1)

@@ -6,17 +6,19 @@ every observation is a consistent graph whose counting primitives agree
 with brute force.  A copy of an observation is equal to it and independent
 of it, and a reveal reports exactly what it added.  Every scorer keys its
 scores by candidate index in label order, and the selector keeps the same
-top b as a full sort by (-score, label).  Then properties of the CCDF and
-AUC aggregation."""
+top b as a full sort by (-score, label).  The probe-based estimates equal a
+brute-force replay of their probes.  Then properties of the CCDF and AUC
+aggregation."""
 
 import io
+import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from netprobe.errors import EmptyGraphError, SamplingError
-from netprobe.estimators import METHOD_PROBE, EstimateSet
+from netprobe.estimators import METHOD_PROBE, EstimateSet, probe_based_estimates
 from netprobe.generators import random_graph
 from netprobe.graphs import (
     NodeStatus,
@@ -37,6 +39,7 @@ from oracles import (
     brute_edge_dispersion,
     brute_local_clustering,
     brute_max_out_scores,
+    brute_probe_estimates,
     brute_triangles,
     brute_two_hop_open_wedges,
     brute_wedges,
@@ -222,6 +225,44 @@ def test_select_top_b_equals_the_full_label_tie_sort(
     reference = [u for u, _ in sorted(candidates, key=lambda c: (-c[1], c[0]))]
     for b in range(1, len(candidates) + 2):
         assert select_top_b(obs, scores, b).nodes == tuple(reference[:b])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(6, 24),
+    p=st.floats(0.1, 0.5),
+    graph_seed=st.integers(0, 10_000),
+    sampler=st.sampled_from(SAMPLER_NAMES),
+    edge_fraction=st.floats(0.1, 0.6),
+    budget=st.integers(1, 30),
+    n_probes=st.integers(1, 8),
+    seed=st.integers(0, 2**32),
+)
+def test_probe_based_estimates_equal_a_brute_force_replay(
+    n, p, graph_seed, sampler, edge_fraction, budget, n_probes, seed
+):
+    try:
+        g = random_graph(n, p, seed=graph_seed)
+        obs, _ = run_sampler(g, sampler, edge_fraction, seed)
+    except (EmptyGraphError, SamplingError):
+        assume(False)
+    start = obs.copy()
+    adj = adjacency(start)
+    # the probes are a seeded draw from the budget highest-(degree, label)
+    # candidates
+    pool = sorted(start.candidate_nodes(), key=lambda u: (-len(adj[u]), u))[:budget]
+    assume(pool)
+    n_probes = min(n_probes, budget)
+    ledger = ProbeLedger(budget=budget)
+    est = probe_based_estimates(g, obs, ledger, n_probes=n_probes, seed=seed)
+    nodes = [entry.node for entry in ledger.log]
+    assert all(entry.phase == PHASE_ESTIMATION for entry in ledger.log)
+    assert est.probes_used == len(nodes) == ledger.spent
+    assert nodes == random.Random(seed).sample(pool, min(n_probes, len(pool)))
+    # m̂ and ĉ are exactly their definitions, replayed probe by probe
+    m_hat, c_hat, _ = brute_probe_estimates(g, start, nodes)
+    assert (est.scale_multiplier, est.clustering) == (m_hat, c_hat)
+    assert _text(start) == _text(obs)
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
