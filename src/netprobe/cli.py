@@ -1,14 +1,16 @@
 """Command-line entry point.
 
 Subcommands: sample | probe | estimate | sweep | stats.  Every command that
-writes output also writes a JSON run manifest (arguments, seeds, input file
-digests, tool version) sufficient to reproduce the run byte for byte.
+writes output also writes a JSON run manifest (every parsed flag, seeds,
+input file digests, tool version) sufficient to reproduce the run byte for
+byte.
 
 Exit codes: 0 success, 1 usage error (bad flags or an invalid
-configuration), 2 runtime error.  A budget fraction must lie in (0, 1] and
-give at least one probe; every count flag (budget, probes, jobs) must be at
-least 1.  The NETPROBE_JOBS environment variable sets the default sweep
-parallelism.
+configuration), 2 runtime error.  Every float flag must be finite.  A budget
+fraction must lie in (0, 1] and give at least one probe; every count flag
+(budget, probes, jobs) must be at least 1.  --f-n goes only with
+--known-sampler randnode and --f-e only with --known-sampler randedge.  The
+NETPROBE_JOBS environment variable sets the default sweep parallelism.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, NetProbeError, SamplingError
-from .estimators import DEFAULT_ESTIMATION_PROBES
+from .estimators import DEFAULT_ESTIMATION_PROBES, _check_fraction
 from .graphs import (
     count_triangles_wedges,
     global_clustering,
@@ -79,19 +81,25 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(
-    out_path: Path, command: str, params: dict, inputs: list[Path], master_seed: int
-) -> None:
-    manifest = {
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+def _write_manifest(out_path: Path, args, **derived) -> None:
+    """Write out_path's manifest: every parsed flag under its argparse dest,
+    plus the derived values the run resolved (they win over a flag of the
+    same name), the digests of the input files and the tool version."""
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    params.update(derived)
+    inputs = [Path(p) for p in (params["graph"], params.get("observed")) if p]
+    _write_json(out_path.with_suffix(out_path.suffix + ".manifest.json"), {
         "tool": "netprobe",
         "version": __version__,
-        "command": command,
-        "master_seed": master_seed,
+        "command": args.command,
+        "master_seed": params.get("master_seed", params.get("seed")),
         "parameters": params,
         "inputs": {str(p): _sha256(p) for p in inputs},
-    }
-    manifest_path = out_path.with_suffix(out_path.suffix + ".manifest.json")
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    })
 
 
 def _load_graph(path: str):
@@ -112,6 +120,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def finite_float(text: str) -> float:
+    """argparse type of a float flag: a finite number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
 def _parse_budget(args, n_nodes: int) -> int:
     """Absolute --budget wins; otherwise the fraction of the graph's nodes."""
     if args.budget is not None:
@@ -120,15 +136,22 @@ def _parse_budget(args, n_nodes: int) -> int:
 
 
 def _known_sample_from_args(args) -> tuple[str, float] | None:
+    """The (kind, fraction) of --known-sampler, or None without it.  Each
+    fraction flag goes only with the sampler that reads it."""
+    flags = {"randnode": ("--f-n", args.f_n), "randedge": ("--f-e", args.f_e)}
+    for sampler, (flag, fraction) in flags.items():
+        if fraction is not None and sampler != args.known_sampler:
+            raise UsageError(f"{flag} is read only with --known-sampler {sampler}")
     if args.known_sampler is None:
         return None
-    kind = KNOWN_SAMPLE_KINDS[args.known_sampler]
-    flag, fraction = ("--f-n", args.f_n) if kind == "node" else ("--f-e", args.f_e)
+    flag, fraction = flags[args.known_sampler]
     if fraction is None:
         raise UsageError(f"--known-sampler {args.known_sampler} requires {flag}")
-    if not 0.0 < fraction <= 1.0 or math.isinf(1.0 / fraction):
-        raise UsageError(f"{flag} must be in (0, 1] with a finite reciprocal, got {fraction}")
-    return (kind, fraction)
+    try:
+        _check_fraction(flag, fraction)
+    except SamplingError as exc:
+        raise UsageError(str(exc)) from None
+    return (KNOWN_SAMPLE_KINDS[args.known_sampler], fraction)
 
 
 def cmd_sample(args) -> int:
@@ -144,21 +167,8 @@ def cmd_sample(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
         write_observed(obs, fh)
-    _write_manifest(
-        out,
-        "sample",
-        {
-            "graph": args.graph,
-            "sampler": args.sampler,
-            "fraction": args.fraction,
-            "jump_prob": args.jump_prob,
-            "seed": args.seed,
-            "achieved_node_fraction": fractions.node_fraction,
-            "achieved_edge_fraction": fractions.edge_fraction,
-        },
-        [Path(args.graph)],
-        master_seed=args.seed,
-    )
+    _write_manifest(out, args, achieved_node_fraction=fractions.node_fraction,
+                    achieved_edge_fraction=fractions.edge_fraction)
     print(
         f"sampled {obs.n_nodes} nodes, {obs.n_edges} edges "
         f"({fractions.edge_fraction:.4f} of {g.n_edges}) -> {out}"
@@ -167,10 +177,10 @@ def cmd_sample(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    known = _known_sample_from_args(args)
     g = _load_graph(args.graph)
     obs = _load_observed(args.observed, g)
     budget = _parse_budget(args, g.n_nodes)
-    known = _known_sample_from_args(args)
     ledger, est = run_session(
         g, obs, args.strategy, budget, args.seed,
         estimation_probes=args.estimation_probes, known_sample=known,
@@ -186,25 +196,8 @@ def cmd_probe(args) -> int:
         write_observed(obs, fh)
     with open(log_path, "w", encoding="utf-8", newline="") as fh:
         write_probe_log(ledger, fh)
-    report = est.report() if est is not None else None
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _write_manifest(
-        observed_path,
-        "probe",
-        {
-            "graph": args.graph,
-            "observed": args.observed,
-            "strategy": args.strategy,
-            "budget": budget,
-            "seed": args.seed,
-            "estimation_probes": args.estimation_probes,
-            "known_sampler": args.known_sampler,
-            "f_n": args.f_n,
-            "f_e": args.f_e,
-        },
-        [Path(args.graph), Path(args.observed)],
-        master_seed=args.seed,
-    )
+    _write_json(report_path, est.report() if est is not None else None)
+    _write_manifest(observed_path, args, budget=budget)
     print(
         f"probed {ledger.spent} nodes: {obs.n_nodes} nodes observed -> {observed_path}"
     )
@@ -212,11 +205,11 @@ def cmd_probe(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    known = _known_sample_from_args(args)
     g = _load_graph(args.graph)
     obs = _load_observed(args.observed, g)
-    known = _known_sample_from_args(args)
-    ledger = ProbeLedger(budget=_parse_budget(args, g.n_nodes))
-    est = estimate(g, obs, ledger, known, n_probes=args.n_probes, seed=args.seed)
+    budget = _parse_budget(args, g.n_nodes)
+    est = estimate(g, obs, ProbeLedger(budget), known, n_probes=args.n_probes, seed=args.seed)
     if est is None:
         raise UsageError(
             "budget too small for any estimation probe; "
@@ -224,22 +217,8 @@ def cmd_estimate(args) -> int:
         )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(est.report(), indent=2, sort_keys=True) + "\n")
-    _write_manifest(
-        out,
-        "estimate",
-        {
-            "graph": args.graph,
-            "observed": args.observed,
-            "n_probes": args.n_probes,
-            "seed": args.seed,
-            "known_sampler": args.known_sampler,
-            "f_n": args.f_n,
-            "f_e": args.f_e,
-        },
-        [Path(args.graph), Path(args.observed)],
-        master_seed=args.seed,
-    )
+    _write_json(out, est.report())
+    _write_manifest(out, args, budget=budget)
     print(json.dumps(est.report(), sort_keys=True))
     return EXIT_OK
 
@@ -279,24 +258,7 @@ def cmd_sweep(args) -> int:
     curves = improvement_curves(rows)
     with open(curves_path, "w", encoding="utf-8", newline="") as fh:
         write_curves_csv(curves, fh)
-    _write_manifest(
-        results_path,
-        "sweep",
-        {
-            "graph": args.graph,
-            "samplers": samplers,
-            "strategies": strategies,
-            "budget_fracs": budgets,
-            "edge_fraction": args.edge_fraction,
-            "repeats": args.repeats,
-            "master_seed": args.master_seed,
-            "jump_prob": args.jump_prob,
-            "estimation_probes": args.estimation_probes,
-            "known_sample": args.known_sample,
-        },
-        [Path(args.graph)],
-        master_seed=args.master_seed,
-    )
+    _write_manifest(results_path, args)
     print(f"{len(rows)} trial rows -> {results_path}")
     print(f"{len(curves)} curves -> {curves_path}")
     return EXIT_OK
@@ -334,13 +296,13 @@ def _add_session_args(p) -> None:
     p.add_argument("--graph", required=True)
     p.add_argument("--observed", required=True)
     p.add_argument("--budget", type=positive_int, default=None, help="absolute probe budget")
-    p.add_argument("--budget-frac", type=float, default=0.05,
+    p.add_argument("--budget-frac", type=finite_float, default=0.05,
                    help="budget as a fraction in (0, 1] of the complete graph's nodes")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--known-sampler", choices=tuple(KNOWN_SAMPLE_KINDS), default=None,
                    help="use closed-form estimators for a sample of known origin")
-    p.add_argument("--f-n", type=float, default=None, help="known selected-node fraction")
-    p.add_argument("--f-e", type=float, default=None, help="known observed-edge fraction")
+    p.add_argument("--f-n", type=finite_float, default=None, help="known selected-node fraction")
+    p.add_argument("--f-e", type=finite_float, default=None, help="known observed-edge fraction")
 
 
 def build_parser() -> _Parser:
@@ -351,9 +313,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sample", help="generate an incomplete observation of a graph")
     p.add_argument("--graph", required=True, help="edge-list file of the complete graph")
     p.add_argument("--sampler", required=True, choices=SAMPLER_NAMES)
-    p.add_argument("--fraction", type=float, default=DEFAULT_EDGE_FRACTION,
+    p.add_argument("--fraction", type=finite_float, default=DEFAULT_EDGE_FRACTION,
                    help="target fraction of edges to observe (default 0.10)")
-    p.add_argument("--jump-prob", type=float, default=DEFAULT_JUMP_PROB,
+    p.add_argument("--jump-prob", type=finite_float, default=DEFAULT_JUMP_PROB,
                    help="teleport probability for the rwj sampler (default 0.15)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="observed-graph output file")
@@ -382,9 +344,9 @@ def build_parser() -> _Parser:
                    help="comma-separated strategy names")
     p.add_argument("--budget-fracs", default=DEFAULT_BUDGETS,
                    help="comma-separated node-fraction budgets (default 1%%..5%%)")
-    p.add_argument("--edge-fraction", type=float, default=DEFAULT_EDGE_FRACTION)
+    p.add_argument("--edge-fraction", type=finite_float, default=DEFAULT_EDGE_FRACTION)
     p.add_argument("--repeats", type=int, default=20)
-    p.add_argument("--jump-prob", type=float, default=DEFAULT_JUMP_PROB)
+    p.add_argument("--jump-prob", type=finite_float, default=DEFAULT_JUMP_PROB)
     p.add_argument("--estimation-probes", type=positive_int, default=DEFAULT_ESTIMATION_PROBES)
     p.add_argument("--known-sample", action="store_true",
                    help="give maxoutprobe the sampler's true fractions")

@@ -128,11 +128,19 @@ def _check_fraction(name: str, fraction: float) -> None:
         raise SamplingError(f"{name} must be in (0, 1] with a finite reciprocal, got {fraction}")
 
 
+def _scale_degree(d_known: int, name: str, fraction: float) -> float:
+    """d_known / fraction, the estimated true degree, which must be finite."""
+    _check_fraction(name, fraction)
+    degree = d_known / fraction
+    if not math.isfinite(degree):
+        raise SamplingError(f"degree {d_known} / {name} {fraction} is not finite")
+    return degree
+
+
 def unbiased_degree_node_sampling(d_known: int, node_fraction: float) -> float:
     """Estimated true degree of an observed but unselected node, under
     random node sampling with known selection fraction."""
-    _check_fraction("node_fraction", node_fraction)
-    return d_known / node_fraction
+    return _scale_degree(d_known, "node_fraction", node_fraction)
 
 
 def triangle_survival_prob(node_fraction: float) -> float:
@@ -165,8 +173,7 @@ def unbiased_clustering_node_sampling(
 
 def unbiased_degree_edge_sampling(d_known: int, edge_fraction: float) -> float:
     """Estimated true degree under random edge sampling with known fraction."""
-    _check_fraction("edge_fraction", edge_fraction)
-    return d_known / edge_fraction
+    return _scale_degree(d_known, "edge_fraction", edge_fraction)
 
 
 def unbiased_clustering_edge_sampling(

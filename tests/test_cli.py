@@ -83,6 +83,11 @@ class TestSample:
         ("--sampler", "randnode", "--fraction", "1.5"),
         ("--sampler", "rwj", "--jump-prob", "1"),
         ("--sampler", "randedge", "--fraction", "0.001"),
+        # every float flag must be finite, also where the sampler ignores it
+        ("--sampler", "rw", "--jump-prob", "nan"),
+        ("--sampler", "randedge", "--jump-prob", "inf"),
+        # "=" keeps argparse from reading -inf as an option
+        ("--sampler", "randnode", "--jump-prob=-inf"),
     ])
     def test_out_of_range_flag_is_usage_error(self, graph_file, tmp_path, capsys, flags):
         out = tmp_path / "x.txt"
@@ -179,6 +184,14 @@ class TestProbe:
         ("--known-sampler", "randedge", "--f-e", "5e-324"),
         ("--estimation-probes", "0"),
         ("--estimation-probes", "-3"),
+        # --budget wins, but --budget-frac must still be finite
+        ("--budget-frac", "nan"),
+        ("--known-sampler", "randnode", "--f-n", "0.2", "--f-e", "inf"),
+        # a fraction that no --known-sampler reads
+        ("--known-sampler", "randedge", "--f-e", "0.2", "--f-n", "7"),
+        ("--known-sampler", "randnode", "--f-n", "0.2", "--f-e", "0.2"),
+        ("--f-n", "0.3"),
+        ("--f-e", "0.3"),
     ])
     def test_out_of_range_flag_is_usage_error(self, graph_file, tmp_path, capsys, flags):
         obs = self.make_sample(graph_file, tmp_path)
@@ -239,6 +252,10 @@ class TestEstimate:
         ("--known-sampler", "randedge", "--f-e", "5e-324"),
         ("--n-probes", "0"),
         ("--n-probes", "-1"),
+        ("--budget-frac", "inf"),
+        ("--known-sampler", "randedge", "--f-e", "0.2", "--f-n", "7"),
+        ("--f-n", "0.3"),
+        ("--f-e", "0.3"),
     ])
     def test_out_of_range_flag_is_usage_error(self, graph_file, tmp_path, capsys, flags):
         obs = TestProbe().make_sample(graph_file, tmp_path)
@@ -296,6 +313,9 @@ class TestSweep:
         ("--jobs", "-2"),
         ("--estimation-probes", "0"),
         ("--estimation-probes", "-5"),
+        # a jump probability that no rwj trial reads must still be finite
+        ("--samplers", "rw", "--jump-prob", "inf"),
+        ("--samplers", "randedge", "--jump-prob", "nan"),
     ])
     def test_out_of_range_grid_value_is_usage_error(self, graph_file, tmp_path, capsys, flags):
         out = tmp_path / "range"
@@ -324,6 +344,85 @@ class TestSweep:
                    "--repeats", "2", "--edge-fraction", "0.2",
                    "--jobs", "2", "--master-seed", "1", "--out-prefix", prefix)
         assert code == 0
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def read_manifest(path):
+    """A manifest file, parsed as strict JSON."""
+    return json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+# manifest parameters that the run derived rather than parsed
+DERIVED = ("achieved_node_fraction", "achieved_edge_fraction")
+OUTPUT_FLAGS = ("out", "out_prefix")
+
+
+def replay_argv(manifest, out_dir):
+    """The argv the manifest records, with its outputs moved into out_dir."""
+    argv = [manifest["command"]]
+    for dest, value in manifest["parameters"].items():
+        if dest in DERIVED or value is None or value is False:
+            continue
+        flag = "--" + dest.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif dest in OUTPUT_FLAGS:
+            argv.append(f"{flag}={out_dir / Path(value).name}")
+        else:
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+REPLAY_CASES = {
+    "sample": ("sample", "--sampler", "rwj", "--fraction", "0.2", "--jump-prob", "0.3",
+               "--seed", "4", "--out", "obs.txt"),
+    "probe": ("probe", "--observed", "{observed}", "--strategy", "maxoutprobe",
+              "--budget-frac", "0.2", "--estimation-probes", "4", "--seed", "5",
+              "--out-prefix", "run"),
+    "probe-uncharged": ("probe", "--observed", "{observed}", "--strategy", "maxoutprobe",
+                        "--budget-frac", "0.2", "--estimation-probes", "4", "--seed", "5",
+                        "--estimation-uncharged", "--out-prefix", "run"),
+    "probe-known": ("probe", "--observed", "{observed}", "--strategy", "highdeg",
+                    "--budget", "5", "--known-sampler", "randedge", "--f-e", "0.2",
+                    "--out-prefix", "run"),
+    "estimate-6": ("estimate", "--observed", "{observed}", "--budget", "6",
+                   "--n-probes", "4", "--seed", "2", "--out", "report.json"),
+    "estimate-20": ("estimate", "--observed", "{observed}", "--budget", "20",
+                    "--n-probes", "4", "--seed", "2", "--out", "report.json"),
+    "sweep": ("sweep", "--samplers", "randedge,rw", "--strategies", "maxoutprobe,highdeg",
+              "--budget-fracs", "0.1,0.2", "--repeats", "1", "--edge-fraction", "0.2",
+              "--estimation-probes", "3", "--master-seed", "5", "--out-prefix", "sweep"),
+}
+
+
+@pytest.mark.parametrize("case", REPLAY_CASES)
+def test_manifest_replays_run(graph_file, tmp_path, case):
+    """Rerunning the argv a manifest records rewrites every output byte for
+    byte, and writes the same manifest apart from the output paths."""
+    observed = TestProbe().make_sample(graph_file, tmp_path)
+    command, *flags = REPLAY_CASES[case]
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    flags = [f.format(observed=observed) for f in flags]
+    flags[-1] = first / flags[-1]
+    assert run(command, "--graph", graph_file, *flags) == 0
+    manifest_path = next(first.glob("*.manifest.json"))
+    manifest = read_manifest(manifest_path)
+    assert run(*replay_argv(manifest, second)) == 0
+
+    outputs = sorted(p.name for p in first.iterdir())
+    assert sorted(p.name for p in second.iterdir()) == outputs
+    for name in outputs:
+        if not name.endswith(".manifest.json"):
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
+    replayed = read_manifest(second / manifest_path.name)
+    for m in (manifest, replayed):
+        for dest in OUTPUT_FLAGS:
+            m["parameters"].pop(dest, None)
+    assert replayed == manifest
 
 
 class TestStats:
@@ -386,7 +485,8 @@ def edge_fraction_in_range(f, sampler):
 
 
 def jump_prob_in_range(p, sampler):
-    return sampler != "rwj" or 0.0 <= p < 1.0
+    # every sampler takes the flag, and only rwj bounds it
+    return math.isfinite(p) and (sampler != "rwj" or 0.0 <= p < 1.0)
 
 
 def known_args(known):

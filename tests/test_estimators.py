@@ -219,6 +219,9 @@ class TestUnbiasedDegree:
         # 1 / 5e-324 overflows to inf
         with pytest.raises(SamplingError):
             unbiased_degree_node_sampling(1, 5e-324)
+        # the reciprocal is finite, but 2 / 1e-308 overflows to inf
+        with pytest.raises(SamplingError):
+            unbiased_degree_node_sampling(2, 1e-308)
 
     def test_edge_sampling_formula(self):
         assert unbiased_degree_edge_sampling(3, 0.1) == pytest.approx(30.0)
@@ -227,6 +230,8 @@ class TestUnbiasedDegree:
             unbiased_degree_edge_sampling(3, 0.0)
         with pytest.raises(SamplingError):
             unbiased_degree_edge_sampling(1, 5e-324)
+        with pytest.raises(SamplingError):
+            unbiased_degree_edge_sampling(2, 1e-308)
 
     def test_node_sampling_unbiased_monte_carlo(self):
         g = random_graph(60, 0.3, seed=17)
