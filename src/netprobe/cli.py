@@ -72,6 +72,16 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise UsageError(message)
 
+    def _parse_optional(self, arg_string):
+        # argparse takes only "-1" and "-.5"-like tokens for negative
+        # numbers, so "--jump-prob -1e-3" or "-inf" would lack its value;
+        # a token float() reads is a value, which the flag's type checks
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()

@@ -2,9 +2,11 @@
 plus the popular baselines (degree, dispersion, community-crossing,
 clustering, random).
 
-Every strategy but random maps each candidate node of an observed graph to a
-score (see Scores) and one selector takes the top b, breaking ties by
-ascending label so runs are reproducible.
+Every strategy but random maps the candidate nodes of an observed graph to
+scores (see Scores) and one selector takes the top b, breaking ties by
+ascending label so runs are reproducible.  A scorer is told b and may leave
+out candidates that cannot be among the top b; MaxOutProbe does, the
+baselines score every candidate.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ HIGH = "high"
 LOW = "low"
 
 
-# A ranking: each candidate's complete-graph index mapped to its score.
-# Every scorer builds it by walking obs._candidate_ixs(), so its keys come
-# in ascending label order, one per candidate; select_top_b relies on that
-# order to break ties by label.
+# A ranking: candidates' complete-graph indices mapped to their scores, keys
+# in ascending label order (the order of obs._candidate_ixs()), covering at
+# least every candidate that can be among the top b of the full ranking;
+# select_top_b relies on that order to break ties by label.
 Scores = dict[int, float]
 
 
@@ -58,28 +60,54 @@ def _direction_sign(direction: str) -> float:
     raise ConfigError(f"direction must be 'high' or 'low', got {direction!r}")
 
 
-def score_max_out_probe(obs: ObservedGraph, est: EstimateSet) -> Scores:
+def score_max_out_probe(obs: ObservedGraph, est: EstimateSet, b: int | None = None) -> Scores:
     """Score candidates by estimated neighbors outside the observed graph.
 
     For candidate u with observed degree d: the estimated true degree m̂·d,
     minus d, minus the expected number of open-wedge partners that are
     really neighbors (the clustering estimate ĉ times the partner count w).
     Negative scores clamp to 0.
+
+    Only candidates that can be among the top b are scored (b=None: every
+    candidate).  The same expression with w = 0 bounds each score from
+    above, as ĉ ≥ 0 and w ≥ 0, so candidates are visited by descending
+    bound and the scan stops at the first bound below the b-th best score
+    so far (the threshold algorithm of Fagin, Lotem and Naor).
     """
     nbrs = obs._nbrs
     order = obs._candidate_ixs()
     cands = set(order)
     m_hat, c_hat = est.scale_multiplier, est.clustering
-    scores = {}
-    for i in order:
-        mine = nbrs[i]
-        d_known = len(mine)
-        # graphs._open_wedge_partners in bulk, less i itself (a candidate)
+
+    def score(d: int, w: int) -> float:
+        return max(0.0, m_hat * d - d - c_hat * w)
+
+    if b is None:
+        b = len(order)
+    elif b < 1:
+        raise ConfigError(f"b must be at least 1, got {b}")
+    # bounds by position in order; few distinct degrees, so one score call each
+    degrees = [len(nbrs[i]) for i in order]
+    bound_of = {d: score(d, 0) for d in set(degrees)}
+    bounds = list(map(bound_of.__getitem__, degrees))
+    best: list[float] = []  # min-heap of the b best scores so far
+    scored = {}  # position -> score
+    # descending bound; a bound equal to the b-th best is still scored, so
+    # every candidate that can tie it is there for the label tie-break
+    for k in sorted(range(len(order)), key=bounds.__getitem__, reverse=True):
+        if len(best) == b and bounds[k] < best[0]:
+            break
+        mine = nbrs[order[k]]
+        # graphs._open_wedge_partners in bulk, less the candidate itself
         partners = set().union(*map(nbrs.__getitem__, mine))
         partners &= cands
         partners -= mine
-        scores[i] = max(0.0, m_hat * d_known - d_known - c_hat * (len(partners) - 1))
-    return scores
+        s = scored[k] = score(degrees[k], len(partners) - 1)
+        if len(best) < b:
+            heapq.heappush(best, s)
+        elif s > best[0]:
+            heapq.heapreplace(best, s)
+    return {order[k]: scored[k] for k in sorted(scored)}
 
 
 def select_top_b(obs: ObservedGraph, scores: Scores, b_remaining: int) -> ProbePlan:
@@ -149,23 +177,25 @@ def select_random(obs: ObservedGraph, b_remaining: int, seed: int) -> ProbePlan:
     return ProbePlan(nodes=tuple(rng.sample(pool, min(b_remaining, len(pool)))))
 
 
-Scorer = Callable[[ObservedGraph, int, EstimateSet | None], Scores]
+Scorer = Callable[[ObservedGraph, int, EstimateSet | None, int | None], Scores]
 
-# Strategy name -> scorer(obs, selection_seed, est), in the order the CLI
-# lists them; random has no scorer and draws candidates uniformly.  Each
+# Strategy name -> scorer(obs, selection_seed, est, b), in the order the CLI
+# lists them; random has no scorer and draws candidates uniformly.  b is the
+# number of probes the plan takes (None: rank every candidate); only
+# maxoutprobe uses it, to skip candidates that cannot make the top b.  Each
 # scorer looks up the module's function when it is called, so replacing a
 # module attribute (to trace it, say) reaches every strategy.
 STRATEGIES: dict[str, Scorer | None] = {
-    "maxoutprobe": lambda obs, seed, est: score_max_out_probe(obs, est),
-    "highdeg": lambda obs, seed, est: score_degree(obs, HIGH),
-    "lowdeg": lambda obs, seed, est: score_degree(obs, LOW),
-    "highdisp": lambda obs, seed, est: score_dispersion(obs, HIGH),
-    "lowdisp": lambda obs, seed, est: score_dispersion(obs, LOW),
-    "crosscomm": lambda obs, seed, est: score_cross_comm(
+    "maxoutprobe": lambda obs, seed, est, b: score_max_out_probe(obs, est, b),
+    "highdeg": lambda obs, seed, est, b: score_degree(obs, HIGH),
+    "lowdeg": lambda obs, seed, est, b: score_degree(obs, LOW),
+    "highdisp": lambda obs, seed, est, b: score_dispersion(obs, HIGH),
+    "lowdisp": lambda obs, seed, est, b: score_dispersion(obs, LOW),
+    "crosscomm": lambda obs, seed, est, b: score_cross_comm(
         obs, detect_communities(obs, seed=seed)
     ),
-    "highcc": lambda obs, seed, est: score_clustering(obs, HIGH),
-    "lowcc": lambda obs, seed, est: score_clustering(obs, LOW),
+    "highcc": lambda obs, seed, est, b: score_clustering(obs, HIGH),
+    "lowcc": lambda obs, seed, est, b: score_clustering(obs, LOW),
     "random": None,
 }
 # The strategies that run the estimation phase first; their scorers get its
@@ -243,6 +273,7 @@ def make_probe_plan(
             est = EstimateSet(method=METHOD_PROBE, scale_multiplier=2.0, clustering=0.0)
         elif not charge_estimation:
             ledger.budget += est.probes_used
+    b = ledger.remaining
     if scorer is None:
-        return select_random(obs, ledger.remaining, selection_seed), None
-    return select_top_b(obs, scorer(obs, selection_seed, est), ledger.remaining), est
+        return select_random(obs, b, selection_seed), None
+    return select_top_b(obs, scorer(obs, selection_seed, est, b), b), est

@@ -39,11 +39,14 @@ def run(*argv):
 
 
 def assert_usage_error(code, capsys, flag=None):
-    """Exit 1 with one error line on stderr, naming flag if given."""
+    """Exit 1 with one error line on stderr, naming flag if given.  Every
+    flag kept its value: argparse's missing-value error would stand in for
+    the value's own check."""
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     errors = [line for line in err if line.startswith("error:")]
     assert len(errors) == 1
+    assert "expected one argument" not in errors[0]
     assert flag is None or flag in errors[0]
 
 
@@ -86,8 +89,12 @@ class TestSample:
         # every float flag must be finite, also where the sampler ignores it
         ("--sampler", "rw", "--jump-prob", "nan"),
         ("--sampler", "randedge", "--jump-prob", "inf"),
-        # "=" keeps argparse from reading -inf as an option
         ("--sampler", "randnode", "--jump-prob=-inf"),
+        # a negative number in any float() syntax is the flag's value
+        ("--sampler", "rwj", "--jump-prob", "-1e-3"),
+        ("--sampler", "randnode", "--jump-prob", "-inf"),
+        ("--sampler", "rwj", "--jump-prob", "-nan"),
+        ("--sampler", "randedge", "--fraction", "-1E+2"),
     ])
     def test_out_of_range_flag_is_usage_error(self, graph_file, tmp_path, capsys, flags):
         out = tmp_path / "x.txt"
@@ -158,13 +165,14 @@ class TestProbe:
                    "--out-prefix", tmp_path / "x")
         assert code == 1
 
-    @pytest.mark.parametrize("frac", ["-0.5", "0", "7", "0.001", "nan"])
-    def test_budget_frac_out_of_range_is_usage_error(self, graph_file, tmp_path, frac):
+    @pytest.mark.parametrize("frac", ["-0.5", "0", "7", "0.001", "nan", "-1e-3"])
+    def test_budget_frac_out_of_range_is_usage_error(self, graph_file, tmp_path, capsys, frac):
         obs = self.make_sample(graph_file, tmp_path)
+        capsys.readouterr()
         code = run("probe", "--graph", graph_file, "--observed", obs,
                    "--strategy", "highdeg", "--budget-frac", frac,
                    "--out-prefix", tmp_path / "x")
-        assert code == 1
+        assert_usage_error(code, capsys)
         assert not (tmp_path / "x.observed.txt").exists()
 
     def test_bad_strategy_is_usage_error(self, graph_file, tmp_path):
@@ -192,6 +200,9 @@ class TestProbe:
         ("--known-sampler", "randnode", "--f-n", "0.2", "--f-e", "0.2"),
         ("--f-n", "0.3"),
         ("--f-e", "0.3"),
+        ("--budget-frac", "-inf"),
+        ("--known-sampler", "randnode", "--f-n", "-inf"),
+        ("--known-sampler", "randedge", "--f-e", "-nan"),
     ])
     def test_out_of_range_flag_is_usage_error(self, graph_file, tmp_path, capsys, flags):
         obs = self.make_sample(graph_file, tmp_path)
@@ -235,13 +246,14 @@ class TestEstimate:
         assert json.loads(out.read_text())["method"] == "known_node_sample"
 
 
-    @pytest.mark.parametrize("frac", ["-0.5", "0", "7", "0.001", "nan"])
-    def test_budget_frac_out_of_range_is_usage_error(self, graph_file, tmp_path, frac):
+    @pytest.mark.parametrize("frac", ["-0.5", "0", "7", "0.001", "nan", "-1e-3"])
+    def test_budget_frac_out_of_range_is_usage_error(self, graph_file, tmp_path, capsys, frac):
         obs = TestProbe().make_sample(graph_file, tmp_path)
+        capsys.readouterr()
         for known in ([], ["--known-sampler", "randedge", "--f-e", "0.2"]):
             code = run("estimate", "--graph", graph_file, "--observed", obs,
                        "--budget-frac", frac, "--out", tmp_path / "r.json", *known)
-            assert code == 1
+            assert_usage_error(code, capsys)
         assert not (tmp_path / "r.json").exists()
 
 
@@ -256,6 +268,9 @@ class TestEstimate:
         ("--known-sampler", "randedge", "--f-e", "0.2", "--f-n", "7"),
         ("--f-n", "0.3"),
         ("--f-e", "0.3"),
+        ("--budget-frac", "-nan"),
+        ("--known-sampler", "randedge", "--f-e", "-1.5e0"),
+        ("--n-probes", "-1e3"),
     ])
     def test_out_of_range_flag_is_usage_error(self, graph_file, tmp_path, capsys, flags):
         obs = TestProbe().make_sample(graph_file, tmp_path)

@@ -6,7 +6,9 @@ every observation is a consistent graph whose counting primitives agree
 with brute force.  A copy of an observation is equal to it and independent
 of it, and a reveal reports exactly what it added.  Every scorer keys its
 scores by candidate index in label order, and the selector keeps the same
-top b as a full sort by (-score, label).  The probe-based estimates equal a
+top b as a full sort by (-score, label); MaxOutProbe told b scores a
+label-ordered subset of the candidates, with the same scores and the same
+top b as the unbounded call.  The probe-based estimates equal a
 brute-force replay of their probes.  Then properties of the CCDF and AUC
 aggregation."""
 
@@ -217,7 +219,7 @@ def test_select_top_b_equals_the_full_label_tie_sort(
     except (EmptyGraphError, SamplingError):
         assume(False)
     est = EstimateSet(method=METHOD_PROBE, scale_multiplier=m_hat, clustering=c_hat)
-    scores = STRATEGIES[strategy](obs, seed, est)
+    scores = STRATEGIES[strategy](obs, seed, est, None)
     assert list(scores) == obs._candidate_ixs()
     # the selector's definition before score maps: sort every candidate by
     # (-score, label) and keep the first b
@@ -225,6 +227,38 @@ def test_select_top_b_equals_the_full_label_tie_sort(
     reference = [u for u, _ in sorted(candidates, key=lambda c: (-c[1], c[0]))]
     for b in range(1, len(candidates) + 2):
         assert select_top_b(obs, scores, b).nodes == tuple(reference[:b])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(6, 24),
+    p=st.floats(0.1, 0.5),
+    graph_seed=st.integers(0, 10_000),
+    sampler=st.sampled_from(SAMPLER_NAMES),
+    edge_fraction=st.floats(0.1, 0.6),
+    seed=st.integers(0, 2**32),
+    # m̂ ≤ 1 clamps every bound to 0; under 1 + 2⁻⁵², m̂·d − d rounds so that
+    # different degrees share a bound
+    m_hat=st.floats(0.0, 50.0) | st.sampled_from([1.0, 2.0, 1.0 + 2.0**-52]),
+    c_hat=st.floats(0.0, 5.0) | st.sampled_from([0.0, 1.0]),
+)
+def test_pruned_max_out_probe_keeps_the_top_b(
+    n, p, graph_seed, sampler, edge_fraction, seed, m_hat, c_hat
+):
+    try:
+        g = random_graph(n, p, seed=graph_seed)
+        obs, _ = run_sampler(g, sampler, edge_fraction, seed)
+    except (EmptyGraphError, SamplingError):
+        assume(False)
+    est = EstimateSet(method=METHOD_PROBE, scale_multiplier=m_hat, clustering=c_hat)
+    full = score_max_out_probe(obs, est)
+    assert list(full) == obs._candidate_ixs()
+    for b in range(1, len(full) + 2):
+        pruned = score_max_out_probe(obs, est, b)
+        assert select_top_b(obs, pruned, b) == select_top_b(obs, full, b)
+        # a label-ordered subset of the full keys, each with its full score
+        assert list(pruned) == [i for i in full if i in pruned]
+        assert all(pruned[i] == full[i] for i in pruned)
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,7 +7,7 @@ from scipy import stats as scipy_stats
 
 from netprobe.errors import ConfigError, UnknownNodeError
 from netprobe.estimators import EstimateSet, METHOD_PROBE
-from netprobe.generators import planted_partition_graph, random_graph
+from netprobe.generators import hub_community_graph, planted_partition_graph, random_graph
 from netprobe.graphs import CompleteGraph, ObservedGraph
 from netprobe.probing import ProbeLedger
 from netprobe.sampling import sample_random_edge, sample_random_node
@@ -93,6 +93,35 @@ class TestScoreMaxOutProbe:
         obs, _ = sample_random_node(g, 0.4, seed=3)
         scores = score_max_out_probe(obs, probe_est(2.0, 0.1))
         assert list(by_label(obs, scores)) == obs.candidate_nodes()
+
+    def test_top_one_scores_few_candidates(self):
+        # the hubs' observed degrees bound every community node's score
+        # below the best hub's, so b = 1 leaves most candidates unscored
+        g = hub_community_graph(30, 8, 0.8, 6, 20, seed=5)
+        obs, _ = sample_random_edge(g, 0.2, seed=3)
+        est = probe_est(3.0, 0.2)
+        full = score_max_out_probe(obs, est)
+        pruned = score_max_out_probe(obs, est, 1)
+        assert len(pruned) < len(obs._candidate_ixs()) == len(full)
+        assert select_top_b(obs, pruned, 1) == select_top_b(obs, full, 1)
+
+    def test_bound_equal_to_the_bth_best_is_scored(self):
+        # m̂ = 2, ĉ = 1 score d − w under the bound d: j (d 2, w 1) and
+        # a (d 1, w 0) tie at 1, so a's bound equals the best score found
+        # when it is reached, and a still wins on its label
+        g = CompleteGraph([("j", "e1"), ("j", "e2"), ("k", "e1"), ("a", "e3")])
+        obs = full_view(g)
+        for u in ("e1", "e2", "e3"):
+            obs.mark_explored(u)
+        est = probe_est(2.0, 1.0)
+        pruned = score_max_out_probe(obs, est, 1)
+        assert by_label(obs, pruned) == {"a": 1.0, "j": 1.0, "k": 0.0}
+        assert select_top_b(obs, pruned, 1).nodes == ("a",)
+
+    def test_no_budget_rejected(self):
+        obs = full_view(star())
+        with pytest.raises(ConfigError):
+            score_max_out_probe(obs, probe_est(2.0, 0.1), 0)
 
 
 class TestSelectTopB:
