@@ -6,11 +6,14 @@ input file digests, tool version) sufficient to reproduce the run byte for
 byte.
 
 Exit codes: 0 success, 1 usage error (bad flags or an invalid
-configuration), 2 runtime error.  Every float flag must be finite.  A budget
-fraction must lie in (0, 1] and give at least one probe; every count flag
-(budget, probes, jobs) must be at least 1.  --f-n goes only with
---known-sampler randnode and --f-e only with --known-sampler randedge.  The
-NETPROBE_JOBS environment variable sets the default sweep parallelism.
+configuration), 2 runtime error.  Any other exception is an internal error,
+a runtime error too: its traceback and one "error: internal error: ..."
+line go to stderr, and the exit code is 2.  Every float flag must be
+finite.  A budget fraction must lie in (0, 1] and give at least one probe;
+every count flag (budget, probes, jobs) must be at least 1.  --f-n goes
+only with --known-sampler randnode and --f-e only with --known-sampler
+randedge.  The NETPROBE_JOBS environment variable sets the default sweep
+parallelism.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from pathlib import Path
 
 from . import __version__
@@ -387,6 +391,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_RUNTIME
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except Exception as exc:
+        # a bug, or a pool worker killed mid-sweep: a runtime failure, never
+        # the usage-error exit the interpreter would give it
+        traceback.print_exc()
+        print(f"error: internal error: {exc!r}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

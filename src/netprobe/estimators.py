@@ -32,6 +32,8 @@ from .probing import PHASE_ESTIMATION, ProbeLedger, probe
 METHOD_PROBE = "probe_based"
 METHOD_KNOWN_NODE = "known_node_sample"
 METHOD_KNOWN_EDGE = "known_edge_sample"
+# no probe was left to estimate with: the neutral m̂ = 2, ĉ = 0 stand in
+METHOD_FALLBACK = "fallback"
 
 DEFAULT_ESTIMATION_PROBES = 100
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable, Iterator
+from typing import IO, AbstractSet, Iterable, Iterator, Mapping
 
 from .errors import (
     EmptyGraphError,
@@ -228,9 +228,6 @@ class ObservedGraph:
     def neighbors(self, u: str) -> list[str]:
         return sorted(map(self._labels.__getitem__, self._nbrs[self._ix(u)]))
 
-    def neighbor_set(self, u: str) -> frozenset[str]:
-        return frozenset(map(self._labels.__getitem__, self._nbrs[self._ix(u)]))
-
     def status(self, u: str) -> NodeStatus:
         return _STATUSES[self._status[self._ix(u)]]
 
@@ -344,32 +341,17 @@ def global_clustering(g: CompleteGraph | ObservedGraph) -> float:
 
 def local_clustering(g: CompleteGraph | ObservedGraph, u: str) -> float:
     """Fraction of pairs of u's neighbors that are themselves connected."""
-    nbrs = g._nbrs
-    neighbors = nbrs[g._ix(u)]
-    d = len(neighbors)
-    if d < 2:
-        return 0.0
-    links = sum(len(neighbors & nbrs[v]) for v in neighbors) // 2
-    return links / (d * (d - 1) / 2)
+    return _local_clustering(g._nbrs, g._ix(u))
 
 
 def edge_dispersion(g: CompleteGraph | ObservedGraph, u: str, v: str) -> int:
     """Dispersion of an edge: the number of pairs of common neighbors of u
     and v that are not connected and share no common neighbor other than u
     and v themselves."""
-    nbrs = g._nbrs
     i, j = g._ix(u), g._ix(v)
-    if j not in nbrs[i]:
+    if j not in g._nbrs[i]:
         raise UnknownNodeError(f"({u!r}, {v!r}) is not an edge of the graph")
-    ends = {i, j}
-    common = list(nbrs[i] & nbrs[j])
-    count = 0
-    for k, s in enumerate(common):
-        s_nbrs = nbrs[s]
-        for t in common[k + 1:]:
-            if t not in s_nbrs and s_nbrs & nbrs[t] <= ends:
-                count += 1
-    return count
+    return _edge_dispersion(g._nbrs, i, j)
 
 
 def _open_wedge_partners(obs: ObservedGraph, i: int) -> set[int]:
@@ -380,6 +362,30 @@ def _open_wedge_partners(obs: ObservedGraph, i: int) -> set[int]:
     partners -= direct
     partners.discard(i)
     return {w for w in partners if status[w] == _CANDIDATE}
+
+
+def _local_clustering(nbrs: Mapping[int, AbstractSet[int]], i: int) -> float:
+    """local_clustering of index i, on either graph's ``_nbrs``."""
+    neighbors = nbrs[i]
+    d = len(neighbors)
+    if d < 2:
+        return 0.0
+    links = sum(len(neighbors & nbrs[v]) for v in neighbors) // 2
+    return links / (d * (d - 1) / 2)
+
+
+def _edge_dispersion(nbrs: Mapping[int, AbstractSet[int]], i: int, j: int) -> int:
+    """edge_dispersion of the edge between indices i and j, on either
+    graph's ``_nbrs``."""
+    common = list(nbrs[i] & nbrs[j])
+    count = 0
+    for k, s in enumerate(common):
+        s_nbrs = nbrs[s]
+        for t in common[k + 1:]:
+            # i and j are common neighbours of s and t; a third makes 3
+            if t not in s_nbrs and len(s_nbrs & nbrs[t]) == 2:
+                count += 1
+    return count
 
 
 def two_hop_open_wedges(obs: ObservedGraph, u: str) -> set[str]:

@@ -378,9 +378,12 @@ def sweep(
     units: dict[tuple, list[_TrialSpec]] = {}
     for spec in dict.fromkeys(specs):
         units.setdefault(spec.sample_key, []).append(spec)
-    if jobs > 1:
+    # never more workers than work units: under fork the pool starts every
+    # worker on its first submit
+    workers = min(jobs, len(units))
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(g,)
+            max_workers=workers, initializer=_init_worker, initargs=(g,)
         ) as pool:
             unit_outcomes = list(pool.map(_run_unit_in_worker, units.values(), chunksize=1))
     else:

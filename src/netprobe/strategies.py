@@ -21,7 +21,7 @@ from .errors import ConfigError, UnknownNodeError
 from .estimators import (
     DEFAULT_ESTIMATION_PROBES,
     EstimateSet,
-    METHOD_PROBE,
+    METHOD_FALLBACK,
     known_edge_sample_estimates,
     known_node_sample_estimates,
     probe_based_estimates,
@@ -30,8 +30,8 @@ from .graphs import (
     _CANDIDATE,
     CompleteGraph,
     ObservedGraph,
-    edge_dispersion,
-    local_clustering,
+    _edge_dispersion,
+    _local_clustering,
     two_hop_open_wedges,  # unused here; bench/tracing.py wraps it at this name
 )
 from .probing import ProbeLedger
@@ -132,40 +132,49 @@ def score_dispersion(obs: ObservedGraph, direction: str = HIGH) -> Scores:
     """Mean dispersion of a candidate's incident observed edges (every
     observed node has at least one)."""
     sign = _direction_sign(direction)
-    labels = obs._labels
+    nbrs = obs._nbrs
     scores = {}
+    # (lower, higher index) -> an edge's dispersion, computed at the first of
+    # its candidate ends and dropped at the second
+    dispersion = {}
     for i in obs._candidate_ixs():
-        u = labels[i]
-        neighbors = obs.neighbors(u)
-        mean_disp = sum(edge_dispersion(obs, u, v) for v in neighbors) / len(neighbors)
-        scores[i] = sign * mean_disp
+        mine = nbrs[i]
+        total = 0
+        for j in mine:
+            edge = (i, j) if i < j else (j, i)
+            d = dispersion.pop(edge, None)
+            if d is None:
+                d = dispersion[edge] = _edge_dispersion(nbrs, i, j)
+            total += d
+        scores[i] = sign * (total / len(mine))
     return scores
 
 
 def score_cross_comm(obs: ObservedGraph, partition: dict[str, int]) -> Scores:
-    """Fraction of a candidate's observed neighbors outside its community."""
-    labels = obs._labels
+    """Fraction of a candidate's observed neighbors outside its community.
+
+    The partition must cover every observed node (UnknownNodeError if not).
+    """
+    labels, nbrs = obs._labels, obs._nbrs
+    try:
+        community = {i: partition[labels[i]] for i in nbrs}
+    except KeyError as exc:
+        raise UnknownNodeError(
+            f"node {exc.args[0]!r} missing from the community partition"
+        ) from None
     scores = {}
     for i in obs._candidate_ixs():
-        u = labels[i]
-        if u not in partition:
-            raise UnknownNodeError(f"node {u!r} missing from the community partition")
-        neighbors = obs.neighbors(u)
-        cu = partition[u]
-        outside = 0
-        for v in neighbors:
-            if v not in partition:
-                raise UnknownNodeError(f"node {v!r} missing from the community partition")
-            if partition[v] != cu:
-                outside += 1
-        scores[i] = outside / len(neighbors)
+        mine = nbrs[i]
+        cu = community[i]
+        outside = sum(community[j] != cu for j in mine)
+        scores[i] = outside / len(mine)
     return scores
 
 
 def score_clustering(obs: ObservedGraph, direction: str = HIGH) -> Scores:
     sign = _direction_sign(direction)
-    labels = obs._labels
-    return {i: sign * local_clustering(obs, labels[i]) for i in obs._candidate_ixs()}
+    nbrs = obs._nbrs
+    return {i: sign * _local_clustering(nbrs, i) for i in obs._candidate_ixs()}
 
 
 def select_random(obs: ObservedGraph, b_remaining: int, seed: int) -> ProbePlan:
@@ -270,7 +279,7 @@ def make_probe_plan(
         if est is None:
             # no budget to estimate: a neutral multiplier and zero
             # clustering fall back to ranking by observed degree
-            est = EstimateSet(method=METHOD_PROBE, scale_multiplier=2.0, clustering=0.0)
+            est = EstimateSet(method=METHOD_FALLBACK, scale_multiplier=2.0, clustering=0.0)
         elif not charge_estimation:
             ledger.budget += est.probes_used
     b = ledger.remaining

@@ -2,9 +2,14 @@
 
 Everything here enumerates definitions directly (triples, pairs, BFS) and
 stays deliberately separate from the library's counting code so the two
-routes can disagree.
+routes can disagree.  The one exception is a frozen copy of the library's
+earlier label-keyed Louvain, the reference its partitions must equal.
 """
 
+from __future__ import annotations
+
+import random
+from collections import defaultdict
 from itertools import combinations
 
 
@@ -129,3 +134,124 @@ def brute_closure_nodes(g, obs):
 
 def brute_ccdf_value(values, x):
     return sum(1 for v in values if v >= x) / len(values)
+
+
+# The label-keyed Louvain that detect_communities replaced, kept verbatim but
+# for its names, as the reference for partitions: dict-of-dicts keyed by the
+# positions of the labels, built from the sorted label API.
+
+
+def ref_local_move(
+    adj: dict[int, dict[int, float]],
+    total_weight: float,
+    rng: random.Random,
+) -> tuple[dict[int, int], bool]:
+    """One level of Louvain local moving.  Returns (community map, improved)."""
+    nodes = sorted(adj)
+    community = {u: u for u in nodes}
+    # strength = weighted degree incl. self-loops counted twice
+    strength = {
+        u: sum(w for v, w in adj[u].items() if v != u)
+        + 2.0 * adj[u].get(u, 0.0)
+        for u in nodes
+    }
+    comm_total = dict(strength)
+    m2 = 2.0 * total_weight
+
+    improved = False
+    moved = True
+    while moved:
+        moved = False
+        order = list(nodes)
+        rng.shuffle(order)
+        for u in order:
+            cu = community[u]
+            # weight from u to each neighboring community (self-loops excluded)
+            links: dict[int, float] = defaultdict(float)
+            for v, w in adj[u].items():
+                if v != u:
+                    links[community[v]] += w
+            comm_total[cu] -= strength[u]
+            best_comm = cu
+            best_gain = links.get(cu, 0.0) - comm_total[cu] * strength[u] / m2
+            for c, w_uc in links.items():
+                if c == cu:
+                    continue
+                gain = w_uc - comm_total[c] * strength[u] / m2
+                if gain > best_gain + 1e-12 or (
+                    abs(gain - best_gain) <= 1e-12 and c < best_comm
+                ):
+                    best_gain = gain
+                    best_comm = c
+            comm_total[best_comm] += strength[u]
+            if best_comm != cu:
+                community[u] = best_comm
+                moved = True
+                improved = True
+    return community, improved
+
+
+def ref_aggregate(
+    adj: dict[int, dict[int, float]], community: dict[int, int]
+) -> tuple[dict[int, dict[int, float]], dict[int, int]]:
+    """Collapse each community into one node, accumulating edge weights.
+
+    Returns the new adjacency and the node -> super-node map.  Within-
+    community weight becomes a self-loop (stored at half weight so that the
+    degree bookkeeping above stays consistent).
+    """
+    comm_ids = sorted(set(community.values()))
+    renumber = {c: i for i, c in enumerate(comm_ids)}
+    node_map = {u: renumber[c] for u, c in community.items()}
+    new_adj: dict[int, dict[int, float]] = {i: defaultdict(float) for i in range(len(comm_ids))}
+    for u, neighbors in adj.items():
+        cu = node_map[u]
+        for v, w in neighbors.items():
+            cv = node_map[v]
+            if u == v:
+                new_adj[cu][cu] += w
+            elif cu == cv:
+                # each undirected within-community edge is seen from both
+                # endpoints; accumulate half per sighting
+                new_adj[cu][cu] += w / 2.0
+            else:
+                new_adj[cu][cv] += w
+    return {u: dict(nbrs) for u, nbrs in new_adj.items()}, node_map
+
+
+def ref_detect_communities(obs: ObservedGraph, seed: int = 0) -> dict[str, int]:
+    """Partition the observed nodes by greedy modularity maximization.
+
+    Returns a map from node label to community id; ids are renumbered by
+    first appearance in label order, so equal seeds give identical output.
+    """
+    labels = obs.nodes()
+    if not labels:
+        return {}
+    index = {u: i for i, u in enumerate(labels)}
+    adj: dict[int, dict[int, float]] = {
+        index[u]: {index[v]: 1.0 for v in obs.neighbors(u)} for u in labels
+    }
+    total_weight = float(obs.n_edges)
+    rng = random.Random(seed)
+
+    # membership[i] tracks the current super-node of original node i
+    membership = {i: i for i in range(len(labels))}
+    while True:
+        community, improved = ref_local_move(adj, total_weight, rng)
+        if not improved or len(set(community.values())) == len(adj):
+            # nothing moved, or every community is a singleton: done either
+            # way, and the discarded move map cannot change the partition
+            break
+        adj, node_map = ref_aggregate(adj, community)
+        membership = {i: node_map[membership[i]] for i in membership}
+
+    raw = {labels[i]: membership[i] for i in range(len(labels))}
+    renumber: dict[int, int] = {}
+    partition: dict[str, int] = {}
+    for u in labels:
+        c = raw[u]
+        if c not in renumber:
+            renumber[c] = len(renumber)
+        partition[u] = renumber[c]
+    return partition

@@ -29,6 +29,7 @@ from netprobe.generators import (
 )
 from netprobe.graphs import (
     count_triangles_wedges,
+    edge_dispersion,
     global_clustering,
     local_clustering,
     two_hop_open_wedges,
@@ -41,7 +42,6 @@ from netprobe.sampling import (
     sample_random_edge,
 )
 from netprobe.strategies import (
-    edge_dispersion,
     score_degree,
     score_max_out_probe,
     select_top_b,

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netprobe import cli
 from netprobe.cli import build_parser, main
 from netprobe.generators import planted_partition_graph
 from netprobe.sampling import SAMPLER_NAMES
@@ -133,6 +134,40 @@ class TestProbe:
         report = json.loads((tmp_path / "out" / "run.estimate.json").read_text())
         assert report["method"] == "probe_based"
         assert report["probes_used"] == 4
+
+    def test_no_probe_to_estimate_with_reports_the_fallback(self, graph_file, tmp_path):
+        obs = self.make_sample(graph_file, tmp_path)
+        prefix = tmp_path / "run"
+        # half of one probe rounds to none for estimation
+        code = run("probe", "--graph", graph_file, "--observed", obs,
+                   "--strategy", "maxoutprobe", "--budget", "1", "--seed", "5",
+                   "--out-prefix", prefix)
+        assert code == 0
+        report = json.loads((tmp_path / "run.estimate.json").read_text())
+        assert report["method"] == "fallback"
+        assert (report["m_hat"], report["c_hat"], report["probes_used"]) == (2.0, 0.0, 0)
+        log = (tmp_path / "run.probelog.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in log[1:]] == ["selection"]
+
+    def test_internal_error_exits_2_with_its_traceback(
+        self, graph_file, tmp_path, capsys, monkeypatch
+    ):
+        obs = self.make_sample(graph_file, tmp_path)
+        capsys.readouterr()
+
+        def broken_budget(fraction, n_nodes):
+            raise TypeError("injected bug")
+
+        monkeypatch.setattr(cli, "budget_from_fraction", broken_budget)
+        code = run("probe", "--graph", graph_file, "--observed", obs,
+                   "--strategy", "highdeg", "--budget-frac", "0.2",
+                   "--out-prefix", tmp_path / "x")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback (most recent call last)" in err
+        assert "in broken_budget" in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: internal error: TypeError('injected bug')"]
 
     def test_known_sampler_activates_closed_form(self, graph_file, tmp_path):
         obs = self.make_sample(graph_file, tmp_path)

@@ -351,6 +351,35 @@ class TestSweep:
         assert sweep(g, self.small_grid(n_repeats=1), master_seed=6)
         assert harness._WORKER_GRAPH is None
 
+    @pytest.mark.parametrize("n_repeats, pools", [(1, []), (2, [2])])
+    def test_pool_has_no_more_workers_than_work_units(self, monkeypatch, n_repeats, pools):
+        # a recording stand-in for the executor: it starts no process and
+        # maps in this one, after running the initializer as a worker would
+        built = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                built.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness, "_WORKER_GRAPH", None)
+        g = planted_partition_graph(5, 8, 0.5, 0.02, seed=13)
+        # one work unit per repeat: the grid has one sampler and edge fraction
+        grid = self.small_grid(n_repeats=n_repeats)
+        rows = sweep(g, grid, master_seed=6, jobs=8)
+        assert built == pools
+        assert rows == sweep(g, grid, master_seed=6, jobs=1)
+
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected_before_any_trial(self, monkeypatch, jobs):
         calls = []

@@ -9,8 +9,10 @@ scores by candidate index in label order, and the selector keeps the same
 top b as a full sort by (-score, label); MaxOutProbe told b scores a
 label-ordered subset of the candidates, with the same scores and the same
 top b as the unbounded call.  The probe-based estimates equal a
-brute-force replay of their probes.  Then properties of the CCDF and AUC
-aggregation."""
+brute-force replay of their probes.  On graphs whose index order differs
+from their label order, Louvain equals the frozen label-keyed reference and
+the dispersion, clustering and cross-community scores equal their
+definitions.  Then properties of the CCDF and AUC aggregation."""
 
 import io
 import random
@@ -19,10 +21,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from netprobe.errors import EmptyGraphError, SamplingError
+from netprobe.communities import detect_communities
+from netprobe.errors import EmptyGraphError, SamplingError, UnknownNodeError
 from netprobe.estimators import METHOD_PROBE, EstimateSet, probe_based_estimates
 from netprobe.generators import random_graph
 from netprobe.graphs import (
+    CompleteGraph,
     NodeStatus,
     count_triangles_wedges,
     edge_dispersion,
@@ -34,7 +38,16 @@ from netprobe.graphs import (
 from netprobe.harness import KNOWN_SAMPLE_KINDS, auc, ccdf, common_range_aucs, run_session
 from netprobe.probing import PHASE_ESTIMATION, ProbeLedger, probe
 from netprobe.sampling import SAMPLER_NAMES, run_sampler
-from netprobe.strategies import STRATEGIES, score_max_out_probe, select_top_b
+from netprobe.strategies import (
+    HIGH,
+    LOW,
+    STRATEGIES,
+    score_clustering,
+    score_cross_comm,
+    score_dispersion,
+    score_max_out_probe,
+    select_top_b,
+)
 
 from oracles import (
     adjacency,
@@ -46,6 +59,7 @@ from oracles import (
     brute_two_hop_open_wedges,
     brute_wedges,
     by_label,
+    ref_detect_communities,
 )
 
 
@@ -139,7 +153,7 @@ def test_session_invariants(
     for u in obs.nodes():
         assert all(g.has_edge(u, v) for v in obs.neighbors(u))
     for u in obs.explored_nodes():
-        assert obs.neighbor_set(u) == frozenset(g.neighbors(u))
+        assert set(obs.neighbors(u)) == set(g.neighbors(u))
     # the observed-graph file round-trips
     again = read_observed(io.StringIO(end), g)
     assert _text(again) == end
@@ -297,6 +311,86 @@ def test_probe_based_estimates_equal_a_brute_force_replay(
     m_hat, c_hat, _ = brute_probe_estimates(g, start, nodes)
     assert (est.scale_multiplier, est.clustering) == (m_hat, c_hat)
     assert _text(start) == _text(obs)
+
+
+def _relabelled(g, rng):
+    """g with its labels permuted, so that index order (first appearance in
+    g's edge order) differs from label order."""
+    labels = g.labels()
+    shuffled = labels[:]
+    rng.shuffle(shuffled)
+    rename = dict(zip(labels, shuffled))
+    return CompleteGraph([(rename[u], rename[v]) for u, v in g.edges()])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(6, 40),
+    p=st.floats(0.05, 0.5),
+    graph_seed=st.integers(0, 10_000),
+    sampler=st.sampled_from(SAMPLER_NAMES),
+    edge_fraction=st.floats(0.1, 1.0),
+    seed=st.integers(0, 2**32),
+    louvain_seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=4),
+)
+def test_detect_communities_equals_the_label_keyed_reference(
+    n, p, graph_seed, sampler, edge_fraction, seed, louvain_seeds
+):
+    try:
+        g = _relabelled(random_graph(n, p, seed=graph_seed), random.Random(seed))
+        obs, _ = run_sampler(g, sampler, edge_fraction, seed)
+    except (EmptyGraphError, SamplingError):
+        assume(False)
+    for louvain_seed in louvain_seeds:
+        partition = detect_communities(obs, seed=louvain_seed)
+        # equal values in equal key order: labels ascending
+        assert list(partition.items()) == list(ref_detect_communities(obs, louvain_seed).items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(6, 24),
+    p=st.floats(0.1, 0.5),
+    graph_seed=st.integers(0, 10_000),
+    sampler=st.sampled_from(SAMPLER_NAMES),
+    edge_fraction=st.floats(0.1, 0.6),
+    seed=st.integers(0, 2**32),
+    n_communities=st.integers(1, 4),
+)
+def test_baseline_scorers_equal_their_definitions(
+    n, p, graph_seed, sampler, edge_fraction, seed, n_communities
+):
+    try:
+        g = _relabelled(random_graph(n, p, seed=graph_seed), random.Random(seed))
+        obs, _ = run_sampler(g, sampler, edge_fraction, seed)
+    except (EmptyGraphError, SamplingError):
+        assume(False)
+    adj = adjacency(obs)
+    candidates = obs.candidate_nodes()
+    rng = random.Random(seed)
+    partition = {u: rng.randrange(n_communities) for u in rng.sample(sorted(adj), len(adj))}
+    for sign, direction in ((1.0, HIGH), (-1.0, LOW)):
+        dispersion = {
+            u: sign * (sum(brute_edge_dispersion(obs, u, v) for v in adj[u]) / len(adj[u]))
+            for u in candidates
+        }
+        clustering = {u: sign * brute_local_clustering(adj, u) for u in candidates}
+        for scores, expected in (
+            (score_dispersion(obs, direction), dispersion),
+            (score_clustering(obs, direction), clustering),
+        ):
+            assert list(scores) == obs._candidate_ixs()
+            assert by_label(obs, scores) == expected
+    cross = {
+        u: sum(partition[v] != partition[u] for v in adj[u]) / len(adj[u]) for u in candidates
+    }
+    scores = score_cross_comm(obs, partition)
+    assert list(scores) == obs._candidate_ixs()
+    assert by_label(obs, scores) == cross
+    # a partition that misses an observed node is rejected
+    missing = rng.choice(sorted(adj))
+    with pytest.raises(UnknownNodeError, match="missing from the community partition"):
+        score_cross_comm(obs, {u: c for u, c in partition.items() if u != missing})
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)

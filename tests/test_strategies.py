@@ -8,11 +8,10 @@ from scipy import stats as scipy_stats
 from netprobe.errors import ConfigError, UnknownNodeError
 from netprobe.estimators import EstimateSet, METHOD_PROBE
 from netprobe.generators import hub_community_graph, planted_partition_graph, random_graph
-from netprobe.graphs import CompleteGraph, ObservedGraph
+from netprobe.graphs import CompleteGraph, ObservedGraph, edge_dispersion
 from netprobe.probing import ProbeLedger
 from netprobe.sampling import sample_random_edge, sample_random_node
 from netprobe.strategies import (
-    edge_dispersion,
     make_probe_plan,
     score_clustering,
     score_cross_comm,
