@@ -5,10 +5,12 @@ any move improves modularity, then collapse communities into super-nodes
 and repeat.  Node visiting order is shuffled with a seeded generator so the
 partition is deterministic for a given seed.
 
-Every level runs on positions: the observed nodes in label order are
-positions 0..n-1, adj[u] maps each neighbour position of u to the edge
-weight, and the per-node state is held in lists.  These orders keep the
-partition of a seed byte-identical to the label-keyed original:
+Every level runs on positions: the observed nodes in label order (as
+ObservedGraph lists them, from the label order the complete graph sorts
+once at load) are positions 0..n-1, adj[u] maps each neighbour position
+of u to the edge weight, and the per-node state is held in lists.  These
+orders keep the partition of a seed byte-identical to the label-keyed
+original:
 
 * each pass shuffles range(n) once with the seeded generator, so the
   visiting order depends on the positions, that is on label order;
@@ -118,7 +120,7 @@ def detect_communities(obs: ObservedGraph, seed: int = 0) -> dict[str, int]:
     """
     labels = obs._labels
     nbrs = obs._nbrs
-    order = sorted(nbrs, key=labels.__getitem__)
+    order = obs._in_label_order()
     if not order:
         return {}
     position = {ix: k for k, ix in enumerate(order)}

@@ -100,7 +100,9 @@ def probe_based_estimates(
             f"{n_probes} estimation probes exceed remaining budget {ledger.remaining}"
         )
     nbrs, labels = obs._nbrs, obs._labels
-    pool = heapq.nsmallest(ledger.budget, candidates, key=lambda i: (-len(nbrs[i]), labels[i]))
+    # candidates come in label order and nsmallest is stable, so equal
+    # degrees go by label
+    pool = heapq.nsmallest(ledger.budget, candidates, key=lambda i: -len(nbrs[i]))
     rng = random.Random(seed)
     chosen = rng.sample(pool, min(n_probes, len(pool)))
 

@@ -7,6 +7,11 @@ samplers and probes build up.  Both hold the complete graph's dense integer
 indices (``_nbrs`` maps an index to its neighbours' indices, ``_ix`` maps a
 label to its index), so each primitive has one path for both.  All public
 interfaces speak external string labels.
+
+Every listing of nodes is in ascending label order, so that rankings can
+break ties by label and files are canonical.  The complete graph sorts its
+indices by label once, at load (``_by_label``); the observed graph lists
+its nodes by filtering that list on their status, with no sort of its own.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ class CompleteGraph:
     up in ``load_report``.
     """
 
-    __slots__ = ("_index", "_labels", "_adj", "_nbrs", "_n_edges", "load_report")
+    __slots__ = ("_index", "_labels", "_by_label", "_adj", "_nbrs", "_n_edges", "load_report")
 
     def __init__(self, edges: Iterable[tuple[str, str]], lines_read: int = 0):
         index: dict[str, int] = {}
@@ -93,6 +98,8 @@ class CompleteGraph:
 
         self._index = index
         self._labels = labels
+        # every index, in ascending label order
+        self._by_label = sorted(range(len(labels)), key=labels.__getitem__)
         # sorted neighbour lists, for ordered reads and walk steps
         self._adj = [sorted(neighbors) for neighbors in nbrs]
         self._nbrs = {u: frozenset(neighbors) for u, neighbors in enumerate(nbrs)}
@@ -129,8 +136,8 @@ class CompleteGraph:
         return len(self._adj[self._ix(u)])
 
     def neighbors(self, u: str) -> list[str]:
-        labels = self._labels
-        return [labels[v] for v in self._adj[self._ix(u)]]
+        """u's neighbours in ascending label order."""
+        return sorted(map(self._labels.__getitem__, self._adj[self._ix(u)]))
 
     def has_edge(self, u: str, v: str) -> bool:
         return self._ix(v) in self._nbrs[self._ix(u)]
@@ -190,6 +197,7 @@ class ObservedGraph:
         self.target_edge_fraction = target_edge_fraction
         self._index = graph._index
         self._labels = graph._labels
+        self._by_label = graph._by_label
         self._nbrs: dict[int, set[int]] = {}
         self._status = bytearray(graph.n_nodes)
         self._n_edges = 0
@@ -208,11 +216,17 @@ class ObservedGraph:
             raise UnknownNodeError(f"node {u!r} not in observed graph")
         return i
 
-    def _sorted_labels(self, indices: Iterable[int]) -> list[str]:
-        return sorted(map(self._labels.__getitem__, indices))
+    def _in_label_order(self, only: int | None = None) -> list[int]:
+        """Observed indices in ascending label order: every observed node, or
+        only those whose status is ``only`` (_CANDIDATE or _EXPLORED)."""
+        status = self._status
+        if only is None:
+            return [i for i in self._by_label if status[i]]
+        return [i for i in self._by_label if status[i] == only]
 
     def nodes(self) -> list[str]:
-        return self._sorted_labels(self._nbrs)
+        """Observed nodes in ascending label order."""
+        return list(map(self._labels.__getitem__, self._in_label_order()))
 
     def has_node(self, u: str) -> bool:
         i = self._index.get(u)
@@ -226,6 +240,7 @@ class ObservedGraph:
         return len(self._nbrs[self._ix(u)])
 
     def neighbors(self, u: str) -> list[str]:
+        """u's observed neighbours in ascending label order."""
         return sorted(map(self._labels.__getitem__, self._nbrs[self._ix(u)]))
 
     def status(self, u: str) -> NodeStatus:
@@ -236,17 +251,14 @@ class ObservedGraph:
         return i is not None and self._status[i] == _CANDIDATE
 
     def _candidate_ixs(self) -> list[int]:
-        """Candidate indices, in ascending label order."""
-        status = self._status
-        ixs = [i for i in self._nbrs if status[i] == _CANDIDATE]
-        return sorted(ixs, key=self._labels.__getitem__)
+        """Candidate indices in ascending label order (see _in_label_order)."""
+        return self._in_label_order(_CANDIDATE)
 
     def candidate_nodes(self) -> list[str]:
         return list(map(self._labels.__getitem__, self._candidate_ixs()))
 
     def explored_nodes(self) -> list[str]:
-        status = self._status
-        return self._sorted_labels(i for i in self._nbrs if status[i] == _EXPLORED)
+        return list(map(self._labels.__getitem__, self._in_label_order(_EXPLORED)))
 
     def add_edge(self, u: str, v: str) -> bool:
         """Record an observed edge; returns True if it was new.
@@ -426,9 +438,7 @@ def write_observed(obs: ObservedGraph, sink: IO[str]) -> None:
     sink.write("[status]\n")
     status = obs._status
     codes = [s and s.value for s in _STATUSES]
-    sink.writelines(
-        f"{labels[i]} {codes[status[i]]}\n" for i in sorted(obs._nbrs, key=labels.__getitem__)
-    )
+    sink.writelines(f"{labels[i]} {codes[status[i]]}\n" for i in obs._in_label_order())
 
 
 def read_observed(source: IO[str], g: CompleteGraph) -> ObservedGraph:

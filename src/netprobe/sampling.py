@@ -140,8 +140,9 @@ def sample_random_walk(
     rng = random.Random(seed)
     origin = "rwj" if jump_prob > 0 else "rw"
     obs = ObservedGraph(g, origin=origin, target_edge_fraction=edge_fraction)
-    # the walk steps on indices; randrange(n) and choice(adj[i]) draw as
-    # choice(labels) and choice(g.neighbors(u)) would
+    # the walk steps on indices: randrange(n) draws as choice(g.labels())
+    # would, and choice(adj[i]) takes i's neighbours in index order, not in
+    # the label order of g.neighbors(u)
     n = g.n_nodes
     adj = g._adj
     current = rng.randrange(n)

@@ -225,7 +225,8 @@ def ref_detect_communities(obs: ObservedGraph, seed: int = 0) -> dict[str, int]:
     Returns a map from node label to community id; ids are renumbered by
     first appearance in label order, so equal seeds give identical output.
     """
-    labels = obs.nodes()
+    # sorted here, so that a wrong order from obs.nodes() cannot reach both
+    labels = sorted(obs.nodes())
     if not labels:
         return {}
     index = {u: i for i, u in enumerate(labels)}

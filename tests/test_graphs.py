@@ -95,6 +95,13 @@ class TestDegree:
         assert g.degree("b") == 2
         assert g.degree("a") == 1
 
+    def test_neighbors_in_label_order(self):
+        # b's neighbours get indices c, a: index order is not label order
+        g = CompleteGraph([("b", "c"), ("b", "a")])
+        obs = ObservedGraph(g)
+        obs.explore("b")
+        assert g.neighbors("b") == obs.neighbors("b") == ["a", "c"]
+
     def test_unknown_node(self):
         g = k4()
         with pytest.raises(UnknownNodeError):

@@ -3,10 +3,12 @@ sampler and every strategy: the budget holds, the probe log explains the
 final observation, the observation stays a subgraph whose explored nodes
 have complete neighbourhoods, the observed-graph file round-trips, and
 every observation is a consistent graph whose counting primitives agree
-with brute force.  A copy of an observation is equal to it and independent
-of it, and a reveal reports exactly what it added.  Every scorer keys its
-scores by candidate index in label order, and the selector keeps the same
-top b as a full sort by (-score, label); MaxOutProbe told b scores a
+with brute force and whose node listings are in label order, also when
+the complete graph's index order differs from it.  A copy of an
+observation is equal to it and independent of it, and a reveal reports
+exactly what it added.  Every scorer keys its scores by candidate index in
+label order, and the selector keeps the same top b as a full sort by
+(-score, label); MaxOutProbe told b scores a
 label-ordered subset of the candidates, with the same scores and the same
 top b as the unbounded call.  The probe-based estimates equal a
 brute-force replay of their probes.  On graphs whose index order differs
@@ -70,13 +72,19 @@ def _text(obs) -> str:
 
 
 def _check_representation(obs) -> None:
-    """obs is a consistent undirected graph with one status per node, and
+    """obs is a consistent undirected graph with one status per node, its
+    node listings and its file's [status] section are in label order, and
     its counting primitives equal the brute-force oracles."""
     adj = adjacency(obs)
     assert all(u in adj[v] for u in adj for v in adj[u])
     assert 2 * obs.n_edges == sum(len(neighbors) for neighbors in adj.values())
     candidates, explored = obs.candidate_nodes(), obs.explored_nodes()
+    assert candidates == sorted(candidates) and explored == sorted(explored)
     assert sorted(candidates + explored) == obs.nodes() == sorted(adj)
+    # nodes() reads the statuses, n_nodes the neighbour sets
+    assert len(obs.nodes()) == obs.n_nodes
+    status_lines = _text(obs).split("[status]\n")[1].splitlines()
+    assert [line.split()[0] for line in status_lines] == obs.nodes()
     for u in adj:
         assert (obs.status(u) is NodeStatus.CANDIDATE) == obs.is_candidate(u)
     counts = count_triangles_wedges(obs)
@@ -103,14 +111,17 @@ def _check_representation(obs) -> None:
     estimation_probes=st.integers(1, 8),
     known=st.booleans(),
     charge=st.booleans(),
+    relabel=st.booleans(),
     seed=st.integers(0, 2**32),
 )
 def test_session_invariants(
     n, p, graph_seed, sampler, strategy, edge_fraction, budget,
-    estimation_probes, known, charge, seed,
+    estimation_probes, known, charge, relabel, seed,
 ):
     try:
         g = random_graph(n, p, seed=graph_seed)
+        if relabel:
+            g = _relabelled(g, random.Random(seed))
         obs, fractions = run_sampler(g, sampler, edge_fraction, seed)
     except (EmptyGraphError, SamplingError):
         assume(False)
