@@ -29,7 +29,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, NetProbeError, SamplingError
-from .estimators import DEFAULT_ESTIMATION_PROBES, _check_fraction
+from .estimators import DEFAULT_ESTIMATION_PROBES, METHOD_FALLBACK, _check_fraction
 from .graphs import (
     count_triangles_wedges,
     global_clustering,
@@ -65,16 +65,12 @@ EXIT_RUNTIME = 2
 DEFAULT_BUDGETS = "0.01,0.02,0.03,0.04,0.05"
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; the contract here is exit 1."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise UsageError(message)
+        raise ConfigError(message)
 
     def _parse_optional(self, arg_string):
         # argparse takes only "-1" and "-.5"-like tokens for negative
@@ -155,16 +151,16 @@ def _known_sample_from_args(args) -> tuple[str, float] | None:
     flags = {"randnode": ("--f-n", args.f_n), "randedge": ("--f-e", args.f_e)}
     for sampler, (flag, fraction) in flags.items():
         if fraction is not None and sampler != args.known_sampler:
-            raise UsageError(f"{flag} is read only with --known-sampler {sampler}")
+            raise ConfigError(f"{flag} is read only with --known-sampler {sampler}")
     if args.known_sampler is None:
         return None
     flag, fraction = flags[args.known_sampler]
     if fraction is None:
-        raise UsageError(f"--known-sampler {args.known_sampler} requires {flag}")
+        raise ConfigError(f"--known-sampler {args.known_sampler} requires {flag}")
     try:
         _check_fraction(flag, fraction)
     except SamplingError as exc:
-        raise UsageError(str(exc)) from None
+        raise ConfigError(str(exc)) from None
     return (KNOWN_SAMPLE_KINDS[args.known_sampler], fraction)
 
 
@@ -173,7 +169,7 @@ def cmd_sample(args) -> int:
     try:
         check_sampler_args(args.sampler, args.fraction, args.jump_prob, g.n_edges)
     except SamplingError as exc:
-        raise UsageError(str(exc)) from None
+        raise ConfigError(str(exc)) from None
     obs, fractions = run_sampler(
         g, args.sampler, args.fraction, args.seed, jump_prob=args.jump_prob
     )
@@ -224,8 +220,8 @@ def cmd_estimate(args) -> int:
     obs = _load_observed(args.observed, g)
     budget = _parse_budget(args, g.n_nodes)
     est = estimate(g, obs, ProbeLedger(budget), known, n_probes=args.n_probes, seed=args.seed)
-    if est is None:
-        raise UsageError(
+    if est.method == METHOD_FALLBACK:
+        raise ConfigError(
             "budget too small for any estimation probe; "
             "use --known-sampler or a larger budget"
         )
@@ -244,7 +240,7 @@ def cmd_sweep(args) -> int:
     try:
         budgets = [float(b) for b in args.budget_fracs.split(",") if b]
     except ValueError:
-        raise UsageError(f"bad budget list {args.budget_fracs!r}") from None
+        raise ConfigError(f"bad budget list {args.budget_fracs!r}") from None
 
     grid = [
         TrialConfig(
@@ -383,13 +379,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NetProbeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as exc:
+    except (NetProbeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except Exception as exc:

@@ -18,6 +18,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import BudgetError, EstimationError, SamplingError
 from .graphs import (
@@ -32,7 +33,6 @@ from .probing import PHASE_ESTIMATION, ProbeLedger, probe
 METHOD_PROBE = "probe_based"
 METHOD_KNOWN_NODE = "known_node_sample"
 METHOD_KNOWN_EDGE = "known_edge_sample"
-# no probe was left to estimate with: the neutral m̂ = 2, ĉ = 0 stand in
 METHOD_FALLBACK = "fallback"
 
 DEFAULT_ESTIMATION_PROBES = 100
@@ -67,6 +67,11 @@ class EstimateSet:
                 "c_hat": self.clustering_clamped,
             },
         }
+
+
+# no probe was left to estimate with: the neutral m̂ = 2, ĉ = 0 stand in,
+# which ranks candidates by observed degree
+FALLBACK_ESTIMATE = EstimateSet(method=METHOD_FALLBACK, scale_multiplier=2.0, clustering=0.0)
 
 
 def probe_based_estimates(
@@ -190,29 +195,30 @@ def unbiased_clustering_edge_sampling(
     return min(1.0, max(0.0, raw)), not 0.0 <= raw <= 1.0
 
 
+def _closed_form_estimates(
+    obs: ObservedGraph, method: str, fraction: float,
+    degree_estimate: Callable[[int, float], float],
+    clustering_estimate: Callable[[float, float], tuple[float, bool]],
+) -> EstimateSet:
+    """Closed-form estimates of a sample of known origin and fraction: the
+    observed global clustering rescaled by clustering_estimate, and the
+    degree scale degree_estimate(1, fraction)."""
+    clustering, clamped = clustering_estimate(global_clustering(obs), fraction)
+    return EstimateSet(method=method, scale_multiplier=degree_estimate(1, fraction),
+                       clustering=clustering, clustering_clamped=clamped)
+
+
 def known_node_sample_estimates(obs: ObservedGraph, node_fraction: float) -> EstimateSet:
     """Closed-form estimates for a sample known to be random-node with the
     given selection fraction; spends no probes."""
-    c_obs = global_clustering(obs)
-    clustering, clamped = unbiased_clustering_node_sampling(c_obs, node_fraction)
-    return EstimateSet(
-        method=METHOD_KNOWN_NODE,
-        scale_multiplier=unbiased_degree_node_sampling(1, node_fraction),
-        clustering=clustering,
-        probes_used=0,
-        clustering_clamped=clamped,
-    )
+    return _closed_form_estimates(obs, METHOD_KNOWN_NODE, node_fraction,
+                                  unbiased_degree_node_sampling,
+                                  unbiased_clustering_node_sampling)
 
 
 def known_edge_sample_estimates(obs: ObservedGraph, edge_fraction: float) -> EstimateSet:
     """Closed-form estimates for a sample known to be random-edge with the
     given fraction; spends no probes."""
-    c_obs = global_clustering(obs)
-    clustering, clamped = unbiased_clustering_edge_sampling(c_obs, edge_fraction)
-    return EstimateSet(
-        method=METHOD_KNOWN_EDGE,
-        scale_multiplier=unbiased_degree_edge_sampling(1, edge_fraction),
-        clustering=clustering,
-        probes_used=0,
-        clustering_clamped=clamped,
-    )
+    return _closed_form_estimates(obs, METHOD_KNOWN_EDGE, edge_fraction,
+                                  unbiased_degree_edge_sampling,
+                                  unbiased_clustering_edge_sampling)

@@ -27,8 +27,11 @@ class ProbeLedger:
     """Tracks budget b and every probe spent against it."""
 
     budget: int
-    spent: int = 0
     log: list[ProbeLogEntry] = field(default_factory=list)
+
+    @property
+    def spent(self) -> int:
+        return len(self.log)
 
     @property
     def remaining(self) -> int:
@@ -56,7 +59,6 @@ def probe(
         raise BudgetError(f"probe budget {ledger.budget} exhausted")
 
     new_nodes, new_edges = obs.explore(u)
-    ledger.spent += 1
     entry = ProbeLogEntry(node=u, new_nodes=new_nodes, new_edges=new_edges, phase=phase)
     ledger.log.append(entry)
     return entry

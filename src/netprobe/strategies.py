@@ -20,8 +20,8 @@ from .communities import detect_communities
 from .errors import ConfigError, UnknownNodeError
 from .estimators import (
     DEFAULT_ESTIMATION_PROBES,
+    FALLBACK_ESTIMATE,
     EstimateSet,
-    METHOD_FALLBACK,
     known_edge_sample_estimates,
     known_node_sample_estimates,
     probe_based_estimates,
@@ -229,15 +229,15 @@ def estimate(
     known_sample: tuple[str, float] | None = None,
     n_probes: int = DEFAULT_ESTIMATION_PROBES,
     seed: int = 0,
-) -> EstimateSet | None:
-    """Estimate the degree scale and the clustering of obs.
+) -> EstimateSet:
+    """Estimate the degree scale and the clustering a plan ranks obs with.
 
     known_sample ("node" or "edge", fraction) selects the closed-form
     estimators of a random-node or random-edge sample, which spend no
     probes.  Otherwise up to n_probes estimation probes are charged to the
     ledger, capped at half its budget so selection keeps at least half, at
-    its remaining budget and at the number of candidates.  Returns None
-    when that cap leaves no probe.
+    its remaining budget and at the number of candidates.  When that cap
+    leaves no probe, it probes nothing and returns FALLBACK_ESTIMATE.
     """
     if known_sample is not None:
         kind, fraction = known_sample
@@ -249,7 +249,7 @@ def estimate(
     n_candidates = obs._status.count(_CANDIDATE)
     n_probes = min(n_probes, ledger.budget // 2, ledger.remaining, n_candidates)
     if n_probes < 1:
-        return None
+        return FALLBACK_ESTIMATE
     return probe_based_estimates(g, obs, ledger, n_probes=n_probes, seed=seed)
 
 
@@ -276,11 +276,7 @@ def make_probe_plan(
         est = estimate(
             g, obs, ledger, known_sample, n_probes=estimation_probes, seed=estimation_seed
         )
-        if est is None:
-            # no budget to estimate: a neutral multiplier and zero
-            # clustering fall back to ranking by observed degree
-            est = EstimateSet(method=METHOD_FALLBACK, scale_multiplier=2.0, clustering=0.0)
-        elif not charge_estimation:
+        if not charge_estimation:
             ledger.budget += est.probes_used
     b = ledger.remaining
     if scorer is None:

@@ -3,6 +3,7 @@ their callers look them up by (bench/tracing.py, TARGETS).  Each of those
 attributes must exist, or a traced benchmark run fails on start or reports
 no calls for the layer."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -26,3 +27,31 @@ def _targets():
 )
 def test_trace_target_resolves(module_name, attr):
     assert callable(getattr(importlib.import_module(module_name), attr))
+
+
+def _unused_imports(path: Path) -> set[str]:
+    """Names path imports but never loads: not as a name, not as the base
+    of an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_every_import_is_used_or_pinned_by_the_tracer():
+    # the tracer wraps a function at the module attribute its callers look
+    # it up by, so a module may import a name only for the tracer to find
+    pinned = {(module, attr) for module, attr, _ in _targets()}
+    package = Path(__file__).resolve().parent.parent / "src" / "netprobe"
+    unused = {
+        (f"netprobe.{path.stem}", name)
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+        for name in _unused_imports(path)
+    }
+    assert unused <= pinned, sorted(unused - pinned)

@@ -10,7 +10,9 @@ from netprobe.generators import random_graph
 from netprobe.graphs import CompleteGraph, ObservedGraph
 from netprobe.probing import (
     PHASE_ESTIMATION,
+    PHASE_SELECTION,
     ProbeLedger,
+    ProbeLogEntry,
     probe,
     write_probe_log,
 )
@@ -128,6 +130,12 @@ class TestLedgerAndLog:
         assert len(ledger.log) == 4
         assert ledger.log[0].phase == PHASE_ESTIMATION
         assert [e.node for e in ledger.log] == names
+
+    def test_spent_counts_the_log(self):
+        entry = ProbeLogEntry(node="u", new_nodes=2, new_edges=2, phase=PHASE_SELECTION)
+        ledger = ProbeLedger(budget=5, log=[entry, entry])
+        assert ledger.spent == 2
+        assert ledger.remaining == 3
 
     def test_csv_export(self):
         g, obs = small_world()

@@ -6,12 +6,13 @@ import pytest
 from scipy import stats as scipy_stats
 
 from netprobe.errors import ConfigError, UnknownNodeError
-from netprobe.estimators import EstimateSet, METHOD_PROBE
+from netprobe.estimators import FALLBACK_ESTIMATE, EstimateSet, METHOD_PROBE
 from netprobe.generators import hub_community_graph, planted_partition_graph, random_graph
 from netprobe.graphs import CompleteGraph, ObservedGraph, edge_dispersion
 from netprobe.probing import ProbeLedger
 from netprobe.sampling import sample_random_edge, sample_random_node
 from netprobe.strategies import (
+    estimate,
     make_probe_plan,
     score_clustering,
     score_cross_comm,
@@ -362,6 +363,20 @@ class TestMakeProbePlan:
         assert est.probes_used == 1
         assert plan.nodes == ()
         assert ledger.spent == 1
+
+    def test_no_estimation_probe_fits_gives_the_fallback(self):
+        # half of a budget of 1 rounds to no probe: the one fallback
+        # estimate, nothing probed, and no refund when uncharged
+        g, obs, _ = self.setup_sample()
+        ledger = ProbeLedger(budget=1)
+        assert estimate(g, obs, ledger, seed=2) is FALLBACK_ESTIMATE
+        assert ledger.log == []
+        _, est = make_probe_plan(
+            "maxoutprobe", g, obs, ledger,
+            selection_seed=1, estimation_seed=2, charge_estimation=False,
+        )
+        assert est is FALLBACK_ESTIMATE
+        assert ledger.budget == 1
 
     def test_tiny_budget_falls_back_to_degree_ranking(self):
         g, obs, _ = self.setup_sample()
