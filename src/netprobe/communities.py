@@ -7,20 +7,30 @@ partition is deterministic for a given seed.
 
 Every level runs on positions: the observed nodes in label order (as
 ObservedGraph lists them, from the label order the complete graph sorts
-once at load) are positions 0..n-1, adj[u] maps each neighbour position
-of u to the edge weight, and the per-node state is held in lists.  These
-orders keep the partition of a seed byte-identical to the label-keyed
-original:
+once at load) are positions 0..n-1.  A level is pairs[u], the list of u's
+(neighbour position, weight) pairs without u itself, and loops[u], u's
+self-loop weight.  These orders keep the partition of a seed byte-identical
+to the label-keyed original:
 
 * each pass shuffles range(n) once with the seeded generator, so the
   visiting order depends on the positions, that is on label order;
 * ties in gain within 1e-12 go to the lower community id;
-* the first level's adj[u] holds its keys in ascending position, and each
-  aggregated level inserts them as _aggregate first meets them (u
-  ascending, then adj[u] in its order).  This fixes the order in which a
+* the first level's pairs[u] holds its neighbours in ascending position,
+  and each aggregated level lists them as _aggregate first meets them (u
+  ascending, then pairs[u] in its order).  This fixes the order in which a
   node's links are summed and its candidate communities compared.  Every
   weight is a multiple of 1/2, whose sums are exact, so this order can only
   matter between gains within 1e-12 of each other.
+
+The local move skips a node whose choice cannot have changed since it last
+chose to stay.  A move counter stamps the old and the new community of each
+move; u is skipped while neither its own community nor any neighbour's
+community has been stamped since u's last stay.  This is exact: u's choice
+reads only its own community, its neighbours' communities and the totals
+of those communities, and a stay leaves every total unchanged to the bit,
+because with weights in multiples of 1/2, (T - s) + s == T.  The shuffle
+still runs once per pass and the passes still end after the first pass
+without a move, so the draws and the number of passes are unchanged too.
 """
 
 from __future__ import annotations
@@ -28,45 +38,55 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 
+from .errors import UnknownNodeError
 from .graphs import ObservedGraph
+
+# per node of a level: its (neighbour position, weight) pairs, self excluded
+Pairs = list[list[tuple[int, float]]]
 
 
 def _local_move(
-    adj: list[dict[int, float]],
+    pairs: Pairs,
+    loops: list[float],
     total_weight: float,
     rng: random.Random,
 ) -> tuple[list[int], bool]:
     """One level of Louvain local moving.  Returns (community list, improved)."""
-    n = len(adj)
+    n = len(pairs)
     community = list(range(n))
     # strength = weighted degree incl. self-loops counted twice
-    strength = [
-        sum(w for v, w in nbrs.items() if v != u) + 2.0 * nbrs.get(u, 0.0)
-        for u, nbrs in enumerate(adj)
-    ]
+    strength = [sum(w for _, w in nbrs) + 2.0 * loop for nbrs, loop in zip(pairs, loops)]
     comm_total = list(strength)
     m2 = 2.0 * total_weight
-    # each node's (neighbour, weight) pairs in adj order, self-loops excluded
-    pairs = [[(v, w) for v, w in nbrs.items() if v != u] for u, nbrs in enumerate(adj)]
+    # changed[c]: the move count when c's total last changed; settled[u]: the
+    # move count at u's last stay, -1 before it first stays
+    moves = 0
+    changed = [0] * n
+    settled = [-1] * n
 
-    improved = False
-    moved = True
-    while moved:
-        moved = False
+    while True:
+        moves_before = moves
         order = list(range(n))
         rng.shuffle(order)
         for u in order:
             cu = community[u]
+            nbrs = pairs[u]
+            s = settled[u]
+            if s >= changed[cu]:
+                for v, _ in nbrs:
+                    if changed[community[v]] > s:
+                        break
+                else:
+                    continue
             su = strength[u]
-            # weight from u to each neighboring community, summed in adj order
+            # weight from u to each neighboring community, summed in pair order
             links: dict[int, float] = {}
             get = links.get
-            for v, w in pairs[u]:
+            for v, w in nbrs:
                 c = community[v]
                 links[c] = get(c, 0.0) + w
-            comm_total[cu] -= su
             best_comm = cu
-            best_gain = get(cu, 0.0) - comm_total[cu] * su / m2
+            best_gain = get(cu, 0.0) - (comm_total[cu] - su) * su / m2
             for c, w_uc in links.items():
                 if c == cu:
                     continue
@@ -76,40 +96,44 @@ def _local_move(
                 ):
                     best_gain = gain
                     best_comm = c
-            comm_total[best_comm] += su
-            if best_comm != cu:
+            if best_comm == cu:
+                settled[u] = moves
+            else:
+                comm_total[cu] -= su
+                comm_total[best_comm] += su
                 community[u] = best_comm
-                moved = True
-                improved = True
-    return community, improved
+                moves += 1
+                changed[cu] = changed[best_comm] = moves
+        if moves == moves_before:
+            return community, moves > 0
 
 
 def _aggregate(
-    adj: list[dict[int, float]], community: list[int]
-) -> tuple[list[dict[int, float]], list[int]]:
+    pairs: Pairs, loops: list[float], community: list[int]
+) -> tuple[Pairs, list[float], list[int]]:
     """Collapse each community into one node, accumulating edge weights.
 
-    Returns the new adjacency and the node -> super-node map.  Within-
-    community weight becomes a self-loop (stored at half weight so that the
-    degree bookkeeping above stays consistent).
+    Returns the new level's pairs and loops and the node -> super-node map.
+    Within-community weight becomes a self-loop (each undirected edge is
+    seen from both endpoints, so it adds half per sighting); the weights
+    between two super-nodes are listed in the order first met.
     """
     comm_ids = sorted(set(community))
     renumber = {c: i for i, c in enumerate(comm_ids)}
     node_map = [renumber[c] for c in community]
-    new_adj: list[dict[int, float]] = [defaultdict(float) for _ in comm_ids]
-    for u, neighbors in enumerate(adj):
+    new_loops = [0.0] * len(comm_ids)
+    links: list[dict[int, float]] = [{} for _ in comm_ids]
+    for u, nbrs in enumerate(pairs):
         cu = node_map[u]
-        for v, w in neighbors.items():
+        row = links[cu]
+        new_loops[cu] += loops[u]
+        for v, w in nbrs:
             cv = node_map[v]
-            if u == v:
-                new_adj[cu][cu] += w
-            elif cu == cv:
-                # each undirected within-community edge is seen from both
-                # endpoints; accumulate half per sighting
-                new_adj[cu][cu] += w / 2.0
+            if cu == cv:
+                new_loops[cu] += w / 2.0
             else:
-                new_adj[cu][cv] += w
-    return [dict(nbrs) for nbrs in new_adj], node_map
+                row[cv] = row.get(cv, 0.0) + w
+    return [list(row.items()) for row in links], new_loops, node_map
 
 
 def detect_communities(obs: ObservedGraph, seed: int = 0) -> dict[str, int]:
@@ -124,19 +148,20 @@ def detect_communities(obs: ObservedGraph, seed: int = 0) -> dict[str, int]:
     if not order:
         return {}
     position = {ix: k for k, ix in enumerate(order)}
-    adj = [dict.fromkeys(sorted(map(position.__getitem__, nbrs[ix])), 1.0) for ix in order]
+    pairs = [[(v, 1.0) for v in sorted(map(position.__getitem__, nbrs[ix]))] for ix in order]
+    loops = [0.0] * len(order)
     total_weight = float(obs.n_edges)
     rng = random.Random(seed)
 
     # membership[k] tracks the current super-node of position k
     membership = list(range(len(order)))
     while True:
-        community, improved = _local_move(adj, total_weight, rng)
-        if not improved or len(set(community)) == len(adj):
+        community, improved = _local_move(pairs, loops, total_weight, rng)
+        if not improved or len(set(community)) == len(pairs):
             # nothing moved, or every community is a singleton: done either
             # way, and the discarded move map cannot change the partition
             break
-        adj, node_map = _aggregate(adj, community)
+        pairs, loops, node_map = _aggregate(pairs, loops, community)
         membership = [node_map[c] for c in membership]
 
     renumber: dict[int, int] = {}
@@ -148,19 +173,37 @@ def detect_communities(obs: ObservedGraph, seed: int = 0) -> dict[str, int]:
     return partition
 
 
+def communities_by_index(obs: ObservedGraph, partition: dict[str, int]) -> dict[int, int]:
+    """The label-keyed partition keyed by observed node index.
+
+    The partition must cover every observed node (UnknownNodeError if not).
+    """
+    labels = obs._labels
+    try:
+        return {i: partition[labels[i]] for i in obs._nbrs}
+    except KeyError as exc:
+        raise UnknownNodeError(
+            f"node {exc.args[0]!r} missing from the community partition"
+        ) from None
+
+
 def modularity(obs: ObservedGraph, partition: dict[str, int]) -> float:
-    """Newman modularity of a partition of the observed graph (weight 1)."""
+    """Newman modularity of a partition of the observed graph (weight 1).
+
+    The partition must cover every observed node (UnknownNodeError if not).
+    """
+    community = communities_by_index(obs, partition)
     m = obs.n_edges
     if m == 0:
         return 0.0
+    nbrs = obs._nbrs
     within = 0
     comm_degree: dict[int, int] = defaultdict(int)
-    for u in obs.nodes():
-        cu = partition[u]
-        comm_degree[cu] += obs.degree(u)
-        for v in obs.neighbors(u):
-            if u < v and partition[v] == cu:
-                within += 1
+    # communities first met in label order, the order their squares are summed
+    for u in obs._in_label_order():
+        cu = community[u]
+        comm_degree[cu] += len(nbrs[u])
+        within += sum(community[v] == cu for v in nbrs[u] if v > u)
     q = within / m
     q -= sum((d / (2.0 * m)) ** 2 for d in comm_degree.values())
     return q

@@ -16,8 +16,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .communities import detect_communities
-from .errors import ConfigError, UnknownNodeError
+from .communities import communities_by_index, detect_communities
+from .errors import ConfigError
 from .estimators import (
     DEFAULT_ESTIMATION_PROBES,
     FALLBACK_ESTIMATE,
@@ -155,13 +155,8 @@ def score_cross_comm(obs: ObservedGraph, partition: dict[str, int]) -> Scores:
 
     The partition must cover every observed node (UnknownNodeError if not).
     """
-    labels, nbrs = obs._labels, obs._nbrs
-    try:
-        community = {i: partition[labels[i]] for i in nbrs}
-    except KeyError as exc:
-        raise UnknownNodeError(
-            f"node {exc.args[0]!r} missing from the community partition"
-        ) from None
+    nbrs = obs._nbrs
+    community = communities_by_index(obs, partition)
     scores = {}
     for i in obs._candidate_ixs():
         mine = nbrs[i]

@@ -2,7 +2,10 @@
 
 import random
 
+import pytest
+
 from netprobe.communities import detect_communities, modularity
+from netprobe.errors import UnknownNodeError
 from netprobe.generators import planted_partition_graph, random_graph
 from netprobe.graphs import CompleteGraph, ObservedGraph
 from netprobe.sampling import sample_random_edge
@@ -121,3 +124,9 @@ def test_bridge_node_crosses_half():
 
     scores = by_label(obs, score_cross_comm(obs, partition))
     assert scores["bridge"] == 0.5
+
+
+def test_modularity_rejects_a_partition_missing_an_observed_node():
+    obs = full_view(CompleteGraph([("a", "b"), ("b", "c"), ("c", "d")]))
+    with pytest.raises(UnknownNodeError, match="'c' missing from the community partition"):
+        modularity(obs, {"a": 0, "b": 0, "d": 1})

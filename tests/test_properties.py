@@ -12,7 +12,8 @@ label order, and the selector keeps the same top b as a full sort by
 label-ordered subset of the candidates, with the same scores and the same
 top b as the unbounded call.  The probe-based estimates equal a
 brute-force replay of their probes.  On graphs whose index order differs
-from their label order, Louvain equals the frozen label-keyed reference and
+from their label order, Louvain equals the frozen label-keyed reference,
+and so does each of its steps on random weighted levels with self-loops;
 the dispersion, clustering and cross-community scores equal their
 definitions.  Then properties of the CCDF and AUC aggregation."""
 
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from netprobe.communities import detect_communities
+from netprobe.communities import _aggregate, _local_move, detect_communities
 from netprobe.errors import EmptyGraphError, SamplingError, UnknownNodeError
 from netprobe.estimators import METHOD_PROBE, EstimateSet, probe_based_estimates
 from netprobe.generators import random_graph
@@ -61,7 +62,9 @@ from oracles import (
     brute_two_hop_open_wedges,
     brute_wedges,
     by_label,
+    ref_aggregate,
     ref_detect_communities,
+    ref_local_move,
 )
 
 
@@ -356,6 +359,76 @@ def test_detect_communities_equals_the_label_keyed_reference(
         partition = detect_communities(obs, seed=louvain_seed)
         # equal values in equal key order: labels ascending
         assert list(partition.items()) == list(ref_detect_communities(obs, louvain_seed).items())
+
+
+def _dict_level(pairs, loops):
+    """A pair-list level in the reference's dict-of-dicts form: each node's
+    neighbours in pair order, then its self-loop if it has one."""
+    return {
+        u: {**dict(row), **({u: loop} if loop else {})}
+        for u, (row, loop) in enumerate(zip(pairs, loops))
+    }
+
+
+@st.composite
+def louvain_levels(draw):
+    """Symmetric levels as _aggregate makes them: weights and self-loops in
+    multiples of 1/2, each node's pairs in an arbitrary order."""
+    n = draw(st.integers(1, 10))
+    possible = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(possible), unique=True)) if possible else []
+    halves = st.integers(1, 16).map(lambda k: k / 2)
+    pairs = [[] for _ in range(n)]
+    for a, b in edges:
+        w = draw(halves)
+        pairs[a].append((b, w))
+        pairs[b].append((a, w))
+    loops = draw(st.lists(st.integers(0, 16).map(lambda k: k / 2), min_size=n, max_size=n))
+    community = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return pairs, loops, community
+
+
+@settings(max_examples=300, deadline=None)
+@given(level=louvain_levels(), seed=st.integers(0, 2**32))
+def test_a_level_moves_and_aggregates_as_the_dict_reference(level, seed):
+    pairs, loops, community = level
+    total_weight = sum(w for row in pairs for _, w in row) / 2 + sum(loops)
+    assume(total_weight > 0)
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    moved, improved = _local_move(pairs, loops, total_weight, rng)
+    ref_moved, ref_improved = ref_local_move(_dict_level(pairs, loops), total_weight, ref_rng)
+    assert moved == [ref_moved[u] for u in range(len(pairs))]
+    assert improved == ref_improved
+    # equal generator states: the same number of passes, each one shuffle
+    assert rng.getstate() == ref_rng.getstate()
+
+    new_pairs, new_loops, node_map = _aggregate(pairs, loops, community)
+    ref_adj, ref_map = ref_aggregate(_dict_level(pairs, loops), dict(enumerate(community)))
+    assert node_map == [ref_map[u] for u in range(len(pairs))]
+    assert new_loops == [ref_adj[c].get(c, 0.0) for c in range(len(ref_adj))]
+    assert new_pairs == [[(v, w) for v, w in ref_adj[c].items() if v != c] for c in range(len(ref_adj))]
+
+
+def test_a_stay_is_revisited_when_its_own_community_grows():
+    # with seed 2: node 2 joins 1 and node 0 joins them; 1 leaves for {4, 5};
+    # 0 stays, with no neighbour left in its community; 3 joins that
+    # community through 2.  No neighbour of 0 changed community, so only the
+    # stamp on 0's own community makes 0 look again, and then it leaves.
+    pairs = [
+        [(1, 5.0)],
+        [(0, 5.0), (2, 8.0), (4, 10.0), (5, 9.0)],
+        [(1, 8.0), (3, 4.0)],
+        [(2, 4.0)],
+        [(1, 10.0), (5, 9.0)],
+        [(1, 9.0), (4, 9.0)],
+    ]
+    loops = [3.0, 0.0, 0.0, 6.0, 1.0, 0.5]
+    rng, ref_rng = random.Random(2), random.Random(2)
+    moved, improved = _local_move(pairs, loops, 55.5, rng)
+    ref_moved, _ = ref_local_move(_dict_level(pairs, loops), 55.5, ref_rng)
+    assert moved == [ref_moved[u] for u in range(6)] == [5, 5, 1, 1, 5, 5]
+    assert improved
+    assert rng.getstate() == ref_rng.getstate()
 
 
 @settings(max_examples=150, deadline=None)
