@@ -14,6 +14,12 @@ every count flag (budget, probes, jobs) must be at least 1.  --f-n goes
 only with --known-sampler randnode and --f-e only with --known-sampler
 randedge.  The NETPROBE_JOBS environment variable sets the default sweep
 parallelism.
+
+main runs with CPython's cyclic garbage collector paused, from parsing the
+flags to the command's last write: a command builds no reference cycle, so
+what it drops is freed by reference counting, and its graph is gone before
+the pause ends, so the collector never walks it.  main restores the
+collector state its caller had, whatever the exit code.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from .graphs import (
 from .harness import (
     KNOWN_SAMPLE_KINDS,
     TrialConfig,
+    _collector_paused,
     budget_from_fraction,
     improvement_curves,
     run_session,
@@ -374,6 +381,10 @@ def build_parser() -> _Parser:
     return parser
 
 
+# the whole of main, parser included: a parser is cyclic garbage once main
+# returns, and one built while the collector runs can be promoted to the
+# oldest generation, where it waits for a rare full pass
+@_collector_paused()
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:

@@ -16,6 +16,7 @@ its nodes by filtering that list on their status, with no sort of its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import IO, AbstractSet, Iterable, Iterator, Mapping
@@ -444,8 +445,9 @@ def write_observed(obs: ObservedGraph, sink: IO[str]) -> None:
 def read_observed(source: IO[str], g: CompleteGraph) -> ObservedGraph:
     """Parse an observed graph written by :func:`write_observed`.
 
-    Validates the subgraph property, status coverage, and the completeness
-    of every explored node's neighborhood.
+    Validates the subgraph property, status coverage (exactly one entry per
+    observed node), the completeness of every explored node's neighborhood,
+    and a target edge fraction in [0, 1].
     """
     origin = ""
     target_fraction = 0.0
@@ -464,7 +466,12 @@ def read_observed(source: IO[str], g: CompleteGraph) -> ObservedGraph:
                 try:
                     target_fraction = float(body[len("target_edge_fraction:"):])
                 except ValueError:
-                    raise ParseError(f"line {lineno}: bad target_edge_fraction") from None
+                    target_fraction = math.nan
+                # the comparison is false for nan
+                if not 0.0 <= target_fraction <= 1.0:
+                    raise ParseError(
+                        f"line {lineno}: bad target_edge_fraction, expected a number in [0, 1]"
+                    )
             continue
         if line == "[edges]":
             section = "edges"
@@ -480,6 +487,8 @@ def read_observed(source: IO[str], g: CompleteGraph) -> ObservedGraph:
         elif section == "status":
             if len(tokens) != 2 or tokens[1] not in ("E", "C"):
                 raise ParseError(f"line {lineno}: expected '<label> E|C'")
+            if tokens[0] in statuses:
+                raise ParseError(f"line {lineno}: second status entry for {tokens[0]!r}")
             statuses[tokens[0]] = tokens[1]
         else:
             raise ParseError(f"line {lineno}: content outside any section")

@@ -1,13 +1,24 @@
 """Experiment harness: run sampling + probing trials, pair every strategy
 trial with a Random baseline on the identical sample, and aggregate percent
-improvements into CCDF curves with trapezoidal AUC."""
+improvements into CCDF curves with trapezoidal AUC.
+
+A sweep's work unit (one drawn sample and every trial on it) runs with
+CPython's cyclic garbage collector paused.  A trial allocates many
+container objects but builds no reference cycle, so every object it drops
+is freed by reference counting; the collector would find nothing, yet each
+of its full passes walks the whole complete graph.  The pause is
+process-wide, and the collector state the caller had is restored when the
+unit ends, also when a trial raises.
+"""
 
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import logging
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import chain
 from typing import IO, Sequence
@@ -302,18 +313,45 @@ class _TrialSpec:
         return row
 
 
+@contextmanager
+def _collector_paused():
+    """Run the body with the cyclic garbage collector off, and turn it back
+    on afterwards only if it was on before, so nested use and a caller that
+    had it off both keep their state."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _detached(exc: NetProbeError) -> NetProbeError:
+    """exc without its traceback or chained exceptions, which hold the frames
+    the error passed through: kept in a unit's outcomes, they would put the
+    unit's frame, sample and outcomes in a reference cycle.  Only the
+    message is used, as for an outcome pickled back from a pool worker."""
+    exc.__cause__ = exc.__context__ = None
+    return exc.with_traceback(None)
+
+
+# a decorator, not a with block in the body: the pause must end after the
+# unit's frame and the sample it holds are freed, or the collector's first
+# pass would walk the whole sample
+@_collector_paused()
 def _run_unit(g: CompleteGraph, specs: list[_TrialSpec]) -> list:
     """Draw the sample the specs share once, then run each spec's trial on
     its own copy of it, the last trial on the sample itself.  Returns one
     TrialResult or NetProbeError per spec; a sample that fails fails every
-    trial."""
+    trial.  Runs with the cyclic garbage collector paused."""
     c = specs[0].config
     try:
         sample, fractions = run_sampler(
             g, c.sampler, c.edge_fraction, specs[0].sampler_seed, jump_prob=c.jump_prob
         )
     except NetProbeError as exc:
-        return [exc] * len(specs)
+        return [_detached(exc)] * len(specs)
     outcomes = []
     last = len(specs) - 1
     for k, spec in enumerate(specs):
@@ -321,7 +359,7 @@ def _run_unit(g: CompleteGraph, specs: list[_TrialSpec]) -> list:
             obs = sample if k == last else sample.copy()
             outcomes.append(_probe_sample(g, spec.config, obs, fractions, spec.strategy_seed))
         except NetProbeError as exc:
-            outcomes.append(exc)
+            outcomes.append(_detached(exc))
     return outcomes
 
 
@@ -329,8 +367,12 @@ _WORKER_GRAPH: CompleteGraph | None = None
 
 
 def _init_worker(g: CompleteGraph) -> None:
+    """Store the graph, and turn the collector on: a forked worker inherits
+    the state of the process that started it, which may be paused, and
+    only _run_unit's own pause should hold in a worker."""
     global _WORKER_GRAPH
     _WORKER_GRAPH = g
+    gc.enable()
 
 
 def _run_unit_in_worker(specs: list[_TrialSpec]) -> list:

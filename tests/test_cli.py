@@ -1,6 +1,7 @@
 """CLI workflows: subcommands, manifests, exit codes, reproducibility."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -492,6 +493,44 @@ class TestStats:
         stats = json.loads(capsys.readouterr().out)
         assert stats["observed"]["explored"] == 0
         assert stats["observed"]["origin"] == "randedge"
+
+
+class TestCollectorPause:
+    @pytest.fixture()
+    def load_states(self, monkeypatch):
+        """The collector's state at each graph load, which the command runs."""
+        states = []
+        load_graph = cli._load_graph
+
+        def recording_load_graph(path):
+            states.append(gc.isenabled())
+            return load_graph(path)
+
+        monkeypatch.setattr(cli, "_load_graph", recording_load_graph)
+        yield states
+        gc.enable()
+
+    @pytest.mark.parametrize("code, argv", [
+        (0, ["stats", "--graph", "{graph}"]),
+        (1, ["sample", "--graph", "{graph}", "--sampler", "randedge", "--fraction", "2",
+             "--out", "{tmp}/obs.txt"]),
+        (2, ["stats", "--graph", "{tmp}/missing.edges"]),
+    ])
+    def test_a_command_runs_paused_and_restores_the_collector(
+        self, graph_file, tmp_path, capsys, load_states, code, argv
+    ):
+        argv = [a.format(graph=graph_file, tmp=tmp_path) for a in argv]
+        assert main(argv) == code
+        assert load_states == [False]
+        assert gc.isenabled()
+
+    def test_a_caller_that_turned_the_collector_off_finds_it_off(
+        self, graph_file, capsys, load_states
+    ):
+        gc.disable()
+        assert run("stats", "--graph", graph_file) == 0
+        assert load_states == [False]
+        assert not gc.isenabled()
 
 
 N_NODES, N_EDGES = 60, 168

@@ -324,3 +324,23 @@ class TestObservedGraph:
         text = "[edges]\na c\n[status]\na C\nc C\n"
         with pytest.raises(UnknownNodeError):
             read_observed(io.StringIO(text), g)
+
+    def test_read_rejects_a_second_status_entry_for_a_node(self):
+        g = CompleteGraph([("a", "b"), ("b", "c"), ("c", "d")])
+        text = "[edges]\na b\n[status]\na E\nb C\na C\n"
+        with pytest.raises(ParseError, match=r"line 6: second status entry for 'a'"):
+            read_observed(io.StringIO(text), g)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.1", "1.5", "one"])
+    def test_read_rejects_a_target_edge_fraction_outside_the_unit_interval(self, value):
+        g = CompleteGraph([("a", "b")])
+        text = f"# origin: randedge\n# target_edge_fraction: {value}\n[edges]\na b\n" \
+               "[status]\na C\nb C\n"
+        with pytest.raises(ParseError, match="line 2: bad target_edge_fraction"):
+            read_observed(io.StringIO(text), g)
+
+    @pytest.mark.parametrize("value", ["0.0", "1.0", "0.25"])
+    def test_read_accepts_a_target_edge_fraction_in_the_unit_interval(self, value):
+        g = CompleteGraph([("a", "b")])
+        text = f"# target_edge_fraction: {value}\n[edges]\na b\n[status]\na E\nb E\n"
+        assert read_observed(io.StringIO(text), g).target_edge_fraction == float(value)

@@ -1,13 +1,15 @@
 """Trial execution, pairing, CCDF/AUC aggregation, and sweep plumbing."""
 
+import gc
 import io
+import logging
 import random
 from dataclasses import replace
 
 import pytest
 
-from netprobe import harness
-from netprobe.errors import ConfigError, SamplingError
+from netprobe import harness, strategies
+from netprobe.errors import ConfigError, NetProbeError, SamplingError
 from netprobe.generators import planted_partition_graph, random_graph
 from netprobe.graphs import ObservedGraph
 from netprobe.harness import (
@@ -26,7 +28,7 @@ from netprobe.harness import (
     write_curves_csv,
     write_results_csv,
 )
-from netprobe.sampling import run_sampler
+from netprobe.sampling import SAMPLER_NAMES, run_sampler
 
 from oracles import brute_ccdf_value, brute_closure_nodes
 
@@ -443,6 +445,126 @@ class TestSweep:
         g = random_graph(20, 0.3, seed=14)
         with pytest.raises(ConfigError):
             sweep(g, [], master_seed=1)
+
+
+@pytest.fixture()
+def collector_restored():
+    """Turn the collector back on after the test, whatever the test did."""
+    yield
+    gc.enable()
+
+
+@pytest.mark.usefixtures("collector_restored")
+class TestCollectorPause:
+    def grid(self, strategies_=("highdeg", "random"), samplers=("randedge",)):
+        return [
+            TrialConfig(sampler=sampler, strategy=strategy, edge_fraction=0.2,
+                        budget_fraction=0.1, n_repeats=2, estimation_probes=4)
+            for sampler in samplers
+            for strategy in strategies_
+        ]
+
+    def test_trials_run_paused_and_the_collector_is_back_on_after(self, monkeypatch):
+        g = planted_partition_graph(6, 10, 0.5, 0.02, seed=8)
+        states = []
+        run_session = harness.run_session
+
+        def recording_run_session(*args, **kwargs):
+            states.append(gc.isenabled())
+            if args[2] == "random":
+                raise SamplingError("random failed")
+            return run_session(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_session", recording_run_session)
+        rows = sweep(g, self.grid(), master_seed=1)
+        assert states == [False] * 4
+        assert [r["nodes_after"] == "" for r in rows] == [False] * 2 + [True] * 4
+        assert gc.isenabled()
+
+    def test_the_pause_ends_after_the_unit_has_dropped_its_sample(self, monkeypatch):
+        # else the collector's first pass after a unit would walk the sample
+        g = planted_partition_graph(6, 10, 0.5, 0.02, seed=8)
+        observed_at_enable = []
+        enable = gc.enable
+
+        def recording_enable():
+            observed_at_enable.append(
+                sum(isinstance(o, ObservedGraph) for o in gc.get_objects())
+            )
+            enable()
+
+        monkeypatch.setattr(gc, "enable", recording_enable)
+        sweep(g, self.grid(), master_seed=1)
+        assert observed_at_enable == [0, 0]
+
+    def test_a_unit_that_raises_turns_the_collector_back_on(self, monkeypatch):
+        g = planted_partition_graph(6, 10, 0.5, 0.02, seed=8)
+
+        def broken_run_session(*args, **kwargs):
+            raise TypeError("injected bug")
+
+        monkeypatch.setattr(harness, "run_session", broken_run_session)
+        spec = harness._TrialSpec.derive(1, self.grid()[0], 0)
+        with pytest.raises(TypeError, match="injected bug"):
+            harness._run_unit(g, [spec])
+        assert gc.isenabled()
+
+    def test_a_caller_that_turned_the_collector_off_finds_it_off(self):
+        g = planted_partition_graph(6, 10, 0.5, 0.02, seed=8)
+        gc.disable()
+        assert sweep(g, self.grid(), master_seed=1)
+        assert not gc.isenabled()
+
+    def test_nested_pauses_end_with_the_outermost(self):
+        with harness._collector_paused():
+            with harness._collector_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_a_worker_starts_with_the_collector_on(self, monkeypatch):
+        # a worker forked from a paused process inherits the pause
+        monkeypatch.setattr(harness, "_WORKER_GRAPH", None)
+        g = planted_partition_graph(5, 8, 0.5, 0.02, seed=13)
+        gc.disable()
+        harness._init_worker(g)
+        assert gc.isenabled()
+        assert harness._WORKER_GRAPH is g
+
+    @pytest.mark.parametrize("failing", [None, "scorer", "scorer, chained", "sampler"])
+    def test_a_sweep_leaves_no_cyclic_garbage(self, monkeypatch, caplog, failing):
+        # the premise of the pause: what a trial drops, reference counting
+        # frees, also when a trial fails; the collector stays off from the
+        # first count to the second, so no pass of its own can hide a cycle,
+        # and no warning is recorded, so no kept record keeps an error alive
+        caplog.set_level(logging.ERROR, logger="netprobe.harness")
+
+        def failing_scorer(obs, seed, est, b):
+            if failing == "scorer":
+                raise NetProbeError("injected scorer failure")
+            try:
+                {}[obs.origin]
+            except KeyError:
+                raise NetProbeError("injected scorer failure") from None
+
+        def failing_sampler(g, sampler, *args, **kwargs):
+            if sampler == "rw":
+                raise SamplingError("injected sampler failure")
+            return run_sampler(g, sampler, *args, **kwargs)
+
+        if failing == "sampler":
+            monkeypatch.setattr(harness, "run_sampler", failing_sampler)
+        elif failing is not None:
+            monkeypatch.setitem(strategies.STRATEGIES, "highcc", failing_scorer)
+        g = planted_partition_graph(6, 10, 0.5, 0.02, seed=8)
+        grid = self.grid(tuple(strategies.STRATEGIES), SAMPLER_NAMES)
+        gc.disable()
+        gc.collect()
+        rows = sweep(g, grid, master_seed=3)
+        assert gc.collect() == 0
+        failed = {(r["sampler"], r["strategy"]) for r in rows if r["nodes_after"] == ""}
+        expected = {None: set(), "sampler": {("rw", name) for name in strategies.STRATEGIES}}
+        assert failed == expected.get(failing, {(name, "highcc") for name in SAMPLER_NAMES})
 
 
 class TestCurveExport:
