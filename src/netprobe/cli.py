@@ -240,14 +240,26 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+def _distinct(flag: str, entries: list) -> list:
+    """entries, unless one is listed twice: its trials would run twice and
+    count twice in the curves."""
+    seen = set()
+    for entry in entries:
+        if entry in seen:
+            raise ConfigError(f"{flag} lists {entry!r} more than once")
+        seen.add(entry)
+    return entries
+
+
 def cmd_sweep(args) -> int:
     g = _load_graph(args.graph)
-    samplers = [s for s in args.samplers.split(",") if s]
-    strategies = [s for s in args.strategies.split(",") if s]
+    samplers = _distinct("--samplers", [s for s in args.samplers.split(",") if s])
+    strategies = _distinct("--strategies", [s for s in args.strategies.split(",") if s])
     try:
         budgets = [float(b) for b in args.budget_fracs.split(",") if b]
     except ValueError:
         raise ConfigError(f"bad budget list {args.budget_fracs!r}") from None
+    _distinct("--budget-fracs", budgets)
 
     grid = [
         TrialConfig(

@@ -17,8 +17,10 @@ its nodes by filtering that list on their status, with no sort of its own.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import IO, AbstractSet, Iterable, Iterator, Mapping
 
 from .errors import (
@@ -69,46 +71,44 @@ class CompleteGraph:
     __slots__ = ("_index", "_labels", "_by_label", "_adj", "_nbrs", "_n_edges", "load_report")
 
     def __init__(self, edges: Iterable[tuple[str, str]], lines_read: int = 0):
-        index: dict[str, int] = {}
-        labels: list[str] = []
-        nbrs: list[set[int]] = []
-        n_edges = duplicates = self_loops = 0
-        for a, b in edges:
-            if a == b:
-                self_loops += 1
-                continue
-            ia = index.get(a)
-            if ia is None:
-                ia = index[a] = len(labels)
-                labels.append(a)
-                nbrs.append(set())
-            ib = index.get(b)
-            if ib is None:
-                ib = index[b] = len(labels)
-                labels.append(b)
-                nbrs.append(set())
-            if ib in nbrs[ia]:
-                duplicates += 1
-                continue
-            nbrs[ia].add(ib)
-            nbrs[ib].add(ia)
-            n_edges += 1
+        self._build(list(chain.from_iterable(edges)), lines_read)
 
+    @classmethod
+    def _from_tokens(cls, tokens: list[str], lines_read: int) -> CompleteGraph:
+        """The graph of a flat label list, whose labels 2k and 2k + 1 are
+        the endpoints of pair k."""
+        g = cls.__new__(cls)
+        g._build(tokens, lines_read)
+        return g
+
+    def _build(self, tokens: list[str], lines_read: int) -> None:
+        n_pairs = len(tokens) // 2
+        index, nbrs = _neighbour_sets(tokens)
+        self_loops = 0
+        # a self-loop's label must get no index from it: drop the loops and
+        # number again, by first appearance among the pairs that remain
+        if any(i in neighbors for i, neighbors in enumerate(nbrs)):
+            pairs = iter(tokens)
+            tokens = [label for a, b in zip(pairs, pairs) if a != b for label in (a, b)]
+            self_loops = n_pairs - len(tokens) // 2
+            index, nbrs = _neighbour_sets(tokens)
+        n_edges = sum(map(len, nbrs)) // 2
         if not n_edges:
             raise EmptyGraphError("graph must contain at least one edge")
 
+        labels = list(index)
         self._index = index
         self._labels = labels
         # every index, in ascending label order
         self._by_label = sorted(range(len(labels)), key=labels.__getitem__)
         # sorted neighbour lists, for ordered reads and walk steps
-        self._adj = [sorted(neighbors) for neighbors in nbrs]
-        self._nbrs = {u: frozenset(neighbors) for u, neighbors in enumerate(nbrs)}
+        self._adj = list(map(sorted, nbrs))
+        self._nbrs = dict(enumerate(map(frozenset, nbrs)))
         self._n_edges = n_edges
         self.load_report = LoadReport(
             lines_read=lines_read,
             edges_kept=n_edges,
-            duplicates_dropped=duplicates,
+            duplicates_dropped=n_pairs - self_loops - n_edges,
             self_loops_dropped=self_loops,
         )
 
@@ -155,27 +155,79 @@ class CompleteGraph:
         return max(len(neighbors) for neighbors in self._adj)
 
 
+def _neighbour_sets(tokens: list[str]) -> tuple[dict[str, int], list[set[int]]]:
+    """Number a flat label list's labels by first appearance, and link the
+    endpoints of each of its pairs on those numbers."""
+    index = dict.fromkeys(tokens)
+    for i, label in enumerate(index):
+        index[label] = i
+    nbrs: list[set[int]] = [set() for _ in index]
+    ends = iter(map(index.__getitem__, tokens))
+    for i, j in zip(ends, ends):
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    return index, nbrs
+
+
+def _lines_of(line: str) -> re.Pattern:
+    """The texts whose every line is ``line`` or blank (spaces and tabs
+    only), each line ending in "\\n" except that the last may end the text."""
+    return re.compile(rf"(?:{line}\n|[ \t]*\n)*(?:{line})?")
+
+
+# The texts the fast paths read.  An edge line is two labels, the first not
+# starting a comment, separated by spaces or tabs and followed by nothing
+# but spaces or tabs; a status line is the same with E or C for its second
+# label; an observed-graph header is comment and blank lines.
+_EDGE_LIST = _lines_of(r"[^\s#]\S*[ \t]+\S+[ \t]*")
+_STATUS_LIST = _lines_of(r"[^\s#]\S*[ \t]+[EC][ \t]*")
+_COMMENTS = _lines_of(r"[ \t]*#[^\n]*")
+# a match keeps state for every line a repeat has matched, so a long text
+# is matched in blocks of whole lines of about this many characters
+_BLOCK = 1 << 14
+
+
+def _lines_match(lines: re.Pattern, text: str, start: int, end: int) -> bool:
+    """Whether ``lines`` matches all of text[start:end], where end is the
+    end of the text or follows a "\\n"."""
+    while start < end:
+        stop = text.find("\n", start + _BLOCK, end) + 1 or end
+        if not lines.fullmatch(text, start, stop):
+            return False
+        start = stop
+    return True
+
+
 def load_edge_list(source: IO[str]) -> CompleteGraph:
     """Parse a whitespace-separated edge list into a :class:`CompleteGraph`.
 
     One edge per line, two labels; ``#`` lines and blank lines are ignored.
+    Reads the whole text with ``source.read()``; lines end at ``"\\n"``.
     Raises :class:`ParseError` on a malformed line (with its number) and
     :class:`EmptyGraphError` if nothing usable remains.
+
+    A text that ``_EDGE_LIST`` matches is split into labels in one call;
+    any other text, one with a comment, other whitespace or a malformed
+    line, is read line by line, which is also what reports its errors.
     """
-    edges: list[tuple[str, str]] = []
+    text = source.read()
+    if _lines_match(_EDGE_LIST, text, 0, len(text)):
+        tokens = text.split()
+        return CompleteGraph._from_tokens(tokens, len(tokens) // 2)
+    tokens = []
     lines_read = 0
-    for lineno, raw in enumerate(source, start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         lines_read += 1
-        tokens = line.split()
-        if len(tokens) != 2:
+        fields = line.split()
+        if len(fields) != 2:
             raise ParseError(
-                f"line {lineno}: expected 2 node labels, got {len(tokens)}"
+                f"line {lineno}: expected 2 node labels, got {len(fields)}"
             )
-        edges.append((tokens[0], tokens[1]))
-    return CompleteGraph(edges, lines_read=lines_read)
+        tokens += fields
+    return CompleteGraph._from_tokens(tokens, lines_read)
 
 
 class ObservedGraph:
@@ -447,14 +499,107 @@ def read_observed(source: IO[str], g: CompleteGraph) -> ObservedGraph:
 
     Validates the subgraph property, status coverage (exactly one entry per
     observed node), the completeness of every explored node's neighborhood,
-    and a target edge fraction in [0, 1].
+    and a target edge fraction in [0, 1].  Reads the whole text with
+    ``source.read()``; lines end at ``"\\n"``.
+
+    A text laid out as :func:`_observed_sections` reads has its sections
+    split into labels in one call each and checked on indices.  Any other
+    text, and any text that fails a check there, is read line by line and
+    checked on labels, which is what reports its errors.
     """
+    text = source.read()
+    sections = _observed_sections(text)
+    if sections is not None:
+        header, edges, statuses = sections
+        origin, target_fraction, _, _ = _observed_lines(header)
+        obs = ObservedGraph(g, origin=origin, target_edge_fraction=target_fraction)
+        if _fill_observed(obs, edges.split(), statuses.split()):
+            return obs
+
+    origin, target_fraction, edge_pairs, status_flags = _observed_lines(text)
+    obs = ObservedGraph(g, origin=origin, target_edge_fraction=target_fraction)
+    for u, v in edge_pairs:
+        obs.add_edge(u, v)
+    for u in obs.nodes():
+        if u not in status_flags:
+            raise ParseError(f"node {u!r} has an edge but no status entry")
+    for u, flag in status_flags.items():
+        if not obs.has_node(u):
+            raise ParseError(f"status entry for {u!r} but no incident edge")
+        if flag == "E":
+            # add_edge keeps obs a subgraph of g: equal degrees, equal sets
+            if obs.degree(u) != g.degree(u):
+                raise ParseError(
+                    f"node {u!r} marked explored but its neighborhood is incomplete"
+                )
+            obs.mark_explored(u)
+    return obs
+
+
+def _observed_sections(text: str) -> tuple[str, str, str] | None:
+    """The header, [edges] and [status] texts of an observed-graph text laid
+    out as write_observed writes it, or None: comment and blank lines, then
+    each heading on a line of its own, with edge lines under [edges] and
+    status lines under [status]."""
+    edges_at = text.find("[edges]\n")
+    if edges_at < 0 or (edges_at and text[edges_at - 1] != "\n"):
+        return None
+    edges_from = edges_at + len("[edges]\n")
+    # the [status] heading may follow the [edges] heading's own "\n"
+    status_at = text.find("\n[status]\n", edges_from - 1) + 1
+    if not status_at:
+        return None
+    status_from = status_at + len("[status]\n")
+    if not (
+        _lines_match(_COMMENTS, text, 0, edges_at)
+        and _lines_match(_EDGE_LIST, text, edges_from, status_at)
+        and _lines_match(_STATUS_LIST, text, status_from, len(text))
+    ):
+        return None
+    return text[:edges_at], text[edges_from:status_at], text[status_from:]
+
+
+def _fill_observed(obs: ObservedGraph, edges: list[str], statuses: list[str]) -> bool:
+    """Fill an empty obs from flat label lists: edge endpoints in pairs, and
+    (label, flag) status pairs.  Returns False if read_observed would raise
+    on them, leaving obs part filled."""
+    g = obs.graph
+    try:
+        ends = list(map(g._index.__getitem__, edges))
+        listed = list(map(g._index.__getitem__, statuses[0::2]))
+    except KeyError:
+        return False
+    g_nbrs, link = g._nbrs, obs._link
+    pairs = iter(ends)
+    for i, j in zip(pairs, pairs):
+        if j not in g_nbrs[i]:
+            return False
+        link(i, j)
+    status = obs._status
+    # one entry per observed node: distinct, all observed, and as many
+    if len(set(listed)) != len(listed) or len(listed) != len(obs._nbrs):
+        return False
+    if not all(map(status.__getitem__, listed)):
+        return False
+    nbrs, adj = obs._nbrs, g._adj
+    for i, flag in zip(listed, statuses[1::2]):
+        if flag == "E":
+            if len(nbrs[i]) != len(adj[i]):
+                return False
+            status[i] = _EXPLORED
+    return True
+
+
+def _observed_lines(text: str) -> tuple[str, float, list[tuple[str, str]], dict[str, str]]:
+    """Read an observed-graph text line by line: its origin, target edge
+    fraction, edges and status flags, raising ParseError on the first bad
+    line."""
     origin = ""
     target_fraction = 0.0
     section = None
     edges: list[tuple[str, str]] = []
     statuses: dict[str, str] = {}
-    for lineno, raw in enumerate(source, start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -493,20 +638,4 @@ def read_observed(source: IO[str], g: CompleteGraph) -> ObservedGraph:
         else:
             raise ParseError(f"line {lineno}: content outside any section")
 
-    obs = ObservedGraph(g, origin=origin, target_edge_fraction=target_fraction)
-    for u, v in edges:
-        obs.add_edge(u, v)
-    for u in obs.nodes():
-        if u not in statuses:
-            raise ParseError(f"node {u!r} has an edge but no status entry")
-    for u, flag in statuses.items():
-        if not obs.has_node(u):
-            raise ParseError(f"status entry for {u!r} but no incident edge")
-        if flag == "E":
-            # add_edge keeps obs a subgraph of g: equal degrees, equal sets
-            if obs.degree(u) != g.degree(u):
-                raise ParseError(
-                    f"node {u!r} marked explored but its neighborhood is incomplete"
-                )
-            obs.mark_explored(u)
-    return obs
+    return origin, target_fraction, edges, statuses

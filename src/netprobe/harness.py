@@ -392,15 +392,25 @@ def sweep(
     Each repeat is one incomplete network probed by every strategy at every
     budget, and the Random baseline sees the byte-identical sample, drawn
     once and copied for each trial.  A config that no trial could run, an
-    out-of-range fraction among them, or jobs below 1 raises ConfigError
+    out-of-range fraction among them, a config listed twice (equal but for
+    n_repeats), or jobs below 1 raises ConfigError
     before any trial runs; trials that fail on their own become rows with
     blank measurements, and the sweep continues.  Rows list the strategy
     trials in grid order, then the baselines in pair-key order.
     """
     if not grid:
         raise ConfigError("sweep grid is empty")
+    trials = set()
     for config in grid:
         _check_config(config, g)
+        # configs that differ in their repeat count alone share trials
+        trial = replace(config, n_repeats=0)
+        if trial in trials:
+            raise ConfigError(
+                f"sweep grid lists {config.sampler}/{config.strategy} at budget fraction "
+                f"{config.budget_fraction} more than once"
+            )
+        trials.add(trial)
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
 

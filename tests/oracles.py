@@ -2,15 +2,21 @@
 
 Everything here enumerates definitions directly (triples, pairs, BFS) and
 stays deliberately separate from the library's counting code so the two
-routes can disagree.  The one exception is a frozen copy of the library's
-earlier label-keyed Louvain, the reference its partitions must equal.
+routes can disagree.  The exceptions are frozen copies of earlier library
+code that later code must equal: the label-keyed Louvain, and the
+line-by-line edge-list and observed-graph readers with the per-pair graph
+construction.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import defaultdict
 from itertools import combinations
+
+from netprobe.errors import EmptyGraphError, ParseError
+from netprobe.graphs import CompleteGraph, LoadReport, ObservedGraph
 
 
 def adjacency(g):
@@ -256,3 +262,132 @@ def ref_detect_communities(obs: ObservedGraph, seed: int = 0) -> dict[str, int]:
             renumber[c] = len(renumber)
         partition[u] = renumber[c]
     return partition
+
+
+def ref_complete_graph(edges, lines_read: int = 0) -> CompleteGraph:
+    """A CompleteGraph built pair by pair: each self-loop and duplicate is
+    dropped before its endpoints get an index."""
+    index: dict[str, int] = {}
+    labels: list[str] = []
+    nbrs: list[set[int]] = []
+    n_edges = duplicates = self_loops = 0
+    for a, b in edges:
+        if a == b:
+            self_loops += 1
+            continue
+        ia = index.get(a)
+        if ia is None:
+            ia = index[a] = len(labels)
+            labels.append(a)
+            nbrs.append(set())
+        ib = index.get(b)
+        if ib is None:
+            ib = index[b] = len(labels)
+            labels.append(b)
+            nbrs.append(set())
+        if ib in nbrs[ia]:
+            duplicates += 1
+            continue
+        nbrs[ia].add(ib)
+        nbrs[ib].add(ia)
+        n_edges += 1
+
+    if not n_edges:
+        raise EmptyGraphError("graph must contain at least one edge")
+
+    g = CompleteGraph.__new__(CompleteGraph)
+    g._index = index
+    g._labels = labels
+    g._by_label = sorted(range(len(labels)), key=labels.__getitem__)
+    g._adj = [sorted(neighbors) for neighbors in nbrs]
+    g._nbrs = {u: frozenset(neighbors) for u, neighbors in enumerate(nbrs)}
+    g._n_edges = n_edges
+    g.load_report = LoadReport(
+        lines_read=lines_read,
+        edges_kept=n_edges,
+        duplicates_dropped=duplicates,
+        self_loops_dropped=self_loops,
+    )
+    return g
+
+
+def ref_load_edge_list(source) -> CompleteGraph:
+    """The edge-list reader that iterates over the source's lines."""
+    edges: list[tuple[str, str]] = []
+    lines_read = 0
+    for lineno, raw in enumerate(source, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        lines_read += 1
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise ParseError(
+                f"line {lineno}: expected 2 node labels, got {len(tokens)}"
+            )
+        edges.append((tokens[0], tokens[1]))
+    return ref_complete_graph(edges, lines_read=lines_read)
+
+
+def ref_read_observed(source, g: CompleteGraph) -> ObservedGraph:
+    """The observed-graph reader that iterates over the source's lines and
+    checks on labels."""
+    origin = ""
+    target_fraction = 0.0
+    section = None
+    edges: list[tuple[str, str]] = []
+    statuses: dict[str, str] = {}
+    for lineno, raw in enumerate(source, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if body.startswith("origin:"):
+                origin = body[len("origin:"):].strip()
+            elif body.startswith("target_edge_fraction:"):
+                try:
+                    target_fraction = float(body[len("target_edge_fraction:"):])
+                except ValueError:
+                    target_fraction = math.nan
+                if not 0.0 <= target_fraction <= 1.0:
+                    raise ParseError(
+                        f"line {lineno}: bad target_edge_fraction, expected a number in [0, 1]"
+                    )
+            continue
+        if line == "[edges]":
+            section = "edges"
+            continue
+        if line == "[status]":
+            section = "status"
+            continue
+        tokens = line.split()
+        if section == "edges":
+            if len(tokens) != 2:
+                raise ParseError(f"line {lineno}: expected 2 node labels")
+            edges.append((tokens[0], tokens[1]))
+        elif section == "status":
+            if len(tokens) != 2 or tokens[1] not in ("E", "C"):
+                raise ParseError(f"line {lineno}: expected '<label> E|C'")
+            if tokens[0] in statuses:
+                raise ParseError(f"line {lineno}: second status entry for {tokens[0]!r}")
+            statuses[tokens[0]] = tokens[1]
+        else:
+            raise ParseError(f"line {lineno}: content outside any section")
+
+    obs = ObservedGraph(g, origin=origin, target_edge_fraction=target_fraction)
+    for u, v in edges:
+        obs.add_edge(u, v)
+    for u in obs.nodes():
+        if u not in statuses:
+            raise ParseError(f"node {u!r} has an edge but no status entry")
+    for u, flag in statuses.items():
+        if not obs.has_node(u):
+            raise ParseError(f"status entry for {u!r} but no incident edge")
+        if flag == "E":
+            if obs.degree(u) != g.degree(u):
+                raise ParseError(
+                    f"node {u!r} marked explored but its neighborhood is incomplete"
+                )
+            obs.mark_explored(u)
+    return obs

@@ -9,6 +9,7 @@ import math
 import subprocess
 import sys
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -376,6 +377,21 @@ class TestSweep:
         assert_usage_error(code, capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--budget-fracs", "0.05,0.05"),
+        ("--budget-fracs", "0.1,0.2,0.10"),
+        ("--strategies", "highdeg,highdeg"),
+        ("--samplers", "rw,rw"),
+    ])
+    def test_repeated_grid_entry_is_usage_error(self, graph_file, tmp_path, capsys, flag, value):
+        out = tmp_path / "repeat"
+        argv = {"--samplers": "randedge", "--strategies": "highdeg", "--budget-fracs": "0.1"}
+        argv[flag] = value
+        code = run("sweep", "--graph", graph_file, *chain(*argv.items()), "--repeats", "1",
+                   "--out-prefix", out / "sweep")
+        assert_usage_error(code, capsys, flag)
+        assert not out.exists()
+
     def test_bad_jobs_environment_is_usage_error(self, graph_file, tmp_path, monkeypatch):
         for value in ("x", "0"):
             monkeypatch.setenv("NETPROBE_JOBS", value)
@@ -674,6 +690,8 @@ def test_sweep_numeric_flags(flag_inputs, samplers, budgets, edge_fraction, jump
         and all(edge_fraction_in_range(edge_fraction, s) and jump_prob_in_range(jump_prob, s)
                 for s in samplers)
         and repeats >= 1 and estimation_probes >= 1 and jobs >= 1
+        # a budget listed twice would run its trials twice
+        and len(set(budgets)) == len(budgets)
     )
     check_exit_contract(argv, in_range, lambda out: ["--out-prefix", out / "sweep"])
 

@@ -441,6 +441,21 @@ class TestSweep:
             sweep(g, [replace(config, sampler=sampler)], master_seed=1)
         assert calls == []
 
+    @pytest.mark.parametrize("field, value", [
+        (None, None),
+        ("n_repeats", 2),
+    ])
+    def test_repeated_config_rejected_before_any_trial(self, monkeypatch, field, value):
+        calls = []
+        monkeypatch.setattr(harness, "run_sampler", lambda *args, **kw: calls.append(args))
+        g = random_graph(40, 0.2, seed=14)
+        config = TrialConfig(sampler="rw", strategy="highdeg", budget_fraction=0.1,
+                             n_repeats=1)
+        other = config if field is None else replace(config, **{field: value})
+        with pytest.raises(ConfigError, match="rw/highdeg at budget fraction 0.1 more than once"):
+            sweep(g, [config, replace(config, budget_fraction=0.2), other], master_seed=1)
+        assert calls == []
+
     def test_empty_grid_rejected(self):
         g = random_graph(20, 0.3, seed=14)
         with pytest.raises(ConfigError):

@@ -1,0 +1,242 @@
+"""The edge-list and observed-graph readers against frozen copies of their
+line-by-line predecessors, on generated texts that take either reader's
+fast path (the text split into labels in one call) or its line-by-line
+fallback: both give equal graphs, or both raise the same error with the
+same message."""
+
+import io
+from contextlib import contextmanager
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from netprobe.errors import NetProbeError
+from netprobe import graphs
+from netprobe.graphs import (
+    _EDGE_LIST,
+    CompleteGraph,
+    _observed_sections,
+    load_edge_list,
+    read_observed,
+)
+
+from oracles import ref_load_edge_list, ref_read_observed
+
+LABELS = ("a", "b", "c", "é", "节点", "#h", "x#")
+# str.isspace() whitespace other than space, tab and "\n": none of it is a
+# separator on the fast path
+ODD_SPACE = ("\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u3000", "\r")
+CLEAN_GAPS = (" ", "\t", " \t", "  ")
+CLEAN_TRAILS = ("", "", " ", "\t")
+ENDS = ("\n", "\r\n", "\r")
+
+
+def _joined(*parts):
+    return st.tuples(*parts).map("".join)
+
+
+def _lines_text(draw, lines, clean):
+    """Lines joined by drawn line ends, the last one perhaps without."""
+    ends = st.just("\n") if clean else st.sampled_from(ENDS)
+    text = "".join(line + draw(ends) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\n\r")
+    return text
+
+
+@st.composite
+def edge_list_texts(draw):
+    clean = draw(st.booleans())
+    label = st.sampled_from(LABELS)
+    gap = st.sampled_from(CLEAN_GAPS if clean else CLEAN_GAPS + ODD_SPACE)
+    trail = st.sampled_from(CLEAN_TRAILS if clean else CLEAN_TRAILS + ODD_SPACE)
+    edge = _joined(label, gap, label, trail)
+    blank = st.sampled_from(("", " ", "\t "))
+    if clean:
+        line = st.one_of(edge, edge, edge, blank)
+    else:
+        line = st.one_of(
+            edge, edge,
+            blank,
+            st.sampled_from(("# comment", "  #a b", "#", " a b", "\u3000a b")),
+            label,
+            _joined(label, gap, label, gap, label),
+        )
+    lines = draw(st.lists(line, max_size=12))
+    # a reversed copy of an edge line
+    if lines and draw(st.booleans()):
+        lines.append(" ".join(reversed(lines[0].split())))
+    return _lines_text(draw, lines, clean)
+
+
+# the fast paths match long texts in blocks of lines; tiny blocks split the
+# generated texts into many
+DEFAULT_BLOCK = graphs._BLOCK
+BLOCKS = st.sampled_from((DEFAULT_BLOCK, 1, 7))
+
+
+@contextmanager
+def blocks_of(block):
+    saved, graphs._BLOCK = graphs._BLOCK, block
+    try:
+        yield
+    finally:
+        graphs._BLOCK = saved
+
+
+def _graph_state(g: CompleteGraph):
+    return (
+        list(g._index.items()), g._labels, g._by_label, g._adj, g._nbrs,
+        g.n_edges, g.load_report,
+    )
+
+
+def _outcome(read, text, *args, summary):
+    try:
+        return summary(read(io.StringIO(text), *args))
+    except NetProbeError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_list_texts(), BLOCKS)
+@example("a b\nb c\n", DEFAULT_BLOCK)
+@example("a b\r\nb c\r\n", DEFAULT_BLOCK)
+@example("a b\rb c\n", DEFAULT_BLOCK)
+@example("# header\na\tb\n\n  \nb c", DEFAULT_BLOCK)
+@example("a a\nb a\na b\nb a\n", DEFAULT_BLOCK)
+@example("a\x0bb\nb\x0cc\nc\x1ca\na\x85d\nd\xa0e\ne\u3000a\n", DEFAULT_BLOCK)
+@example("é 节点\n节点 é\n", DEFAULT_BLOCK)
+@example("a b c\n", DEFAULT_BLOCK)
+@example("a\n", DEFAULT_BLOCK)
+@example("", DEFAULT_BLOCK)
+@example("a a\n", DEFAULT_BLOCK)
+def test_load_edge_list_equals_line_reader(text, block):
+    with blocks_of(block):
+        new = _outcome(load_edge_list, text, summary=_graph_state)
+    assert new == _outcome(ref_load_edge_list, text, summary=_graph_state)
+
+
+# the complete graph the observed texts are read against
+G_EDGES = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "é"), ("é", "节点")]
+G = CompleteGraph(G_EDGES)
+# edges of G both ways round, and pairs that are not: a self-loop, a non-edge
+# and an unknown label
+G_PAIRS = G_EDGES + [(v, u) for u, v in G_EDGES]
+BAD_PAIRS = [("a", "a"), ("a", "é"), ("zz", "a")]
+LABELS_ANY = ("a", "b", "c", "é", "节点", "zz")
+
+
+@st.composite
+def observed_texts(draw):
+    clean = draw(st.booleans())
+    gap = st.sampled_from(CLEAN_GAPS if clean else CLEAN_GAPS + ODD_SPACE)
+    trail = st.sampled_from(CLEAN_TRAILS if clean else CLEAN_TRAILS + ODD_SPACE)
+    fractions = ("0.25", "0", "1", "-0.0") + (() if clean else ("1.5", "nan", "x"))
+    header = [
+        "# netprobe observed graph v1",
+        f"# origin: {draw(st.sampled_from(LABELS_ANY + ('',)))}",
+        f"# target_edge_fraction: {draw(st.sampled_from(fractions))}",
+    ]
+    pairs = draw(st.lists(st.sampled_from(G_PAIRS), max_size=8))
+    if draw(st.integers(0, 3)) == 0:
+        pairs.insert(draw(st.integers(0, len(pairs))), draw(st.sampled_from(BAD_PAIRS)))
+    seen = {}
+    for u, v in pairs:
+        seen.setdefault(u, set()).add(v)
+        seen.setdefault(v, set()).add(u)
+    statuses = []
+    for u in seen:
+        complete = G.has_node(u) and len(seen[u]) == G.degree(u)
+        statuses.append([u, "E" if complete and draw(st.booleans()) else "C"])
+    if statuses and draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(0, len(statuses) - 1))
+        fault = draw(st.sampled_from(("drop", "repeat", "rename", "flag", "explored")))
+        if fault == "drop":
+            del statuses[k]
+        elif fault == "repeat":
+            statuses.append(list(statuses[k]))
+        elif fault == "rename":
+            statuses[k][0] = draw(st.sampled_from(LABELS_ANY))
+        else:
+            statuses[k][1] = "X" if fault == "flag" else "E"
+    if draw(st.integers(0, 5)) == 0:
+        statuses.append([draw(st.sampled_from(LABELS_ANY)), "C"])
+    lines = (
+        header
+        + ["[edges]"]
+        + [u + draw(gap) + v + draw(trail) for u, v in pairs]
+        + ["[status]"]
+        + [u + draw(gap) + flag + draw(trail) for u, flag in statuses]
+    )
+    if not clean:
+        # a comment, a blank line or a padded heading at a drawn place
+        extra = draw(st.sampled_from(("# note", "# origin: b", "", " [edges]", "[status] ")))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    return _lines_text(draw, lines, clean)
+
+
+def _observed_state(obs):
+    return (
+        obs.nodes(),
+        sorted((u, v) for u in obs.nodes() for v in obs.neighbors(u) if u < v),
+        {u: obs.status(u) for u in obs.nodes()},
+        obs.origin,
+        repr(obs.target_edge_fraction),
+        obs.n_edges,
+        obs._nbrs,
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(observed_texts(), BLOCKS)
+@example("# origin: a\n[edges]\na b\nb c\na c\n[status]\na E\nb E\nc C\n", DEFAULT_BLOCK)
+@example("[edges]\na\tb\n\n[status]\na C\nb C", DEFAULT_BLOCK)
+@example("[edges]\na b\n[status]\na C\na C\nb C\n", DEFAULT_BLOCK)
+@example("[edges]\na b\n[status]\na C\nb C\nzz C\n", DEFAULT_BLOCK)
+@example("[edges]\na zz\n[status]\na C\nzz C\n", DEFAULT_BLOCK)
+@example("[edges]\na é\n[status]\na C\né C\n", DEFAULT_BLOCK)
+@example("[edges]\na b\n[status]\na E\nb C\n", DEFAULT_BLOCK)
+@example("[edges]\na b\n[status]\na C\n", DEFAULT_BLOCK)
+@example("[edges]\na b\n[status]\na C\nc C\n", DEFAULT_BLOCK)
+@example("[edges]\na b\r\n[status]\r\na C\r\nb C\r\n", DEFAULT_BLOCK)
+@example("# target_edge_fraction: 2\n[edges]\n[status]\n", DEFAULT_BLOCK)
+@example("#x[edges]\na b\n[status]\na C\nb C\n", DEFAULT_BLOCK)
+@example("[status]\nb C\n[edges]\na b\n[status]\na C\nb C\n", DEFAULT_BLOCK)
+@example("[edges]\na b\n[status]\na C\n[edges]\nb C\n", DEFAULT_BLOCK)
+@example("", DEFAULT_BLOCK)
+def test_read_observed_equals_line_reader(text, block):
+    with blocks_of(block):
+        new = _outcome(read_observed, text, G, summary=_observed_state)
+    assert new == _outcome(ref_read_observed, text, G, summary=_observed_state)
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_each_path_through_a_real_file(tmp_path, fast):
+    """A file opened in text mode turns "\\r\\n" into "\\n" before either
+    reader sees it; a comment line is what sends the second pair of files
+    down the line-by-line path."""
+    comment = "" if fast else "# written by hand\r\n"
+    edges = tmp_path / "graph.edges"
+    edges.write_bytes(f"{comment}a b\r\nb\tc\r\nc é\r\né 节点\r\n".encode())
+    observed = tmp_path / "observed.txt"
+    observed.write_bytes(
+        f"# origin: b\n[edges]\n{comment}a b\nb c\n[status]\na C\nb E\nc C\n".encode()
+    )
+
+    with open(edges, encoding="utf-8") as fh:
+        assert bool(_EDGE_LIST.fullmatch(fh.read())) is fast
+    with open(edges, encoding="utf-8") as fh:
+        g = load_edge_list(fh)
+    with open(edges, encoding="utf-8") as fh:
+        assert _graph_state(g) == _graph_state(ref_load_edge_list(fh))
+    assert g.n_edges == 4 and g.load_report.lines_read == 4
+
+    with open(observed, encoding="utf-8") as fh:
+        assert (_observed_sections(fh.read()) is not None) is fast
+    with open(observed, encoding="utf-8") as fh:
+        obs = read_observed(fh, g)
+    with open(observed, encoding="utf-8") as fh:
+        assert _observed_state(obs) == _observed_state(ref_read_observed(fh, g))
+    assert obs.origin == "b" and obs.explored_nodes() == ["b"]
