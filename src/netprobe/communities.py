@@ -2,41 +2,37 @@
 
 Two-level iteration at resolution 1: move nodes between communities while
 any move improves modularity, then collapse communities into super-nodes
-and repeat.  Node visiting order is shuffled with a seeded generator so the
-partition is deterministic for a given seed.
+and repeat.  The local move is the fast local move of Leiden (Traag,
+Waltman & van Eck, "From Louvain to Leiden", Sci. Rep. 2019): each level
+shuffles its nodes once with the seeded generator and visits them from a
+FIFO queue in that order; when a node moves, each of its neighbours that
+is not queued and not in the node's new community joins the back of the
+queue, and the level ends when the queue is empty.  So the partition is
+deterministic for a given seed, but it is not the one that versions with
+the pass-based local move (one shuffle and one visit of every node per
+pass, until a pass moves nothing) gave for the same seed.
 
 Every level runs on positions: the observed nodes in label order (as
 ObservedGraph lists them, from the label order the complete graph sorts
 once at load) are positions 0..n-1.  A level is pairs[u], the list of u's
 (neighbour position, weight) pairs without u itself, and loops[u], u's
-self-loop weight.  These orders keep the partition of a seed byte-identical
-to the label-keyed original:
+self-loop weight.  These orders fix the partition of a seed:
 
-* each pass shuffles range(n) once with the seeded generator, so the
-  visiting order depends on the positions, that is on label order;
+* the shuffle of range(n) depends on the positions, that is on label order;
 * ties in gain within 1e-12 go to the lower community id;
 * the first level's pairs[u] holds its neighbours in ascending position,
   and each aggregated level lists them as _aggregate first meets them (u
   ascending, then pairs[u] in its order).  This fixes the order in which a
-  node's links are summed and its candidate communities compared.  Every
-  weight is a multiple of 1/2, whose sums are exact, so this order can only
-  matter between gains within 1e-12 of each other.
-
-The local move skips a node whose choice cannot have changed since it last
-chose to stay.  A move counter stamps the old and the new community of each
-move; u is skipped while neither its own community nor any neighbour's
-community has been stamped since u's last stay.  This is exact: u's choice
-reads only its own community, its neighbours' communities and the totals
-of those communities, and a stay leaves every total unchanged to the bit,
-because with weights in multiples of 1/2, (T - s) + s == T.  The shuffle
-still runs once per pass and the passes still end after the first pass
-without a move, so the draws and the number of passes are unchanged too.
+  node's links are summed, its candidate communities compared and its
+  neighbours queued.  Every weight is a multiple of 1/2, whose sums are
+  exact, so the summing order can only matter between gains within 1e-12
+  of each other.
 """
 
 from __future__ import annotations
 
 import random
-from collections import defaultdict
+from collections import defaultdict, deque
 
 from .errors import UnknownNodeError
 from .graphs import ObservedGraph
@@ -51,61 +47,53 @@ def _local_move(
     total_weight: float,
     rng: random.Random,
 ) -> tuple[list[int], bool]:
-    """One level of Louvain local moving.  Returns (community list, improved)."""
+    """One level of Louvain local moving, from a queue.  Returns
+    (community list, improved)."""
     n = len(pairs)
     community = list(range(n))
     # strength = weighted degree incl. self-loops counted twice
     strength = [sum(w for _, w in nbrs) + 2.0 * loop for nbrs, loop in zip(pairs, loops)]
     comm_total = list(strength)
     m2 = 2.0 * total_weight
-    # changed[c]: the move count when c's total last changed; settled[u]: the
-    # move count at u's last stay, -1 before it first stays
-    moves = 0
-    changed = [0] * n
-    settled = [-1] * n
+    order = list(range(n))
+    rng.shuffle(order)
+    queue = deque(order)
+    queued = [True] * n
+    improved = False
 
-    while True:
-        moves_before = moves
-        order = list(range(n))
-        rng.shuffle(order)
-        for u in order:
-            cu = community[u]
-            nbrs = pairs[u]
-            s = settled[u]
-            if s >= changed[cu]:
-                for v, _ in nbrs:
-                    if changed[community[v]] > s:
-                        break
-                else:
-                    continue
-            su = strength[u]
-            # weight from u to each neighboring community, summed in pair order
-            links: dict[int, float] = {}
-            get = links.get
-            for v, w in nbrs:
-                c = community[v]
-                links[c] = get(c, 0.0) + w
-            best_comm = cu
-            best_gain = get(cu, 0.0) - (comm_total[cu] - su) * su / m2
-            for c, w_uc in links.items():
-                if c == cu:
-                    continue
-                gain = w_uc - comm_total[c] * su / m2
-                if gain > best_gain + 1e-12 or (
-                    abs(gain - best_gain) <= 1e-12 and c < best_comm
-                ):
-                    best_gain = gain
-                    best_comm = c
-            if best_comm == cu:
-                settled[u] = moves
-            else:
-                comm_total[cu] -= su
-                comm_total[best_comm] += su
-                community[u] = best_comm
-                moves += 1
-                changed[cu] = changed[best_comm] = moves
-        if moves == moves_before:
-            return community, moves > 0
+    while queue:
+        u = queue.popleft()
+        queued[u] = False
+        cu = community[u]
+        nbrs = pairs[u]
+        su = strength[u]
+        # weight from u to each neighboring community, summed in pair order
+        links: dict[int, float] = {}
+        get = links.get
+        for v, w in nbrs:
+            c = community[v]
+            links[c] = get(c, 0.0) + w
+        best_comm = cu
+        best_gain = get(cu, 0.0) - (comm_total[cu] - su) * su / m2
+        for c, w_uc in links.items():
+            if c == cu:
+                continue
+            gain = w_uc - comm_total[c] * su / m2
+            if gain > best_gain + 1e-12 or (
+                abs(gain - best_gain) <= 1e-12 and c < best_comm
+            ):
+                best_gain = gain
+                best_comm = c
+        if best_comm != cu:
+            comm_total[cu] -= su
+            comm_total[best_comm] += su
+            community[u] = best_comm
+            improved = True
+            for v, _ in nbrs:
+                if not queued[v] and community[v] != best_comm:
+                    queued[v] = True
+                    queue.append(v)
+    return community, improved
 
 
 def _aggregate(

@@ -395,8 +395,9 @@ def sweep(
     out-of-range fraction among them, a config listed twice (equal but for
     n_repeats), or jobs below 1 raises ConfigError
     before any trial runs; trials that fail on their own become rows with
-    blank measurements, and the sweep continues.  Rows list the strategy
-    trials in grid order, then the baselines in pair-key order.
+    blank measurements, and the sweep continues.  Rows list the grid's trials
+    in grid order, then in pair-key order the baselines the grid does not
+    list itself: each trial is written once.
     """
     if not grid:
         raise ConfigError("sweep grid is empty")
@@ -419,16 +420,20 @@ def sweep(
         for config in grid
         for repeat in range(config.n_repeats)
     ]
-    baselines: dict[tuple, _TrialSpec] = {}
+    # a grid's own random trial is its pair's baseline (the first one, if
+    # jump probabilities or estimation settings tell several apart), so it
+    # runs and is written once
+    baselines = {s.pair_key: s for s in reversed(specs) if s.config.strategy == "random"}
+    added: dict[tuple, _TrialSpec] = {}
     for spec in specs:
-        if spec.pair_key not in baselines:
+        key = spec.pair_key
+        if key not in baselines:
             random_config = replace(spec.config, strategy="random")
-            baselines[spec.pair_key] = _TrialSpec.derive(master_seed, random_config, spec.repeat)
-    specs += [baselines[key] for key in sorted(baselines)]
+            baselines[key] = added[key] = _TrialSpec.derive(master_seed, random_config, spec.repeat)
+    specs += [added[key] for key in sorted(added)]
 
-    # a grid's own random trial can equal its baseline; each runs once
     units: dict[tuple, list[_TrialSpec]] = {}
-    for spec in dict.fromkeys(specs):
+    for spec in specs:
         units.setdefault(spec.sample_key, []).append(spec)
     # never more workers than work units: under fork the pool starts every
     # worker on its first submit

@@ -3,9 +3,11 @@
 Everything here enumerates definitions directly (triples, pairs, BFS) and
 stays deliberately separate from the library's counting code so the two
 routes can disagree.  The exceptions are frozen copies of earlier library
-code that later code must equal: the label-keyed Louvain, and the
-line-by-line edge-list and observed-graph readers with the per-pair graph
-construction.
+code: the label-keyed Louvain, whose partitions the library must equal
+with the queue-based local move and match in modularity with the
+pass-based one it replaced, and the line-by-line edge-list and
+observed-graph readers with the per-pair graph construction, which the
+library must equal.
 """
 
 from __future__ import annotations
@@ -143,8 +145,10 @@ def brute_ccdf_value(values, x):
 
 
 # The label-keyed Louvain that detect_communities replaced, kept verbatim but
-# for its names, as the reference for partitions: dict-of-dicts keyed by the
-# positions of the labels, built from the sorted label API.
+# for its names and the local_move parameter: dict-of-dicts keyed by the
+# positions of the labels, built from the sorted label API.  With its
+# pass-based ref_local_move it is the reference for partition quality; with
+# ref_queue_local_move it is the reference for partitions.
 
 
 def ref_local_move(
@@ -197,6 +201,57 @@ def ref_local_move(
     return community, improved
 
 
+def ref_queue_local_move(
+    adj: dict[int, dict[int, float]],
+    total_weight: float,
+    rng: random.Random,
+) -> tuple[dict[int, int], bool]:
+    """One level of Louvain local moving from a queue, as Leiden's fast
+    local move: one shuffle of the level's nodes, visited first in that
+    order; a node that moves queues each neighbour that is neither queued
+    nor in its new community.  Returns (community map, improved)."""
+    nodes = sorted(adj)
+    community = {u: u for u in nodes}
+    strength = {
+        u: sum(w for v, w in adj[u].items() if v != u)
+        + 2.0 * adj[u].get(u, 0.0)
+        for u in nodes
+    }
+    comm_total = dict(strength)
+    m2 = 2.0 * total_weight
+
+    queue = list(nodes)
+    rng.shuffle(queue)
+    improved = False
+    while queue:
+        u = queue.pop(0)
+        cu = community[u]
+        links: dict[int, float] = defaultdict(float)
+        for v, w in adj[u].items():
+            if v != u:
+                links[community[v]] += w
+        comm_total[cu] -= strength[u]
+        best_comm = cu
+        best_gain = links.get(cu, 0.0) - comm_total[cu] * strength[u] / m2
+        for c, w_uc in links.items():
+            if c == cu:
+                continue
+            gain = w_uc - comm_total[c] * strength[u] / m2
+            if gain > best_gain + 1e-12 or (
+                abs(gain - best_gain) <= 1e-12 and c < best_comm
+            ):
+                best_gain = gain
+                best_comm = c
+        comm_total[best_comm] += strength[u]
+        if best_comm != cu:
+            community[u] = best_comm
+            improved = True
+            for v in adj[u]:
+                if v != u and v not in queue and community[v] != best_comm:
+                    queue.append(v)
+    return community, improved
+
+
 def ref_aggregate(
     adj: dict[int, dict[int, float]], community: dict[int, int]
 ) -> tuple[dict[int, dict[int, float]], dict[int, int]]:
@@ -225,7 +280,9 @@ def ref_aggregate(
     return {u: dict(nbrs) for u, nbrs in new_adj.items()}, node_map
 
 
-def ref_detect_communities(obs: ObservedGraph, seed: int = 0) -> dict[str, int]:
+def ref_detect_communities(
+    obs: ObservedGraph, seed: int = 0, local_move=ref_local_move
+) -> dict[str, int]:
     """Partition the observed nodes by greedy modularity maximization.
 
     Returns a map from node label to community id; ids are renumbered by
@@ -245,7 +302,7 @@ def ref_detect_communities(obs: ObservedGraph, seed: int = 0) -> dict[str, int]:
     # membership[i] tracks the current super-node of original node i
     membership = {i: i for i in range(len(labels))}
     while True:
-        community, improved = ref_local_move(adj, total_weight, rng)
+        community, improved = local_move(adj, total_weight, rng)
         if not improved or len(set(community.values())) == len(adj):
             # nothing moved, or every community is a singleton: done either
             # way, and the discarded move map cannot change the partition

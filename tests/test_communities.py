@@ -6,11 +6,11 @@ import pytest
 
 from netprobe.communities import detect_communities, modularity
 from netprobe.errors import UnknownNodeError
-from netprobe.generators import planted_partition_graph, random_graph
+from netprobe.generators import hub_community_graph, planted_partition_graph, random_graph
 from netprobe.graphs import CompleteGraph, ObservedGraph
-from netprobe.sampling import sample_random_edge
+from netprobe.sampling import SAMPLER_NAMES, run_sampler, sample_random_edge
 
-from oracles import by_label
+from oracles import by_label, ref_detect_communities
 
 
 def full_view(g):
@@ -79,6 +79,21 @@ def test_modularity_close_to_reference_implementation():
         q_ref = nx.algorithms.community.modularity(ng, sets)
         worst = min(worst, q_ours - q_ref)
     assert worst > -0.04
+
+
+def test_mean_modularity_no_lower_than_the_pass_based_local_move():
+    # the queue visits a node again only when a neighbour moved, where the
+    # pass-based move it replaced visited every node in every pass; over
+    # samples like the benchmark's, the partitions must be as good on
+    # average, to within 0.5%
+    g = hub_community_graph(40, 12, 0.85, 12, 20, seed=5)
+    ours, passes = [], []
+    for sampler in SAMPLER_NAMES:
+        for seed in range(6):
+            obs, _ = run_sampler(g, sampler, 0.3, seed)
+            ours.append(modularity(obs, detect_communities(obs, seed=seed)))
+            passes.append(modularity(obs, ref_detect_communities(obs, seed)))
+    assert sum(ours) >= 0.995 * sum(passes)
 
 
 def test_modularity_beats_singletons():

@@ -36,8 +36,8 @@ STRATEGIES = (
 BUDGETS = (0.02, 0.1, 0.2)
 
 SWEEP_DIGESTS = {
-    "results": "d63d2753e0af8e0150c93661096f525470d3e1bdbbe9ef539bc4a1beac7b77b8",
-    "curves": "31cbf582ce53833b77919ddd99ba9c89354c61a7928409207a12b76cb2fa893d",
+    "results": "099b489bdbe2ee5b3eed6439568e6b8bdd0c3e8a2dc6a821eec814bf450a2ee2",
+    "curves": "fe2ab420bcb51fae7800874b07093139d428033a34159fb0912d4f3f638ee099",
 }
 
 SESSION_DIGESTS = {

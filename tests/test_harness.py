@@ -287,10 +287,27 @@ class TestSweep:
                             budget_fraction=0.1, n_repeats=2)
                 for strategy in ("highdeg", "random")]
         rows = sweep(g, grid, master_seed=1)
-        # 2 highdeg and 2 random rows, then 2 baseline rows equal to the random ones
-        assert [r["strategy"] for r in rows] == ["highdeg"] * 2 + ["random"] * 4
-        assert rows[2:4] == rows[4:]
+        # the random rows are the baselines, and none is added
+        assert [r["strategy"] for r in rows] == ["highdeg"] * 2 + ["random"] * 2
         assert sorted(calls) == sorted(set(calls)) and len(calls) == 4
+
+    def test_each_trial_is_written_once(self):
+        # the grid's own random trials are their pairs' baselines, also where
+        # the random config has more repeats than the strategy it pairs with
+        g = planted_partition_graph(6, 10, 0.5, 0.02, seed=8)
+        grid = [TrialConfig(sampler=sampler, strategy=strategy, edge_fraction=0.2,
+                            budget_fraction=budget, n_repeats=n_repeats)
+                for sampler in ("randnode", "rw")
+                for strategy, n_repeats in (("highdeg", 2), ("random", 3))
+                for budget in (0.1, 0.2)]
+        rows = sweep(g, grid, master_seed=3)
+        sink = io.StringIO()
+        write_results_csv(rows, sink)
+        lines = sink.getvalue().splitlines()
+        assert len(lines) == len(set(lines))
+        # per sampler and budget, 2 highdeg and 3 random trials
+        assert len(rows) == 2 * 2 * (2 + 3)
+        assert all(r["nodes_after"] != "" for r in rows)
 
     def test_last_trial_of_a_sample_probes_it_uncopied(self, monkeypatch):
         g = planted_partition_graph(6, 10, 0.5, 0.02, seed=8)
@@ -493,7 +510,7 @@ class TestCollectorPause:
         monkeypatch.setattr(harness, "run_session", recording_run_session)
         rows = sweep(g, self.grid(), master_seed=1)
         assert states == [False] * 4
-        assert [r["nodes_after"] == "" for r in rows] == [False] * 2 + [True] * 4
+        assert [r["nodes_after"] == "" for r in rows] == [False] * 2 + [True] * 2
         assert gc.isenabled()
 
     def test_the_pause_ends_after_the_unit_has_dropped_its_sample(self, monkeypatch):

@@ -12,8 +12,9 @@ label order, and the selector keeps the same top b as a full sort by
 label-ordered subset of the candidates, with the same scores and the same
 top b as the unbounded call.  The probe-based estimates equal a
 brute-force replay of their probes.  On graphs whose index order differs
-from their label order, Louvain equals the frozen label-keyed reference,
-and so does each of its steps on random weighted levels with self-loops;
+from their label order, Louvain equals the label-keyed reference with the
+queue-based local move, and so does each of its steps on random weighted
+levels with self-loops;
 the dispersion, clustering and cross-community scores equal their
 definitions.  Then properties of the CCDF and AUC aggregation."""
 
@@ -64,7 +65,7 @@ from oracles import (
     by_label,
     ref_aggregate,
     ref_detect_communities,
-    ref_local_move,
+    ref_queue_local_move,
 )
 
 
@@ -357,8 +358,9 @@ def test_detect_communities_equals_the_label_keyed_reference(
         assume(False)
     for louvain_seed in louvain_seeds:
         partition = detect_communities(obs, seed=louvain_seed)
+        ref = ref_detect_communities(obs, louvain_seed, local_move=ref_queue_local_move)
         # equal values in equal key order: labels ascending
-        assert list(partition.items()) == list(ref_detect_communities(obs, louvain_seed).items())
+        assert list(partition.items()) == list(ref.items())
 
 
 def _dict_level(pairs, loops):
@@ -396,10 +398,12 @@ def test_a_level_moves_and_aggregates_as_the_dict_reference(level, seed):
     assume(total_weight > 0)
     rng, ref_rng = random.Random(seed), random.Random(seed)
     moved, improved = _local_move(pairs, loops, total_weight, rng)
-    ref_moved, ref_improved = ref_local_move(_dict_level(pairs, loops), total_weight, ref_rng)
+    ref_moved, ref_improved = ref_queue_local_move(
+        _dict_level(pairs, loops), total_weight, ref_rng
+    )
     assert moved == [ref_moved[u] for u in range(len(pairs))]
     assert improved == ref_improved
-    # equal generator states: the same number of passes, each one shuffle
+    # equal generator states: one shuffle each
     assert rng.getstate() == ref_rng.getstate()
 
     new_pairs, new_loops, node_map = _aggregate(pairs, loops, community)
@@ -409,26 +413,29 @@ def test_a_level_moves_and_aggregates_as_the_dict_reference(level, seed):
     assert new_pairs == [[(v, w) for v, w in ref_adj[c].items() if v != c] for c in range(len(ref_adj))]
 
 
-def test_a_stay_is_revisited_when_its_own_community_grows():
-    # with seed 2: node 2 joins 1 and node 0 joins them; 1 leaves for {4, 5};
-    # 0 stays, with no neighbour left in its community; 3 joins that
-    # community through 2.  No neighbour of 0 changed community, so only the
-    # stamp on 0's own community makes 0 look again, and then it leaves.
+def test_a_neighbour_of_a_moved_node_is_queued_again_and_moves():
+    # a star from 0 plus the link 2-3; seed 8 visits 0, 2, 3, 1.  0 joins
+    # 1; 2 joins 3 and queues 0 again; 3 stays, and 1 stays with 0; 0 then
+    # joins {2, 3} and queues 1, which follows it.  Without the second
+    # visit, 1 would be left on its own.
     pairs = [
-        [(1, 5.0)],
-        [(0, 5.0), (2, 8.0), (4, 10.0), (5, 9.0)],
-        [(1, 8.0), (3, 4.0)],
-        [(2, 4.0)],
-        [(1, 10.0), (5, 9.0)],
-        [(1, 9.0), (4, 9.0)],
+        [(1, 2.0), (2, 2.0), (3, 2.0)],
+        [(0, 2.0)],
+        [(0, 2.0), (3, 1.0)],
+        [(0, 2.0), (2, 1.0)],
     ]
-    loops = [3.0, 0.0, 0.0, 6.0, 1.0, 0.5]
-    rng, ref_rng = random.Random(2), random.Random(2)
-    moved, improved = _local_move(pairs, loops, 55.5, rng)
-    ref_moved, _ = ref_local_move(_dict_level(pairs, loops), 55.5, ref_rng)
-    assert moved == [ref_moved[u] for u in range(6)] == [5, 5, 1, 1, 5, 5]
+    loops = [0.0] * 4
+    rng, ref_rng = random.Random(8), random.Random(8)
+    moved, improved = _local_move(pairs, loops, 7.0, rng)
+    ref_moved, _ = ref_queue_local_move(_dict_level(pairs, loops), 7.0, ref_rng)
+    assert moved == [ref_moved[u] for u in range(4)] == [3, 3, 3, 3]
     assert improved
-    assert rng.getstate() == ref_rng.getstate()
+    # one shuffle for the level, and no more draws
+    once = random.Random(8)
+    order = list(range(4))
+    once.shuffle(order)
+    assert order == [0, 2, 3, 1]
+    assert rng.getstate() == ref_rng.getstate() == once.getstate()
 
 
 @settings(max_examples=150, deadline=None)
