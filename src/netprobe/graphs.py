@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
+from operator import length_hint
 from typing import IO, AbstractSet, Iterable, Iterator, Mapping
 
 from .errors import (
@@ -503,36 +504,26 @@ def read_observed(source: IO[str], g: CompleteGraph) -> ObservedGraph:
     ``source.read()``; lines end at ``"\\n"``.
 
     A text laid out as :func:`_observed_sections` reads has its sections
-    split into labels in one call each and checked on indices.  Any other
-    text, and any text that fails a check there, is read line by line and
-    checked on labels, which is what reports its errors.
+    split into labels in one call each; any other text, and one that lists
+    a node's status twice, is read line by line, which is what names a bad
+    line.  Either way the labels are checked once, on indices, by
+    :func:`_fill_observed`.
     """
     text = source.read()
     sections = _observed_sections(text)
-    if sections is not None:
-        header, edges, statuses = sections
+    if sections is None:
+        origin, target_fraction, edges, statuses = _observed_lines(text)
+    else:
+        header, edge_text, status_text = sections
+        edges, statuses = edge_text.split(), status_text.split()
+        listed = statuses[0::2]
+        if len(set(listed)) != len(listed):
+            # a second status entry for a node is a line error: the line
+            # reader raises it, with its line number
+            _observed_lines(text)
         origin, target_fraction, _, _ = _observed_lines(header)
-        obs = ObservedGraph(g, origin=origin, target_edge_fraction=target_fraction)
-        if _fill_observed(obs, edges.split(), statuses.split()):
-            return obs
-
-    origin, target_fraction, edge_pairs, status_flags = _observed_lines(text)
     obs = ObservedGraph(g, origin=origin, target_edge_fraction=target_fraction)
-    for u, v in edge_pairs:
-        obs.add_edge(u, v)
-    for u in obs.nodes():
-        if u not in status_flags:
-            raise ParseError(f"node {u!r} has an edge but no status entry")
-    for u, flag in status_flags.items():
-        if not obs.has_node(u):
-            raise ParseError(f"status entry for {u!r} but no incident edge")
-        if flag == "E":
-            # add_edge keeps obs a subgraph of g: equal degrees, equal sets
-            if obs.degree(u) != g.degree(u):
-                raise ParseError(
-                    f"node {u!r} marked explored but its neighborhood is incomplete"
-                )
-            obs.mark_explored(u)
+    _fill_observed(obs, edges, statuses)
     return obs
 
 
@@ -559,46 +550,51 @@ def _observed_sections(text: str) -> tuple[str, str, str] | None:
     return text[:edges_at], text[edges_from:status_at], text[status_from:]
 
 
-def _fill_observed(obs: ObservedGraph, edges: list[str], statuses: list[str]) -> bool:
+def _fill_observed(obs: ObservedGraph, edges: list[str], statuses: list[str]) -> None:
     """Fill an empty obs from flat label lists: edge endpoints in pairs, and
-    (label, flag) status pairs.  Returns False if read_observed would raise
-    on them, leaving obs part filled."""
+    (label, flag) status pairs with distinct labels.  Raises on the first
+    fault: the first pair, in file order, that is not an edge of the
+    complete graph; else the first observed node, in label order, with no
+    status entry; else the first status entry, in file order, with no
+    incident edge or marked explored with an incomplete neighborhood."""
     g = obs.graph
-    try:
-        ends = list(map(g._index.__getitem__, edges))
-        listed = list(map(g._index.__getitem__, statuses[0::2]))
-    except KeyError:
-        return False
-    g_nbrs, link = g._nbrs, obs._link
-    pairs = iter(ends)
+    index, g_nbrs, link = g._index, g._nbrs, obs._link
+    pairs = iter(list(map(index.get, edges)))
     for i, j in zip(pairs, pairs):
-        if j not in g_nbrs[i]:
-            return False
+        if i is None or j not in g_nbrs[i]:
+            # the pair just read ends where the iterator stands
+            end = len(edges) - length_hint(pairs)
+            u, v = edges[end - 2:end]
+            raise UnknownNodeError(f"({u!r}, {v!r}) is not an edge of the complete graph")
         link(i, j)
-    status = obs._status
-    # one entry per observed node: distinct, all observed, and as many
-    if len(set(listed)) != len(listed) or len(listed) != len(obs._nbrs):
-        return False
-    if not all(map(status.__getitem__, listed)):
-        return False
-    nbrs, adj = obs._nbrs, g._adj
-    for i, flag in zip(listed, statuses[1::2]):
+    status_labels, nbrs = statuses[0::2], obs._nbrs
+    listed = list(map(index.get, status_labels))
+    missing = nbrs.keys() - set(listed)
+    if missing:
+        u = min(map(g._labels.__getitem__, missing))
+        raise ParseError(f"node {u!r} has an edge but no status entry")
+    status, adj = obs._status, g._adj
+    for u, i, flag in zip(status_labels, listed, statuses[1::2]):
+        if i not in nbrs:
+            raise ParseError(f"status entry for {u!r} but no incident edge")
         if flag == "E":
             if len(nbrs[i]) != len(adj[i]):
-                return False
+                raise ParseError(
+                    f"node {u!r} marked explored but its neighborhood is incomplete"
+                )
             status[i] = _EXPLORED
-    return True
 
 
-def _observed_lines(text: str) -> tuple[str, float, list[tuple[str, str]], dict[str, str]]:
+def _observed_lines(text: str) -> tuple[str, float, list[str], list[str]]:
     """Read an observed-graph text line by line: its origin, target edge
-    fraction, edges and status flags, raising ParseError on the first bad
-    line."""
+    fraction, edge endpoints and (label, flag) status pairs, the last two
+    as flat label lists, raising ParseError on the first bad line."""
     origin = ""
     target_fraction = 0.0
     section = None
-    edges: list[tuple[str, str]] = []
-    statuses: dict[str, str] = {}
+    edges: list[str] = []
+    statuses: list[str] = []
+    listed: set[str] = set()
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
@@ -628,13 +624,14 @@ def _observed_lines(text: str) -> tuple[str, float, list[tuple[str, str]], dict[
         if section == "edges":
             if len(tokens) != 2:
                 raise ParseError(f"line {lineno}: expected 2 node labels")
-            edges.append((tokens[0], tokens[1]))
+            edges += tokens
         elif section == "status":
             if len(tokens) != 2 or tokens[1] not in ("E", "C"):
                 raise ParseError(f"line {lineno}: expected '<label> E|C'")
-            if tokens[0] in statuses:
+            if tokens[0] in listed:
                 raise ParseError(f"line {lineno}: second status entry for {tokens[0]!r}")
-            statuses[tokens[0]] = tokens[1]
+            listed.add(tokens[0])
+            statuses += tokens
         else:
             raise ParseError(f"line {lineno}: content outside any section")
 

@@ -282,7 +282,7 @@ class _TrialSpec:
     def pair_key(self) -> tuple:
         """The trials sharing this key share one sample and one baseline."""
         c = self.config
-        return (c.sampler, c.edge_fraction, c.budget_fraction, self.repeat)
+        return (c.sampler, c.edge_fraction, c.budget_fraction, self.repeat, c.jump_prob)
 
     @property
     def sample_key(self) -> tuple:
@@ -421,8 +421,8 @@ def sweep(
         for repeat in range(config.n_repeats)
     ]
     # a grid's own random trial is its pair's baseline (the first one, if
-    # jump probabilities or estimation settings tell several apart), so it
-    # runs and is written once
+    # estimation settings tell several apart), so it runs and is written
+    # once; a jump probability is part of the sample, so each has its own
     baselines = {s.pair_key: s for s in reversed(specs) if s.config.strategy == "random"}
     added: dict[tuple, _TrialSpec] = {}
     for spec in specs:

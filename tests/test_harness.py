@@ -228,6 +228,22 @@ class TestSweep:
             expected = 100.0 * (row["nodes_after"] - base) / base
             assert row["improvement_vs_random"] == pytest.approx(expected)
 
+    def test_each_jump_probability_has_a_baseline_on_its_own_sample(self):
+        """rwj trials that differ only in jump probability draw different
+        samples, so each is paired with a Random baseline on its own; the
+        baselines are written in jump-probability order."""
+        g = planted_partition_graph(6, 10, 0.5, 0.02, seed=8)
+        grid = [TrialConfig("rwj", "highdeg", 0.2, 0.1, 1, jump_prob=j) for j in (0.1, 0.5)]
+        rows = sweep(g, grid, master_seed=3)
+        trials = [r for r in rows if r["strategy"] != "random"]
+        baselines = [r for r in rows if r["strategy"] == "random"]
+        assert len(trials) == len(baselines) == 2
+        assert trials[0]["nodes_before"] != trials[1]["nodes_before"]
+        for trial, base in zip(trials, baselines):
+            assert trial["nodes_before"] == base["nodes_before"]
+            expected = 100.0 * (trial["nodes_after"] - base["nodes_after"]) / base["nodes_after"]
+            assert trial["improvement_vs_random"] == pytest.approx(expected)
+
     def test_reproducible_csv(self):
         g = planted_partition_graph(6, 10, 0.5, 0.02, seed=11)
         rows_a = sweep(g, self.small_grid(), master_seed=4)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netprobe.errors import NetProbeError
+from netprobe.errors import NetProbeError, UnknownNodeError
 from netprobe import graphs
 from netprobe.graphs import (
     _EDGE_LIST,
@@ -206,10 +206,37 @@ def _observed_state(obs):
 @example("[status]\nb C\n[edges]\na b\n[status]\na C\nb C\n", DEFAULT_BLOCK)
 @example("[edges]\na b\n[status]\na C\n[edges]\nb C\n", DEFAULT_BLOCK)
 @example("", DEFAULT_BLOCK)
+# the order of faults: of two missing statuses, the first by label; a
+# missing status before a status for an unobserved label; an incomplete
+# explored node before a status for an unknown label; a repeated status (a
+# line error) before a non-edge
+@example("[edges]\nb c\na b\n[status]\nb C\n", DEFAULT_BLOCK)
+@example("[edges]\na b\n[status]\nc C\na C\n", DEFAULT_BLOCK)
+@example("[edges]\na b\n[status]\na E\nb C\nzz C\n", DEFAULT_BLOCK)
+@example("[edges]\na b\na é\n[status]\na C\nb C\né C\nb C\n", DEFAULT_BLOCK)
 def test_read_observed_equals_line_reader(text, block):
     with blocks_of(block):
         new = _outcome(read_observed, text, G, summary=_observed_state)
     assert new == _outcome(ref_read_observed, text, G, summary=_observed_state)
+
+
+def test_a_fast_layout_text_goes_through_the_line_reader_only_for_its_header(monkeypatch):
+    """A text laid out as write_observed writes it is split once and
+    checked once: a failed check does not send it back to be read line by
+    line."""
+    line_reader = graphs._observed_lines
+    read = []
+
+    def counted(text):
+        read.append(text)
+        return line_reader(text)
+
+    monkeypatch.setattr(graphs, "_observed_lines", counted)
+    text = "# origin: a\n[edges]\na b\na é\n[status]\na C\nb C\né C\n"
+    assert _observed_sections(text) is not None
+    with pytest.raises(UnknownNodeError, match="is not an edge of the complete graph"):
+        read_observed(io.StringIO(text), G)
+    assert read == ["# origin: a\n"]
 
 
 @pytest.mark.parametrize("fast", [True, False])
