@@ -48,6 +48,7 @@ from .harness import (
     TrialConfig,
     _collector_paused,
     budget_from_fraction,
+    derive_seed,
     improvement_curves,
     run_session,
     sweep,
@@ -226,7 +227,8 @@ def cmd_estimate(args) -> int:
     g = _load_graph(args.graph)
     obs = _load_observed(args.observed, g)
     budget = _parse_budget(args, g.n_nodes)
-    est = estimate(g, obs, ProbeLedger(budget), known, n_probes=args.n_probes, seed=args.seed)
+    seed = derive_seed(args.seed, "estimation")  # as run_session derives it for probe
+    est = estimate(g, obs, ProbeLedger(budget), known, n_probes=args.n_probes, seed=seed)
     if est.method == METHOD_FALLBACK:
         raise ConfigError(
             "budget too small for any estimation probe; "
@@ -327,7 +329,8 @@ def _add_session_args(p) -> None:
     p.add_argument("--budget", type=positive_int, default=None, help="absolute probe budget")
     p.add_argument("--budget-frac", type=finite_float, default=0.05,
                    help="budget as a fraction in (0, 1] of the complete graph's nodes")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="session seed; the estimation probes' seed is derived from it")
     p.add_argument("--known-sampler", choices=tuple(KNOWN_SAMPLE_KINDS), default=None,
                    help="use closed-form estimators for a sample of known origin")
     p.add_argument("--f-n", type=finite_float, default=None, help="known selected-node fraction")

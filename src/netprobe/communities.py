@@ -15,8 +15,11 @@ pass, until a pass moves nothing) gave for the same seed.
 Every level runs on positions: the observed nodes in label order (as
 ObservedGraph lists them, from the label order the complete graph sorts
 once at load) are positions 0..n-1.  A level is pairs[u], the list of u's
-(neighbour position, weight) pairs without u itself, and loops[u], u's
-self-loop weight.  These orders fix the partition of a seed:
+(neighbour position, weight) pairs without u itself, and strength[u], the
+total degree of the observed nodes u stands for: the first level's
+strengths are the degrees, and a super-node's is the sum of its members'.
+Strengths are exact integer sums, and so is their total, twice the number
+of observed edges.  These orders fix the partition of a seed:
 
 * the shuffle of range(n) depends on the positions, that is on label order;
 * ties in gain within 1e-12 go to the lower community id;
@@ -24,7 +27,7 @@ self-loop weight.  These orders fix the partition of a seed:
   and each aggregated level lists them as _aggregate first meets them (u
   ascending, then pairs[u] in its order).  This fixes the order in which a
   node's links are summed, its candidate communities compared and its
-  neighbours queued.  Every weight is a multiple of 1/2, whose sums are
+  neighbours queued.  Every weight is a whole number, whose sums are
   exact, so the summing order can only matter between gains within 1e-12
   of each other.
 """
@@ -41,25 +44,18 @@ from .graphs import ObservedGraph
 Pairs = list[list[tuple[int, float]]]
 
 
-def _local_move(
-    pairs: Pairs,
-    loops: list[float],
-    total_weight: float,
-    rng: random.Random,
-) -> tuple[list[int], bool]:
-    """One level of Louvain local moving, from a queue.  Returns
-    (community list, improved)."""
+def _local_move(pairs: Pairs, strength: list[float], rng: random.Random) -> list[int]:
+    """One level of Louvain local moving, from a queue.  Returns the
+    community of each node; some node moved iff there are fewer
+    communities than nodes, as a node only joins a neighbour's community."""
     n = len(pairs)
     community = list(range(n))
-    # strength = weighted degree incl. self-loops counted twice
-    strength = [sum(w for _, w in nbrs) + 2.0 * loop for nbrs, loop in zip(pairs, loops)]
     comm_total = list(strength)
-    m2 = 2.0 * total_weight
+    m2 = sum(strength)
     order = list(range(n))
     rng.shuffle(order)
     queue = deque(order)
     queued = [True] * n
-    improved = False
 
     while queue:
         u = queue.popleft()
@@ -88,40 +84,36 @@ def _local_move(
             comm_total[cu] -= su
             comm_total[best_comm] += su
             community[u] = best_comm
-            improved = True
             for v, _ in nbrs:
                 if not queued[v] and community[v] != best_comm:
                     queued[v] = True
                     queue.append(v)
-    return community, improved
+    return community
 
 
 def _aggregate(
-    pairs: Pairs, loops: list[float], community: list[int]
+    pairs: Pairs, strength: list[float], community: list[int]
 ) -> tuple[Pairs, list[float], list[int]]:
     """Collapse each community into one node, accumulating edge weights.
 
-    Returns the new level's pairs and loops and the node -> super-node map.
-    Within-community weight becomes a self-loop (each undirected edge is
-    seen from both endpoints, so it adds half per sighting); the weights
+    Returns the new level's pairs and strengths and the node -> super-node
+    map.  A super-node's strength is the sum of its members'; the weights
     between two super-nodes are listed in the order first met.
     """
     comm_ids = sorted(set(community))
     renumber = {c: i for i, c in enumerate(comm_ids)}
     node_map = [renumber[c] for c in community]
-    new_loops = [0.0] * len(comm_ids)
+    new_strength = [0.0] * len(comm_ids)
     links: list[dict[int, float]] = [{} for _ in comm_ids]
     for u, nbrs in enumerate(pairs):
         cu = node_map[u]
         row = links[cu]
-        new_loops[cu] += loops[u]
+        new_strength[cu] += strength[u]
         for v, w in nbrs:
             cv = node_map[v]
-            if cu == cv:
-                new_loops[cu] += w / 2.0
-            else:
+            if cu != cv:
                 row[cv] = row.get(cv, 0.0) + w
-    return [list(row.items()) for row in links], new_loops, node_map
+    return [list(row.items()) for row in links], new_strength, node_map
 
 
 def detect_communities(obs: ObservedGraph, seed: int = 0) -> dict[str, int]:
@@ -137,19 +129,17 @@ def detect_communities(obs: ObservedGraph, seed: int = 0) -> dict[str, int]:
         return {}
     position = {ix: k for k, ix in enumerate(order)}
     pairs = [[(v, 1.0) for v in sorted(map(position.__getitem__, nbrs[ix]))] for ix in order]
-    loops = [0.0] * len(order)
-    total_weight = float(obs.n_edges)
+    strength = [float(len(p)) for p in pairs]
     rng = random.Random(seed)
 
     # membership[k] tracks the current super-node of position k
     membership = list(range(len(order)))
     while True:
-        community, improved = _local_move(pairs, loops, total_weight, rng)
-        if not improved or len(set(community)) == len(pairs):
-            # nothing moved, or every community is a singleton: done either
-            # way, and the discarded move map cannot change the partition
+        community = _local_move(pairs, strength, rng)
+        if len(set(community)) == len(pairs):
+            # nothing moved: the discarded move map cannot change the partition
             break
-        pairs, loops, node_map = _aggregate(pairs, loops, community)
+        pairs, strength, node_map = _aggregate(pairs, strength, community)
         membership = [node_map[c] for c in membership]
 
     renumber: dict[int, int] = {}

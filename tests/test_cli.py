@@ -282,6 +282,16 @@ class TestEstimate:
         assert code == 0
         assert json.loads(out.read_text())["method"] == "known_node_sample"
 
+    def test_equals_the_estimate_probe_plans_with(self, graph_file, tmp_path):
+        obs = TestProbe().make_sample(graph_file, tmp_path)
+        flags = ("--graph", graph_file, "--observed", obs, "--budget", "10", "--seed", "7")
+        assert run("probe", *flags, "--strategy", "maxoutprobe",
+                   "--estimation-probes", "4", "--out-prefix", tmp_path / "run") == 0
+        assert run("estimate", *flags, "--n-probes", "4", "--out", tmp_path / "r.json") == 0
+        planned = json.loads((tmp_path / "run.estimate.json").read_text())
+        assert planned["probes_used"] == 4
+        assert json.loads((tmp_path / "r.json").read_text()) == planned
+
 
     @pytest.mark.parametrize("frac", ["-0.5", "0", "7", "0.001", "nan", "-1e-3"])
     def test_budget_frac_out_of_range_is_usage_error(self, graph_file, tmp_path, capsys, frac):

@@ -45,7 +45,7 @@ SESSION_DIGESTS = {
     "probe-uncharged": "42856fabb6f4ab02b7abc6cc4bd5f169a7347484c47f685f4302233850a839db",
     "probe-known-randnode": "a1fafa756e1fe0ca9d06fda42bb34e431638228b1df77f0be7f368e741482f40",
     "probe-known-randedge": "9f3050954fe425bb87f0324545d462f6fad95291f577c46944c19b5ab7782022",
-    "estimate-probe-based": "c480360331d685e3605446d1af4691d791b0385bbd257de9818dc4c6cf46d6b9",
+    "estimate-probe-based": "c7c9f0a110a19faf3d6871708d779fb99dbd5a97d2ef6dce62b7534f844111c8",
     "estimate-known-randedge": "b74e4a591df13c482c404c1bcecce79206c3037f124857e1dcf3848ec904b9a0",
 }
 

@@ -390,27 +390,35 @@ def louvain_levels(draw):
     return pairs, loops, community
 
 
+def _strengths(pairs, loops):
+    """Each node's weighted degree, its self-loop counted twice."""
+    return [sum(w for _, w in row) + 2.0 * loop for row, loop in zip(pairs, loops)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(level=louvain_levels(), seed=st.integers(0, 2**32))
 def test_a_level_moves_and_aggregates_as_the_dict_reference(level, seed):
     pairs, loops, community = level
     total_weight = sum(w for row in pairs for _, w in row) / 2 + sum(loops)
     assume(total_weight > 0)
+    strength = _strengths(pairs, loops)
     rng, ref_rng = random.Random(seed), random.Random(seed)
-    moved, improved = _local_move(pairs, loops, total_weight, rng)
+    moved = _local_move(pairs, strength, rng)
     ref_moved, ref_improved = ref_queue_local_move(
         _dict_level(pairs, loops), total_weight, ref_rng
     )
     assert moved == [ref_moved[u] for u in range(len(pairs))]
-    assert improved == ref_improved
+    assert (len(set(moved)) < len(pairs)) == ref_improved
     # equal generator states: one shuffle each
     assert rng.getstate() == ref_rng.getstate()
 
-    new_pairs, new_loops, node_map = _aggregate(pairs, loops, community)
+    new_pairs, new_strength, node_map = _aggregate(pairs, strength, community)
     ref_adj, ref_map = ref_aggregate(_dict_level(pairs, loops), dict(enumerate(community)))
     assert node_map == [ref_map[u] for u in range(len(pairs))]
-    assert new_loops == [ref_adj[c].get(c, 0.0) for c in range(len(ref_adj))]
-    assert new_pairs == [[(v, w) for v, w in ref_adj[c].items() if v != c] for c in range(len(ref_adj))]
+    ref_pairs = [[(v, w) for v, w in ref_adj[c].items() if v != c] for c in range(len(ref_adj))]
+    assert new_pairs == ref_pairs
+    ref_loops = [ref_adj[c].get(c, 0.0) for c in range(len(ref_adj))]
+    assert new_strength == _strengths(ref_pairs, ref_loops)
 
 
 def test_a_neighbour_of_a_moved_node_is_queued_again_and_moves():
@@ -426,10 +434,9 @@ def test_a_neighbour_of_a_moved_node_is_queued_again_and_moves():
     ]
     loops = [0.0] * 4
     rng, ref_rng = random.Random(8), random.Random(8)
-    moved, improved = _local_move(pairs, loops, 7.0, rng)
+    moved = _local_move(pairs, _strengths(pairs, loops), rng)
     ref_moved, _ = ref_queue_local_move(_dict_level(pairs, loops), 7.0, ref_rng)
     assert moved == [ref_moved[u] for u in range(4)] == [3, 3, 3, 3]
-    assert improved
     # one shuffle for the level, and no more draws
     once = random.Random(8)
     order = list(range(4))
