@@ -8,6 +8,10 @@ indices (``_nbrs`` maps an index to its neighbours' indices, ``_ix`` maps a
 label to its index), so each primitive has one path for both.  All public
 interfaces speak external string labels.
 
+The complete graph is built block by block into its one eager adjacency,
+``_nbrs``; the sorted neighbour lists that walks step through are built on
+first use.
+
 Every listing of nodes is in ascending label order, so that rankings can
 break ties by label and files are canonical.  The complete graph sorts its
 indices by label once, at load (``_by_label``); the observed graph lists
@@ -20,8 +24,8 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
-from operator import length_hint
+from itertools import chain, count
+from operator import eq, length_hint
 from typing import IO, AbstractSet, Iterable, Iterator, Mapping
 
 from .errors import (
@@ -63,37 +67,50 @@ _STATUSES = (None, NodeStatus.CANDIDATE, NodeStatus.EXPLORED)
 class CompleteGraph:
     """Immutable ground-truth graph.
 
-    Safe for unrestricted concurrent reads once constructed.  Self-loops and
-    duplicate edges are dropped silently, before their endpoints get an
-    index, so every indexed node has at least one neighbour; the counts end
-    up in ``load_report``.
+    ``_nbrs`` is its one eager adjacency: each index's neighbours as a
+    frozenset.  The sorted neighbour lists that walks and ordered reads step
+    through (``_adj``) are built on first use, by :meth:`_sorted_adj`.
+    Concurrent reads are safe: that fill is idempotent, a write of equal
+    lists however many readers race to it.  Self-loops and duplicate edges
+    are dropped silently, before their endpoints get an index, so every
+    indexed node has at least one neighbour; the counts end up in
+    ``load_report``.
     """
 
     __slots__ = ("_index", "_labels", "_by_label", "_adj", "_nbrs", "_n_edges", "load_report")
 
-    def __init__(self, edges: Iterable[tuple[str, str]], lines_read: int = 0):
-        self._build(list(chain.from_iterable(edges)), lines_read)
+    def __init__(self, edges: Iterable[tuple[str, str]]):
+        self._build([list(chain.from_iterable(edges))])
 
-    @classmethod
-    def _from_tokens(cls, tokens: list[str], lines_read: int) -> CompleteGraph:
-        """The graph of a flat label list, whose labels 2k and 2k + 1 are
-        the endpoints of pair k."""
-        g = cls.__new__(cls)
-        g._build(tokens, lines_read)
-        return g
-
-    def _build(self, tokens: list[str], lines_read: int) -> None:
-        n_pairs = len(tokens) // 2
-        index, nbrs = _neighbour_sets(tokens)
-        self_loops = 0
-        # a self-loop's label must get no index from it: drop the loops and
-        # number again, by first appearance among the pairs that remain
-        if any(i in neighbors for i, neighbors in enumerate(nbrs)):
-            pairs = iter(tokens)
-            tokens = [label for a, b in zip(pairs, pairs) if a != b for label in (a, b)]
-            self_loops = n_pairs - len(tokens) // 2
-            index, nbrs = _neighbour_sets(tokens)
-        n_edges = sum(map(len, nbrs)) // 2
+    def _build(self, chunks: Iterable[list[str]]) -> None:
+        """Build from a stream of flat label lists, one list at a time; in
+        each, labels 2k and 2k + 1 are the endpoints of pair k.  Labels are
+        numbered by first appearance among the pairs that are not
+        self-loops."""
+        index: dict[str, int] = {}
+        lists: list[list[int]] = []
+        n_pairs = self_loops = 0
+        for tokens in chunks:
+            firsts, seconds = tokens[0::2], tokens[1::2]
+            n_pairs += len(firsts)
+            if any(map(eq, firsts, seconds)):
+                # a self-loop's labels must get no index from it
+                pairs = [(a, b) for a, b in zip(firsts, seconds) if a != b]
+                self_loops += len(firsts) - len(pairs)
+                tokens = list(chain.from_iterable(pairs))
+            new = [label for label in dict.fromkeys(tokens) if label not in index]
+            index.update(zip(new, count(len(index))))
+            lists += [[] for _ in new]
+            ends = iter(map(index.__getitem__, tokens))
+            for i, j in zip(ends, ends):
+                lists[i].append(j)
+                lists[j].append(i)
+        # each list is dropped as its frozenset is made, so that the two
+        # adjacencies never both live whole
+        for i, neighbors in enumerate(lists):
+            lists[i] = frozenset(neighbors)
+        nbrs = dict(enumerate(lists))
+        n_edges = sum(map(len, nbrs.values())) // 2
         if not n_edges:
             raise EmptyGraphError("graph must contain at least one edge")
 
@@ -102,16 +119,23 @@ class CompleteGraph:
         self._labels = labels
         # every index, in ascending label order
         self._by_label = sorted(range(len(labels)), key=labels.__getitem__)
-        # sorted neighbour lists, for ordered reads and walk steps
-        self._adj = list(map(sorted, nbrs))
-        self._nbrs = dict(enumerate(map(frozenset, nbrs)))
+        self._adj = None
+        self._nbrs = nbrs
         self._n_edges = n_edges
         self.load_report = LoadReport(
-            lines_read=lines_read,
+            lines_read=n_pairs,
             edges_kept=n_edges,
             duplicates_dropped=n_pairs - self_loops - n_edges,
             self_loops_dropped=self_loops,
         )
+
+    def _sorted_adj(self) -> list[list[int]]:
+        """Each index's neighbours in ascending index order, built on first
+        use and kept."""
+        adj = self._adj
+        if adj is None:
+            adj = self._adj = list(map(sorted, self._nbrs.values()))
+        return adj
 
     @property
     def n_nodes(self) -> int:
@@ -135,11 +159,11 @@ class CompleteGraph:
             raise UnknownNodeError(f"unknown node {u!r}") from None
 
     def degree(self, u: str) -> int:
-        return len(self._adj[self._ix(u)])
+        return len(self._nbrs[self._ix(u)])
 
     def neighbors(self, u: str) -> list[str]:
         """u's neighbours in ascending label order."""
-        return sorted(map(self._labels.__getitem__, self._adj[self._ix(u)]))
+        return sorted(map(self._labels.__getitem__, self._nbrs[self._ix(u)]))
 
     def has_edge(self, u: str, v: str) -> bool:
         return self._ix(v) in self._nbrs[self._ix(u)]
@@ -147,27 +171,13 @@ class CompleteGraph:
     def edges(self) -> Iterator[tuple[str, str]]:
         """All edges once each, as label pairs in dense-index order."""
         labels = self._labels
-        for u, neighbors in enumerate(self._adj):
+        for u, neighbors in enumerate(self._sorted_adj()):
             for v in neighbors:
                 if v > u:
                     yield labels[u], labels[v]
 
     def max_degree(self) -> int:
-        return max(len(neighbors) for neighbors in self._adj)
-
-
-def _neighbour_sets(tokens: list[str]) -> tuple[dict[str, int], list[set[int]]]:
-    """Number a flat label list's labels by first appearance, and link the
-    endpoints of each of its pairs on those numbers."""
-    index = dict.fromkeys(tokens)
-    for i, label in enumerate(index):
-        index[label] = i
-    nbrs: list[set[int]] = [set() for _ in index]
-    ends = iter(map(index.__getitem__, tokens))
-    for i, j in zip(ends, ends):
-        nbrs[i].add(j)
-        nbrs[j].add(i)
-    return index, nbrs
+        return max(map(len, self._nbrs.values()))
 
 
 def _lines_of(line: str) -> re.Pattern:
@@ -183,52 +193,70 @@ def _lines_of(line: str) -> re.Pattern:
 _EDGE_LIST = _lines_of(r"[^\s#]\S*[ \t]+\S+[ \t]*")
 _STATUS_LIST = _lines_of(r"[^\s#]\S*[ \t]+[EC][ \t]*")
 _COMMENTS = _lines_of(r"[ \t]*#[^\n]*")
-# a match keeps state for every line a repeat has matched, so a long text
-# is matched in blocks of whole lines of about this many characters
+# a match keeps state for every line a repeat has matched, and a split
+# makes a string of every label, so a long text is matched and split in
+# blocks of whole lines of about this many characters
 _BLOCK = 1 << 14
 
 
-def _lines_match(lines: re.Pattern, text: str, start: int, end: int) -> bool:
-    """Whether ``lines`` matches all of text[start:end], where end is the
-    end of the text or follows a "\\n"."""
+def _blocks(text: str, start: int, end: int) -> Iterator[tuple[int, int]]:
+    """The bounds of text[start:end] cut into blocks of whole lines of about
+    _BLOCK characters, where end is the end of the text or follows a "\\n"."""
     while start < end:
         stop = text.find("\n", start + _BLOCK, end) + 1 or end
-        if not lines.fullmatch(text, start, stop):
-            return False
+        yield start, stop
         start = stop
-    return True
+
+
+def _lines_match(lines: re.Pattern, text: str, start: int, end: int) -> bool:
+    """Whether ``lines`` matches all of text[start:end] (bounded as for
+    _blocks)."""
+    return all(lines.fullmatch(text, a, b) for a, b in _blocks(text, start, end))
 
 
 def load_edge_list(source: IO[str]) -> CompleteGraph:
     """Parse a whitespace-separated edge list into a :class:`CompleteGraph`.
 
-    One edge per line, two labels; ``#`` lines and blank lines are ignored.
-    Reads the whole text with ``source.read()``; lines end at ``"\\n"``.
-    Raises :class:`ParseError` on a malformed line (with its number) and
-    :class:`EmptyGraphError` if nothing usable remains.
+    One edge per line, two labels; ``#`` lines and blank lines are ignored,
+    and so is one leading byte-order mark.  Reads the whole text with
+    ``source.read()``; lines end at ``"\\n"``.  Raises :class:`ParseError`
+    on a malformed line (with its number) and :class:`EmptyGraphError` if
+    nothing usable remains.
 
-    A text that ``_EDGE_LIST`` matches is split into labels in one call;
-    any other text, one with a comment, other whitespace or a malformed
-    line, is read line by line, which is also what reports its errors.
+    A text that ``_EDGE_LIST`` matches is split into labels one block of
+    lines at a time; any other text, one with a comment, other whitespace
+    or a malformed line, is read line by line, which is also what reports
+    its errors.  Either way the graph is built from one block's labels
+    before the next block is split.
     """
     text = source.read()
-    if _lines_match(_EDGE_LIST, text, 0, len(text)):
-        tokens = text.split()
-        return CompleteGraph._from_tokens(tokens, len(tokens) // 2)
-    tokens = []
-    lines_read = 0
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        lines_read += 1
-        fields = line.split()
-        if len(fields) != 2:
-            raise ParseError(
-                f"line {lineno}: expected 2 node labels, got {len(fields)}"
-            )
-        tokens += fields
-    return CompleteGraph._from_tokens(tokens, lines_read)
+    start = int(text.startswith("\ufeff"))
+    if _lines_match(_EDGE_LIST, text, start, len(text)):
+        chunks = (text[a:b].split() for a, b in _blocks(text, start, len(text)))
+    else:
+        chunks = _edge_line_labels(text, start)
+    g = CompleteGraph.__new__(CompleteGraph)
+    g._build(chunks)
+    return g
+
+
+def _edge_line_labels(text: str, start: int) -> Iterator[list[str]]:
+    """The labels of text[start:]'s edge lines, a list per block of lines,
+    raising ParseError on the first line that is neither blank, a comment
+    nor two labels."""
+    lineno = 0
+    for a, b in _blocks(text, start, len(text)):
+        labels: list[str] = []
+        # a block's last "\n" ends its last line and starts no other
+        lines = text[a:b - (text[b - 1] == "\n")].split("\n")
+        for lineno, line in enumerate(lines, lineno + 1):
+            fields = line.split()
+            if not fields or fields[0].startswith("#"):
+                continue
+            if len(fields) != 2:
+                raise ParseError(f"line {lineno}: expected 2 node labels, got {len(fields)}")
+            labels += fields
+        yield labels
 
 
 class ObservedGraph:
@@ -501,7 +529,8 @@ def read_observed(source: IO[str], g: CompleteGraph) -> ObservedGraph:
     Validates the subgraph property, status coverage (exactly one entry per
     observed node), the completeness of every explored node's neighborhood,
     and a target edge fraction in [0, 1].  Reads the whole text with
-    ``source.read()``; lines end at ``"\\n"``.
+    ``source.read()``, less one leading byte-order mark; lines end at
+    ``"\\n"``.
 
     A text laid out as :func:`_observed_sections` reads has its sections
     split into labels in one call each; any other text, and one that lists
@@ -509,7 +538,7 @@ def read_observed(source: IO[str], g: CompleteGraph) -> ObservedGraph:
     line.  Either way the labels are checked once, on indices, by
     :func:`_fill_observed`.
     """
-    text = source.read()
+    text = source.read().removeprefix("\ufeff")
     sections = _observed_sections(text)
     if sections is None:
         origin, target_fraction, edges, statuses = _observed_lines(text)
@@ -573,12 +602,12 @@ def _fill_observed(obs: ObservedGraph, edges: list[str], statuses: list[str]) ->
     if missing:
         u = min(map(g._labels.__getitem__, missing))
         raise ParseError(f"node {u!r} has an edge but no status entry")
-    status, adj = obs._status, g._adj
+    status = obs._status
     for u, i, flag in zip(status_labels, listed, statuses[1::2]):
         if i not in nbrs:
             raise ParseError(f"status entry for {u!r} but no incident edge")
         if flag == "E":
-            if len(nbrs[i]) != len(adj[i]):
+            if len(nbrs[i]) != len(g_nbrs[i]):
                 raise ParseError(
                     f"node {u!r} marked explored but its neighborhood is incomplete"
                 )

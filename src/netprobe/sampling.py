@@ -102,7 +102,7 @@ def sample_random_edge(
     m = _edge_target(g.n_edges, edge_fraction)
     rng = random.Random(seed)
     # index pairs in g.edges() order, so the draws match label pairs'
-    all_edges = [(u, v) for u, neighbors in enumerate(g._adj) for v in neighbors if v > u]
+    all_edges = [(u, v) for u, neighbors in enumerate(g._sorted_adj()) for v in neighbors if v > u]
     chosen = rng.sample(all_edges, m)
     obs = ObservedGraph(g, origin="randedge", target_edge_fraction=edge_fraction)
     for u, v in chosen:
@@ -144,7 +144,7 @@ def sample_random_walk(
     # would, and choice(adj[i]) takes i's neighbours in index order, not in
     # the label order of g.neighbors(u)
     n = g.n_nodes
-    adj = g._adj
+    adj = g._sorted_adj()
     current = rng.randrange(n)
     steps = 0
     jumps = 0

@@ -84,6 +84,17 @@ class TestLoadEdgeList:
         g = load_edge_list(io.StringIO("x y\na x\n"))
         assert g.labels() == ["x", "y", "a"]
 
+    @pytest.mark.parametrize("header", ["", "# header\n"])
+    def test_a_leading_byte_order_mark_is_not_part_of_a_label(self, header):
+        """A triangle with a pendant edge, with a BOM in front and on either
+        reader's path (a comment line sends it down the line reader)."""
+        text = header + "1 2\n2 3\n3 1\n1 4\n"
+        g = load_edge_list(io.StringIO("\ufeff" + text))
+        assert g.labels() == ["1", "2", "3", "4"]
+        assert g.n_edges == 4
+        assert global_clustering(g) == pytest.approx(0.6)
+        assert g.load_report == load_edge_list(io.StringIO(text)).load_report
+
 
 class TestDegree:
     def test_k4(self):
@@ -312,6 +323,16 @@ class TestObservedGraph:
         second = io.StringIO()
         write_observed(back, second)
         assert second.getvalue() == buf.getvalue()
+
+    def test_read_ignores_a_leading_byte_order_mark(self):
+        g = random_graph(20, 0.3, seed=3)
+        obs, _ = sample_random_node(g, 0.5, seed=3)
+        buf = io.StringIO()
+        write_observed(obs, buf)
+        back = read_observed(io.StringIO("\ufeff" + buf.getvalue()), g)
+        assert back.origin == obs.origin == "randnode"
+        assert back.explored_nodes() == obs.explored_nodes()
+        assert back._nbrs == obs._nbrs
 
     def test_read_rejects_incomplete_explored(self):
         g = CompleteGraph([("a", "b"), ("a", "c")])

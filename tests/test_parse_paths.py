@@ -5,6 +5,7 @@ fallback: both give equal graphs, or both raise the same error with the
 same message."""
 
 import io
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from netprobe.errors import NetProbeError, UnknownNodeError
 from netprobe import graphs
+from netprobe.generators import hub_community_graph
 from netprobe.graphs import (
     _EDGE_LIST,
     CompleteGraph,
@@ -20,6 +22,7 @@ from netprobe.graphs import (
     load_edge_list,
     read_observed,
 )
+from netprobe.sampling import sample_random_walk
 
 from oracles import ref_load_edge_list, ref_read_observed
 
@@ -87,7 +90,7 @@ def blocks_of(block):
 
 def _graph_state(g: CompleteGraph):
     return (
-        list(g._index.items()), g._labels, g._by_label, g._adj, g._nbrs,
+        list(g._index.items()), g._labels, g._by_label, g._sorted_adj(), g._nbrs,
         g.n_edges, g.load_report,
     )
 
@@ -267,3 +270,34 @@ def test_each_path_through_a_real_file(tmp_path, fast):
     with open(observed, encoding="utf-8") as fh:
         assert _observed_state(obs) == _observed_state(ref_read_observed(fh, g))
     assert obs.origin == "b" and obs.explored_nodes() == ["b"]
+
+
+# a 1230-node graph as an edge list: plain, which is split in blocks, and
+# with a comment line, which the line reader reads
+HUB = hub_community_graph(100, 12, 0.85, 30, 20, seed=1)
+HUB_TEXT = "".join(f"{u} {v}\n" for u, v in HUB.edges())
+
+
+@pytest.mark.parametrize("header", ["", "# header\n"])
+def test_a_load_peaks_below_twice_what_the_graph_keeps(header):
+    """Either reader builds the graph one block of labels at a time, so no
+    whole-text token list, per-node set or second copy of the adjacency
+    lives next to the graph it builds."""
+    source = io.StringIO(header + HUB_TEXT)
+    tracemalloc.start()
+    try:
+        g = load_edge_list(source)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (g.n_nodes, g.n_edges) == (HUB.n_nodes, HUB.n_edges) == (1230, 6189)
+    assert peak <= 2.0 * kept
+
+
+def test_sorted_neighbour_lists_are_built_on_first_use():
+    g = load_edge_list(io.StringIO(HUB_TEXT))
+    assert g._adj is None
+    sample_random_walk(g, 0.1, 0.0, seed=1)
+    adj = g._adj
+    assert adj == [sorted(g._nbrs[i]) for i in range(g.n_nodes)]
+    assert g._sorted_adj() is adj
