@@ -44,7 +44,6 @@ from .graphs import (
     write_observed,
 )
 from .harness import (
-    KNOWN_SAMPLE_KINDS,
     TrialConfig,
     _collector_paused,
     budget_from_fraction,
@@ -61,10 +60,11 @@ from .sampling import (
     DEFAULT_EDGE_FRACTION,
     DEFAULT_JUMP_PROB,
     SAMPLER_NAMES,
+    SampleFractions,
     check_sampler_args,
     run_sampler,
 )
-from .strategies import STRATEGIES, estimate
+from .strategies import KNOWN_SAMPLERS, STRATEGIES, estimate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -153,9 +153,9 @@ def _parse_budget(args, n_nodes: int) -> int:
     return budget_from_fraction(args.budget_frac, n_nodes)
 
 
-def _known_sample_from_args(args) -> tuple[str, float] | None:
-    """The (kind, fraction) of --known-sampler, or None without it.  Each
-    fraction flag goes only with the sampler that reads it."""
+def _known_sample_from_args(args) -> tuple[str, SampleFractions] | None:
+    """The (sampler, fractions) of --known-sampler, or None without it.  Each
+    fraction flag goes only with the sampler that reads it; the other is 0.0."""
     flags = {"randnode": ("--f-n", args.f_n), "randedge": ("--f-e", args.f_e)}
     for sampler, (flag, fraction) in flags.items():
         if fraction is not None and sampler != args.known_sampler:
@@ -169,7 +169,7 @@ def _known_sample_from_args(args) -> tuple[str, float] | None:
         _check_fraction(flag, fraction)
     except SamplingError as exc:
         raise ConfigError(str(exc)) from None
-    return (KNOWN_SAMPLE_KINDS[args.known_sampler], fraction)
+    return (args.known_sampler, SampleFractions(args.f_n or 0.0, args.f_e or 0.0))
 
 
 def cmd_sample(args) -> int:
@@ -331,7 +331,7 @@ def _add_session_args(p) -> None:
                    help="budget as a fraction in (0, 1] of the complete graph's nodes")
     p.add_argument("--seed", type=int, default=0,
                    help="session seed; the estimation probes' seed is derived from it")
-    p.add_argument("--known-sampler", choices=tuple(KNOWN_SAMPLE_KINDS), default=None,
+    p.add_argument("--known-sampler", choices=KNOWN_SAMPLERS, default=None,
                    help="use closed-form estimators for a sample of known origin")
     p.add_argument("--f-n", type=finite_float, default=None, help="known selected-node fraction")
     p.add_argument("--f-e", type=finite_float, default=None, help="known observed-edge fraction")

@@ -29,12 +29,9 @@ from .graphs import CompleteGraph, ObservedGraph
 from .probing import PHASE_SELECTION, ProbeLedger, probe
 from .sampling import DEFAULT_EDGE_FRACTION, DEFAULT_JUMP_PROB, SampleFractions
 from .sampling import check_sampler_args, run_sampler
-from .strategies import lookup_strategy, make_probe_plan
+from .strategies import KNOWN_SAMPLERS, lookup_strategy, make_probe_plan
 
 logger = logging.getLogger(__name__)
-
-# The samplers with closed-form estimators, and the kind of fraction they take.
-KNOWN_SAMPLE_KINDS = {"randnode": "node", "randedge": "edge"}
 
 RESULT_COLUMNS = [
     "sampler",
@@ -97,8 +94,8 @@ def budget_from_fraction(fraction: float, n_nodes: int) -> int:
 
 def _check_config(config: TrialConfig, g: CompleteGraph) -> None:
     """Reject a grid cell that no trial of it could run on g: an unknown
-    sampler or strategy, known-sample estimates for a sampler without
-    closed-form estimators, no repeats or estimation probes, or a budget
+    sampler or strategy, known-sample estimates for a sampler not in
+    strategies.KNOWN_SAMPLERS, no repeats or estimation probes, or a budget
     fraction, edge fraction or jump probability that check_sampler_args or
     budget_from_fraction refuse."""
     try:
@@ -106,8 +103,8 @@ def _check_config(config: TrialConfig, g: CompleteGraph) -> None:
     except SamplingError as exc:
         raise ConfigError(str(exc)) from None
     lookup_strategy(config.strategy)
-    if config.known_sample and config.sampler not in KNOWN_SAMPLE_KINDS:
-        raise ConfigError("known-sample estimators require the randnode or randedge sampler")
+    if config.known_sample and config.sampler not in KNOWN_SAMPLERS:
+        raise ConfigError(f"known-sample estimators require a sampler in {KNOWN_SAMPLERS}")
     if config.n_repeats < 1:
         raise ConfigError(f"n_repeats must be at least 1, got {config.n_repeats}")
     if config.estimation_probes < 1:
@@ -123,15 +120,16 @@ def run_session(
     seed: int,
     *,
     estimation_probes: int = DEFAULT_ESTIMATION_PROBES,
-    known_sample: tuple[str, float] | None = None,
+    known_sample: tuple[str, SampleFractions] | None = None,
     charge_estimation: bool = True,
 ) -> tuple[ProbeLedger, EstimateSet | None]:
     """Plan then probe: spend a budget of probes on obs with a named strategy.
 
     seed is the selection seed; the estimation seed is derived from it.
-    obs gains every probed neighbourhood, and the returned ledger's log
-    lists every probe in order, estimation probes first.  The estimate set
-    is None for strategies that use none.
+    known_sample, (sampler, fractions), goes to strategies.estimate.  obs
+    gains every probed neighbourhood, and the returned ledger's log lists
+    every probe in order, estimation probes first.  The estimate set is
+    None for strategies that use none.
     """
     ledger = ProbeLedger(budget=budget)
     plan, est = make_probe_plan(
@@ -167,13 +165,10 @@ def _probe_sample(
     strategy_seed: int,
 ) -> TrialResult:
     """Plan, probe and count on obs, a sample config's sampler drew with
-    these fractions; obs gains every probed neighbourhood."""
+    these fractions (its known sample, if the config asks for one)."""
     budget = budget_from_fraction(config.budget_fraction, g.n_nodes)
     nodes_before = obs.n_nodes
-    known = None
-    if config.known_sample:
-        kind = KNOWN_SAMPLE_KINDS[config.sampler]
-        known = (kind, fractions.node_fraction if kind == "node" else fractions.edge_fraction)
+    known = (config.sampler, fractions) if config.known_sample else None
     ledger, est = run_session(
         g, obs, config.strategy, budget, strategy_seed,
         estimation_probes=config.estimation_probes, known_sample=known,
@@ -199,7 +194,6 @@ class AggregateCurve:
     """Complementary CDF: fraction of values at or above each x."""
 
     points: tuple[tuple[float, float], ...]
-    auc: float = 0.0
 
 
 def ccdf(values: Sequence[float]) -> AggregateCurve:
@@ -213,8 +207,7 @@ def ccdf(values: Sequence[float]) -> AggregateCurve:
         if i > 0 and x == ordered[i - 1]:
             continue
         points.append((x, (n - i) / n))
-    curve = AggregateCurve(points=tuple(points))
-    return replace(curve, auc=auc(curve))
+    return AggregateCurve(points=tuple(points))
 
 
 def _step_value(points: Sequence[tuple[float, float]], x: float) -> float:
@@ -387,20 +380,21 @@ def sweep(
     jobs: int = 1,
 ) -> list[dict]:
     """Run every grid config for its repeats, plus one paired Random
-    baseline per (sampler, edge fraction, budget, repeat).
+    baseline per (sampler, edge fraction, budget, repeat, rwj jump probability).
 
     Each repeat is one incomplete network probed by every strategy at every
     budget, and the Random baseline sees the byte-identical sample, drawn
     once and copied for each trial.  A config that no trial could run, an
     out-of-range fraction among them, a config listed twice (equal but for
-    n_repeats), or jobs below 1 raises ConfigError
-    before any trial runs; trials that fail on their own become rows with
-    blank measurements, and the sweep continues.  Rows list the grid's trials
-    in grid order, then in pair-key order the baselines the grid does not
-    list itself: each trial is written once.
+    n_repeats, or for a jump probability, which only rwj reads), or jobs
+    below 1 raises ConfigError before any trial runs; trials that fail on
+    their own become rows with blank measurements, and the sweep continues.
+    Rows list the grid's trials in grid order, then in pair-key order the
+    baselines the grid does not list itself: each trial is written once.
     """
     if not grid:
         raise ConfigError("sweep grid is empty")
+    grid = [c if c.sampler == "rwj" else replace(c, jump_prob=DEFAULT_JUMP_PROB) for c in grid]
     trials = set()
     for config in grid:
         _check_config(config, g)
@@ -422,7 +416,7 @@ def sweep(
     ]
     # a grid's own random trial is its pair's baseline (the first one, if
     # estimation settings tell several apart), so it runs and is written
-    # once; a jump probability is part of the sample, so each has its own
+    # once; an rwj jump probability is part of the sample, so each has its own
     baselines = {s.pair_key: s for s in reversed(specs) if s.config.strategy == "random"}
     added: dict[tuple, _TrialSpec] = {}
     for spec in specs:

@@ -35,6 +35,7 @@ from .graphs import (
     two_hop_open_wedges,  # unused here; bench/tracing.py wraps it at this name
 )
 from .probing import ProbeLedger
+from .sampling import SampleFractions
 
 HIGH = "high"
 LOW = "low"
@@ -176,9 +177,9 @@ def select_random(obs: ObservedGraph, b_remaining: int, seed: int) -> ProbePlan:
     """Uniform sample of candidates, without replacement, seed-deterministic."""
     if b_remaining < 1:
         raise ConfigError(f"b_remaining must be at least 1, got {b_remaining}")
-    pool = obs.candidate_nodes()
-    rng = random.Random(seed)
-    return ProbePlan(nodes=tuple(rng.sample(pool, min(b_remaining, len(pool)))))
+    pool = obs._candidate_ixs()
+    drawn = random.Random(seed).sample(pool, min(b_remaining, len(pool)))
+    return ProbePlan(nodes=tuple(map(obs._labels.__getitem__, drawn)))
 
 
 Scorer = Callable[[ObservedGraph, int, EstimateSet | None, int | None], Scores]
@@ -217,30 +218,35 @@ def lookup_strategy(name: str) -> Scorer | None:
         ) from None
 
 
+# The samplers whose samples estimate() maps to closed-form estimators, which
+# it looks up in this module when it runs, as STRATEGIES does.
+KNOWN_SAMPLERS = ("randnode", "randedge")
+
+
 def estimate(
     g: CompleteGraph,
     obs: ObservedGraph,
     ledger: ProbeLedger,
-    known_sample: tuple[str, float] | None = None,
+    known_sample: tuple[str, SampleFractions] | None = None,
     n_probes: int = DEFAULT_ESTIMATION_PROBES,
     seed: int = 0,
 ) -> EstimateSet:
     """Estimate the degree scale and the clustering a plan ranks obs with.
 
-    known_sample ("node" or "edge", fraction) selects the closed-form
-    estimators of a random-node or random-edge sample, which spend no
-    probes.  Otherwise up to n_probes estimation probes are charged to the
-    ledger, capped at half its budget so selection keeps at least half, at
-    its remaining budget and at the number of candidates.  When that cap
-    leaves no probe, it probes nothing and returns FALLBACK_ESTIMATE.
+    known_sample (sampler, fractions), as run_sampler returned them, selects
+    a KNOWN_SAMPLERS sampler's closed-form estimators, which spend no probes
+    (another sampler is a ConfigError).  Otherwise up to n_probes estimation
+    probes are charged to the ledger, capped at half its budget so selection
+    keeps at least half, at its remaining budget and at the number of
+    candidates.  When that cap leaves no probe, it returns FALLBACK_ESTIMATE.
     """
     if known_sample is not None:
-        kind, fraction = known_sample
-        if kind == "node":
-            return known_node_sample_estimates(obs, fraction)
-        if kind == "edge":
-            return known_edge_sample_estimates(obs, fraction)
-        raise ConfigError(f"known_sample kind must be 'node' or 'edge', got {kind!r}")
+        sampler, fractions = known_sample
+        if sampler == "randnode":
+            return known_node_sample_estimates(obs, fractions.node_fraction)
+        if sampler == "randedge":
+            return known_edge_sample_estimates(obs, fractions.edge_fraction)
+        raise ConfigError(f"known_sample needs a sampler in {KNOWN_SAMPLERS}, got {sampler!r}")
     n_candidates = obs._status.count(_CANDIDATE)
     n_probes = min(n_probes, ledger.budget // 2, ledger.remaining, n_candidates)
     if n_probes < 1:
@@ -256,7 +262,7 @@ def make_probe_plan(
     selection_seed: int,
     estimation_seed: int = 0,
     estimation_probes: int = DEFAULT_ESTIMATION_PROBES,
-    known_sample: tuple[str, float] | None = None,
+    known_sample: tuple[str, SampleFractions] | None = None,
     charge_estimation: bool = True,
 ) -> tuple[ProbePlan, EstimateSet | None]:
     """Build the probe plan for a named strategy against one observed graph.

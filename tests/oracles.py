@@ -7,7 +7,9 @@ code: the label-keyed Louvain, whose partitions the library must equal
 with the queue-based local move and match in modularity with the
 pass-based one it replaced, and the line-by-line edge-list and
 observed-graph readers with the per-pair graph construction, which the
-library must equal.
+library must equal.  The reference sweep is built on the library's
+single-trial path, harness.run_trial, with seeds, pairing and row order
+of its own.
 """
 
 from __future__ import annotations
@@ -15,10 +17,12 @@ from __future__ import annotations
 import math
 import random
 from collections import defaultdict
+from dataclasses import replace
 from itertools import combinations
 
-from netprobe.errors import EmptyGraphError, ParseError
+from netprobe.errors import EmptyGraphError, NetProbeError, ParseError
 from netprobe.graphs import CompleteGraph, LoadReport, ObservedGraph
+from netprobe.harness import derive_seed, run_trial
 
 
 def adjacency(g):
@@ -448,3 +452,67 @@ def ref_read_observed(source, g: CompleteGraph) -> ObservedGraph:
                 )
             obs.mark_explored(u)
     return obs
+
+
+def ref_sweep(g: CompleteGraph, grid, master_seed: int) -> list[dict]:
+    """The rows harness.sweep must return for a valid grid, one run_trial
+    call per trial, each drawing its own sample, and no pool.
+
+    The sampler seed comes from (sampler, repeat), the selection seed from
+    (sampler, strategy, budget fraction, repeat).  A trial's baseline is
+    the grid's first random trial with its (sampler, edge fraction, budget
+    fraction, repeat and, for rwj alone, jump probability), else a random
+    trial added after the grid's trials, in sorted key order.
+    """
+
+    def pair(config, repeat):
+        jump = config.jump_prob if config.sampler == "rwj" else None
+        return (config.sampler, config.edge_fraction, config.budget_fraction, repeat, jump)
+
+    trials = [(config, repeat) for config in grid for repeat in range(config.n_repeats)]
+    baseline = {}
+    for config, repeat in trials:
+        if config.strategy == "random":
+            baseline.setdefault(pair(config, repeat), (config, repeat))
+    added = {}
+    for config, repeat in trials:
+        key = pair(config, repeat)
+        if key not in baseline and key not in added:
+            added[key] = (replace(config, strategy="random"), repeat)
+    trials += [added[key] for key in sorted(added)]
+    baseline.update(added)
+
+    outcomes = {}
+    for config, repeat in trials:
+        sampler_seed = derive_seed(master_seed, "sampler", config.sampler, repeat)
+        selection_seed = derive_seed(master_seed, "selection", config.sampler,
+                                     config.strategy, config.budget_fraction, repeat)
+        try:
+            result = run_trial(g, config, sampler_seed, selection_seed)
+        except NetProbeError:
+            result = None
+        outcomes[config, repeat] = (sampler_seed, result)
+
+    rows = []
+    for config, repeat in trials:
+        sampler_seed, result = outcomes[config, repeat]
+        _, base = outcomes[baseline[pair(config, repeat)]]
+        row = dict.fromkeys(
+            ("nodes_before", "nodes_after", "edges_after", "probes_spent",
+             "c_hat", "m_hat", "improvement_vs_random"), "")
+        row.update(sampler=config.sampler, strategy=config.strategy,
+                   edge_fraction=config.edge_fraction,
+                   budget_fraction=config.budget_fraction, repeat=repeat, seed=sampler_seed)
+        if result is not None:
+            row.update(nodes_before=result.nodes_before, nodes_after=result.nodes_after,
+                       edges_after=result.edges_after, probes_spent=result.probes_spent)
+            if result.estimate is not None:
+                row.update(c_hat=result.estimate.clustering,
+                           m_hat=result.estimate.scale_multiplier)
+            if base is not None:
+                row["improvement_vs_random"] = (
+                    0.0 if config.strategy == "random"
+                    else 100.0 * (result.nodes_after - base.nodes_after) / base.nodes_after
+                )
+        rows.append(row)
+    return rows

@@ -129,7 +129,7 @@ class TestCcdf:
     def test_all_equal_single_point(self):
         curve = ccdf([5.0, 5.0, 5.0])
         assert curve.points == ((5.0, 1.0),)
-        assert curve.auc == 0.0
+        assert auc(curve) == 0.0
 
     def test_matches_brute_force_counting(self):
         rng = random.Random(13)
@@ -243,6 +243,28 @@ class TestSweep:
             assert trial["nodes_before"] == base["nodes_before"]
             expected = 100.0 * (trial["nodes_after"] - base["nodes_after"]) / base["nodes_after"]
             assert trial["improvement_vs_random"] == pytest.approx(expected)
+
+    def test_jump_probability_is_read_only_by_rwj(self, monkeypatch):
+        """randnode, randedge and rw ignore the jump probability: configs
+        that differ only in it list one trial twice, or share one sample
+        and one baseline."""
+        g = planted_partition_graph(6, 10, 0.5, 0.02, seed=8)
+        repeated = [TrialConfig("randnode", "highdeg", 0.2, 0.1, 1, jump_prob=j) for j in (0.1, 0.5)]
+        with pytest.raises(ConfigError, match="randnode/highdeg at budget fraction 0.1 more than once"):
+            sweep(g, repeated, master_seed=3)
+        calls = []
+
+        def counting_run_sampler(g, sampler, edge_fraction, seed, **kwargs):
+            calls.append(seed)
+            return run_sampler(g, sampler, edge_fraction, seed, **kwargs)
+
+        monkeypatch.setattr(harness, "run_sampler", counting_run_sampler)
+        grid = [TrialConfig("rw", "highdeg", 0.2, 0.1, 1, jump_prob=0.1),
+                TrialConfig("rw", "lowdeg", 0.2, 0.1, 1, jump_prob=0.5)]
+        rows = sweep(g, grid, master_seed=3)
+        assert [r["strategy"] for r in rows] == ["highdeg", "lowdeg", "random"]
+        assert len(calls) == 1
+        assert all(r["nodes_after"] != "" for r in rows)
 
     def test_reproducible_csv(self):
         g = planted_partition_graph(6, 10, 0.5, 0.02, seed=11)

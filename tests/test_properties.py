@@ -16,19 +16,23 @@ from their label order, Louvain equals the label-keyed reference with the
 queue-based local move, and so does each of its steps on random weighted
 levels with self-loops;
 the dispersion, clustering and cross-community scores equal their
-definitions.  Then properties of the CCDF and AUC aggregation."""
+definitions.  A sweep's rows equal the reference sweep's on random grids
+with known samples and failing trials.  Then properties of the CCDF and
+AUC aggregation."""
 
 import io
 import random
+from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from netprobe.communities import _aggregate, _local_move, detect_communities
-from netprobe.errors import EmptyGraphError, SamplingError, UnknownNodeError
+from netprobe.errors import EmptyGraphError, NetProbeError, SamplingError, UnknownNodeError
 from netprobe.estimators import METHOD_PROBE, EstimateSet, probe_based_estimates
-from netprobe.generators import random_graph
+from netprobe.generators import planted_partition_graph, random_graph
 from netprobe.graphs import (
     CompleteGraph,
     NodeStatus,
@@ -39,11 +43,12 @@ from netprobe.graphs import (
     two_hop_open_wedges,
     write_observed,
 )
-from netprobe.harness import KNOWN_SAMPLE_KINDS, auc, ccdf, common_range_aucs, run_session
+from netprobe.harness import TrialConfig, auc, ccdf, common_range_aucs, run_session, sweep
 from netprobe.probing import PHASE_ESTIMATION, ProbeLedger, probe
 from netprobe.sampling import SAMPLER_NAMES, run_sampler
 from netprobe.strategies import (
     HIGH,
+    KNOWN_SAMPLERS,
     LOW,
     STRATEGIES,
     score_clustering,
@@ -66,6 +71,7 @@ from oracles import (
     ref_aggregate,
     ref_detect_communities,
     ref_queue_local_move,
+    ref_sweep,
 )
 
 
@@ -129,11 +135,7 @@ def test_session_invariants(
         obs, fractions = run_sampler(g, sampler, edge_fraction, seed)
     except (EmptyGraphError, SamplingError):
         assume(False)
-    known_sample = None
-    if known and sampler in KNOWN_SAMPLE_KINDS:
-        kind = KNOWN_SAMPLE_KINDS[sampler]
-        fraction = fractions.node_fraction if kind == "node" else fractions.edge_fraction
-        known_sample = (kind, fraction)
+    known_sample = (sampler, fractions) if known and sampler in KNOWN_SAMPLERS else None
     start = _text(obs)
     _check_representation(obs)
 
@@ -491,6 +493,67 @@ def test_baseline_scorers_equal_their_definitions(
         score_cross_comm(obs, {u: c for u, c in partition.items() if u != missing})
 
 
+def _failing_highcc(obs, seed, est, b):
+    """The highcc scorer, failing on every sample with an odd edge count."""
+    if obs.n_edges % 2:
+        raise NetProbeError("injected scorer failure")
+    return score_clustering(obs, HIGH)
+
+
+@st.composite
+def sweep_grids(draw):
+    """A valid sweep grid over a small menu of values, so that its trials
+    share samples and pair keys: rwj at two jump probabilities, the grid's
+    own random trials, known samples for the samplers that have them, and
+    no two configs equal but for their repeats or an unread jump."""
+    def menu(values, most):
+        return draw(st.lists(st.sampled_from(values), min_size=1, max_size=most, unique=True))
+
+    config = st.builds(
+        TrialConfig,
+        sampler=st.sampled_from(menu(SAMPLER_NAMES, 3)),
+        strategy=st.sampled_from(menu(("maxoutprobe", "highdeg", "crosscomm", "highcc", "random"), 3)),
+        edge_fraction=st.sampled_from(menu((0.1, 0.2), 2)),
+        budget_fraction=st.sampled_from(menu((0.1, 0.2), 2)),
+        n_repeats=st.integers(1, 3),
+        jump_prob=st.sampled_from((0.1, 0.5)),
+        estimation_probes=st.integers(1, 5),
+        known_sample=st.booleans(),
+    ).map(lambda c: c if c.sampler in KNOWN_SAMPLERS else replace(c, known_sample=False))
+    return draw(st.lists(config, min_size=1, max_size=8, unique_by=lambda c: replace(
+        c, n_repeats=0, jump_prob=c.jump_prob if c.sampler == "rwj" else 0.0)))
+
+
+# a grid on which each rule of the reference shows in the rows: two rwj
+# jump probabilities at one budget, a random trial of the grid's own, added
+# baselines under several keys, a known sample and failing highcc trials
+_EXAMPLE_GRID = [
+    TrialConfig("rwj", "highdeg", 0.2, 0.1, 2, jump_prob=0.1),
+    TrialConfig("rwj", "maxoutprobe", 0.2, 0.1, 2, jump_prob=0.5, estimation_probes=3),
+    TrialConfig("randedge", "maxoutprobe", 0.2, 0.2, 2, known_sample=True),
+    TrialConfig("randedge", "random", 0.2, 0.2, 3),
+    TrialConfig("randnode", "highcc", 0.2, 0.1, 2),
+    TrialConfig("randnode", "highcc", 0.2, 0.2, 1),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    grid=sweep_grids(),
+    shape=st.tuples(st.integers(2, 6), st.integers(8, 12), st.integers(0, 10_000)),
+    master_seed=st.integers(0, 2**32),
+    jobs=st.just(1),
+)
+@example(grid=_EXAMPLE_GRID, shape=(3, 8, 5), master_seed=7, jobs=2)
+def test_sweep_equals_the_reference_sweep(grid, shape, master_seed, jobs):
+    n_blocks, block_size, graph_seed = shape
+    g = planted_partition_graph(n_blocks, block_size, 0.5, 0.05, seed=graph_seed)
+    assume(g.n_edges >= 10)
+    # forked pool workers inherit the patched scorer
+    with patch.dict(STRATEGIES, highcc=_failing_highcc):
+        assert sweep(g, grid, master_seed, jobs=jobs) == ref_sweep(g, grid, master_seed)
+
+
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 value_lists = st.lists(finite, min_size=1, max_size=40)
 
@@ -516,7 +579,7 @@ def test_ccdf_is_a_step_survival_curve(values):
 def test_auc_is_bounded_by_the_range_width(values, window):
     curve = ccdf(values)
     x_lo, x_hi = curve.points[0][0], curve.points[-1][0]
-    assert 0.0 <= curve.auc == auc(curve) <= _width_bound(x_hi - x_lo)
+    assert 0.0 <= auc(curve) <= _width_bound(x_hi - x_lo)
     lo, hi = window
     assert 0.0 <= auc(curve, lo, hi) <= _width_bound(hi - lo)
 

@@ -5,12 +5,13 @@ import random
 import pytest
 from scipy import stats as scipy_stats
 
+from netprobe import strategies
 from netprobe.errors import ConfigError, UnknownNodeError
 from netprobe.estimators import FALLBACK_ESTIMATE, EstimateSet, METHOD_PROBE
 from netprobe.generators import hub_community_graph, planted_partition_graph, random_graph
 from netprobe.graphs import CompleteGraph, ObservedGraph, edge_dispersion
 from netprobe.probing import ProbeLedger
-from netprobe.sampling import sample_random_edge, sample_random_node
+from netprobe.sampling import run_sampler, sample_random_edge, sample_random_node
 from netprobe.strategies import (
     estimate,
     make_probe_plan,
@@ -331,11 +332,40 @@ class TestMakeProbePlan:
         plan, est = make_probe_plan(
             "maxoutprobe", g, obs, ledger,
             selection_seed=1,
-            known_sample=("edge", fractions.edge_fraction),
+            known_sample=("randedge", fractions),
         )
         assert est.probes_used == 0
         assert ledger.spent == 0
         assert len(plan.nodes) == 10
+
+    @pytest.mark.parametrize("sampler, estimator, fraction", [
+        ("randnode", "known_node_sample_estimates", "node_fraction"),
+        ("randedge", "known_edge_sample_estimates", "edge_fraction"),
+    ])
+    def test_known_sample_maps_its_sampler_to_its_estimator(
+        self, monkeypatch, sampler, estimator, fraction
+    ):
+        # estimate looks the estimator up in the module when it runs, so a
+        # replaced module attribute (a tracer's wrapper, say) is what it calls
+        g = planted_partition_graph(8, 10, 0.5, 0.02, seed=0)
+        obs, fractions = run_sampler(g, sampler, 0.2, seed=3)
+        closed_form = getattr(strategies, estimator)
+        calls = []
+        monkeypatch.setattr(strategies, estimator,
+                            lambda obs, f: calls.append(f) or closed_form(obs, f))
+        ledger = ProbeLedger(budget=10)
+        est = estimate(g, obs, ledger, (sampler, fractions))
+        assert calls == [getattr(fractions, fraction)]
+        assert est == closed_form(obs, getattr(fractions, fraction))
+        assert ledger.log == []
+
+    @pytest.mark.parametrize("sampler", ["rw", "rwj"])
+    def test_known_sample_of_another_sampler_rejected(self, sampler):
+        g, obs, fractions = self.setup_sample()
+        ledger = ProbeLedger(budget=10)
+        with pytest.raises(ConfigError, match=f"known_sample needs a sampler in .* got '{sampler}'"):
+            estimate(g, obs, ledger, (sampler, fractions))
+        assert ledger.log == []
 
     def test_uncharged_estimation_restores_budget(self):
         g, obs, _ = self.setup_sample()
