@@ -118,7 +118,7 @@ def probe_based_estimates(
         partners = _open_wedge_partners(obs, i)
         ratio_sum += len(true_nbrs) / len(nbrs[i])
         n_partners += len(partners)
-        n_closed += len(partners & true_nbrs)
+        n_closed += len(partners.intersection(true_nbrs))
         probe(g, obs, ledger, labels[i], phase=PHASE_ESTIMATION)
 
     raw = ratio_sum / len(chosen)

@@ -8,9 +8,10 @@ indices (``_nbrs`` maps an index to its neighbours' indices, ``_ix`` maps a
 label to its index), so each primitive has one path for both.  All public
 interfaces speak external string labels.
 
-The complete graph is built block by block into its one eager adjacency,
-``_nbrs``; the sorted neighbour lists that walks step through are built on
-first use.
+The complete graph is built block by block into its one adjacency,
+``_nbrs``: each index's neighbours as a sorted list, which walks step
+through and membership tests scan.  The observed graph keeps a set per
+node, which probes and scorers grow and intersect.
 
 Every listing of nodes is in ascending label order, so that rankings can
 break ties by label and files are canonical.  The complete graph sorts its
@@ -22,9 +23,10 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, count
+from itertools import chain, count, islice
 from operator import eq, length_hint
 from typing import IO, AbstractSet, Iterable, Iterator, Mapping
 
@@ -67,17 +69,16 @@ _STATUSES = (None, NodeStatus.CANDIDATE, NodeStatus.EXPLORED)
 class CompleteGraph:
     """Immutable ground-truth graph.
 
-    ``_nbrs`` is its one eager adjacency: each index's neighbours as a
-    frozenset.  The sorted neighbour lists that walks and ordered reads step
-    through (``_adj``) are built on first use, by :meth:`_sorted_adj`.
-    Concurrent reads are safe: that fill is idempotent, a write of equal
-    lists however many readers race to it.  Self-loops and duplicate edges
-    are dropped silently, before their endpoints get an index, so every
-    indexed node has at least one neighbour; the counts end up in
+    ``_nbrs`` is its one adjacency: each index's neighbours as a list in
+    ascending index order, with no repeats, built at load.  The flat array
+    of edge ends that random-edge sampling reads (``_edge_ends``) is built
+    on first use, by :meth:`_edge_end_array`.  Self-loops and duplicate
+    edges are dropped silently, before their endpoints get an index, so
+    every indexed node has at least one neighbour; the counts end up in
     ``load_report``.
     """
 
-    __slots__ = ("_index", "_labels", "_by_label", "_adj", "_nbrs", "_n_edges", "load_report")
+    __slots__ = ("_index", "_labels", "_by_label", "_edge_ends", "_nbrs", "_n_edges", "load_report")
 
     def __init__(self, edges: Iterable[tuple[str, str]]):
         self._build([list(chain.from_iterable(edges))])
@@ -88,7 +89,7 @@ class CompleteGraph:
         numbered by first appearance among the pairs that are not
         self-loops."""
         index: dict[str, int] = {}
-        lists: list[list[int]] = []
+        nbrs: list[list[int]] = []
         n_pairs = self_loops = 0
         for tokens in chunks:
             firsts, seconds = tokens[0::2], tokens[1::2]
@@ -100,17 +101,21 @@ class CompleteGraph:
                 tokens = list(chain.from_iterable(pairs))
             new = [label for label in dict.fromkeys(tokens) if label not in index]
             index.update(zip(new, count(len(index))))
-            lists += [[] for _ in new]
+            nbrs += [[] for _ in new]
             ends = iter(map(index.__getitem__, tokens))
             for i, j in zip(ends, ends):
-                lists[i].append(j)
-                lists[j].append(i)
-        # each list is dropped as its frozenset is made, so that the two
-        # adjacencies never both live whole
-        for i, neighbors in enumerate(lists):
-            lists[i] = frozenset(neighbors)
-        nbrs = dict(enumerate(lists))
-        n_edges = sum(map(len, nbrs.values())) // 2
+                nbrs[i].append(j)
+                nbrs[j].append(i)
+        for neighbors in nbrs:
+            neighbors.sort()
+        # a repeated edge leaves two equal neighbours side by side in a
+        # list; so can the last of one list and the first of the next,
+        # which only costs the exact pass
+        flat = chain.from_iterable(nbrs)
+        if any(map(eq, flat, islice(chain.from_iterable(nbrs), 1, None))):
+            for i, neighbors in enumerate(nbrs):
+                nbrs[i] = sorted(set(neighbors))
+        n_edges = sum(map(len, nbrs)) // 2
         if not n_edges:
             raise EmptyGraphError("graph must contain at least one edge")
 
@@ -119,7 +124,7 @@ class CompleteGraph:
         self._labels = labels
         # every index, in ascending label order
         self._by_label = sorted(range(len(labels)), key=labels.__getitem__)
-        self._adj = None
+        self._edge_ends = None
         self._nbrs = nbrs
         self._n_edges = n_edges
         self.load_report = LoadReport(
@@ -129,13 +134,22 @@ class CompleteGraph:
             self_loops_dropped=self_loops,
         )
 
-    def _sorted_adj(self) -> list[list[int]]:
-        """Each index's neighbours in ascending index order, built on first
-        use and kept."""
-        adj = self._adj
-        if adj is None:
-            adj = self._adj = list(map(sorted, self._nbrs.values()))
-        return adj
+    def _edge_end_array(self) -> array:
+        """The ends of every edge in :meth:`edges` order, flat: edge k joins
+        the indices at positions 2k and 2k + 1.  Built on first use and
+        kept."""
+        ends = self._edge_ends
+        if ends is None:
+            ends = self._edge_ends = array("i", chain.from_iterable(self._index_edges()))
+        return ends
+
+    def _index_edges(self) -> Iterator[tuple[int, int]]:
+        """All edges once each, as index pairs (u, v) with u < v, in
+        ascending order."""
+        for u, neighbors in enumerate(self._nbrs):
+            for v in neighbors:
+                if v > u:
+                    yield u, v
 
     @property
     def n_nodes(self) -> int:
@@ -171,13 +185,11 @@ class CompleteGraph:
     def edges(self) -> Iterator[tuple[str, str]]:
         """All edges once each, as label pairs in dense-index order."""
         labels = self._labels
-        for u, neighbors in enumerate(self._sorted_adj()):
-            for v in neighbors:
-                if v > u:
-                    yield labels[u], labels[v]
+        for u, v in self._index_edges():
+            yield labels[u], labels[v]
 
     def max_degree(self) -> int:
-        return max(map(len, self._nbrs.values()))
+        return max(map(len, self._nbrs))
 
 
 def _lines_of(line: str) -> re.Pattern:
@@ -382,18 +394,21 @@ class ObservedGraph:
         nbrs, status = self._nbrs, self._status
         n_before = len(nbrs) + (i not in nbrs)
         mine = nbrs.setdefault(i, set())
-        fresh = self.graph._nbrs[i] - mine
-        for j in fresh:
+        complete = self.graph._nbrs[i]
+        for j in complete:
             theirs = nbrs.get(j)
             if theirs is None:
                 nbrs[j] = {i}
                 status[j] = _CANDIDATE
             else:
+                # a no-op for an edge already observed
                 theirs.add(i)
-        mine |= fresh
-        self._n_edges += len(fresh)
+        n_known = len(mine)
+        mine.update(complete)
+        n_fresh = len(mine) - n_known
+        self._n_edges += n_fresh
         status[i] = _EXPLORED
-        return len(nbrs) - n_before, len(fresh)
+        return len(nbrs) - n_before, n_fresh
 
     def copy(self) -> ObservedGraph:
         """An independent observation with the same nodes, edges, statuses,
@@ -413,7 +428,7 @@ def count_triangles_wedges(g: CompleteGraph | ObservedGraph) -> TriangleWedgeCou
 
     Wedges include closed ones: sum over nodes of C(degree, 2).
     """
-    nbrs = g._nbrs
+    nbrs = _neighbour_sets(g)
     wedges = 0
     triangle_sides = 0
     for u, neighbors in nbrs.items():
@@ -435,7 +450,8 @@ def global_clustering(g: CompleteGraph | ObservedGraph) -> float:
 
 def local_clustering(g: CompleteGraph | ObservedGraph, u: str) -> float:
     """Fraction of pairs of u's neighbors that are themselves connected."""
-    return _local_clustering(g._nbrs, g._ix(u))
+    i = g._ix(u)
+    return _local_clustering(_neighbour_sets(g, i), i)
 
 
 def edge_dispersion(g: CompleteGraph | ObservedGraph, u: str, v: str) -> int:
@@ -445,7 +461,21 @@ def edge_dispersion(g: CompleteGraph | ObservedGraph, u: str, v: str) -> int:
     i, j = g._ix(u), g._ix(v)
     if j not in g._nbrs[i]:
         raise UnknownNodeError(f"({u!r}, {v!r}) is not an edge of the graph")
-    return _edge_dispersion(g._nbrs, i, j)
+    # the common neighbours of i and j are neighbours of i
+    return _edge_dispersion(_neighbour_sets(g, i), i, j)
+
+
+def _neighbour_sets(
+    g: CompleteGraph | ObservedGraph, around: int | None = None
+) -> Mapping[int, AbstractSet[int]]:
+    """g's neighbours by index, as sets: an observed graph's own sets; for a
+    complete graph, sets made from its lists, of every index or of index
+    ``around`` and its neighbours only."""
+    if isinstance(g, ObservedGraph):
+        return g._nbrs
+    lists = g._nbrs
+    ixs = range(len(lists)) if around is None else [around, *lists[around]]
+    return {i: set(lists[i]) for i in ixs}
 
 
 def _open_wedge_partners(obs: ObservedGraph, i: int) -> set[int]:

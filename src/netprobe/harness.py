@@ -13,11 +13,11 @@ unit ends, also when a trial raises.
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import gc
 import hashlib
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -430,10 +430,11 @@ def sweep(
     for spec in specs:
         units.setdefault(spec.sample_key, []).append(spec)
     # never more workers than work units: under fork the pool starts every
-    # worker on its first submit
+    # worker on its first submit; concurrent.futures loads the pool, and
+    # multiprocessing with it, on this first lookup
     workers = min(jobs, len(units))
     if workers > 1:
-        with ProcessPoolExecutor(
+        with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(g,)
         ) as pool:
             unit_outcomes = list(pool.map(_run_unit_in_worker, units.values(), chunksize=1))

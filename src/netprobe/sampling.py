@@ -101,12 +101,13 @@ def sample_random_edge(
     without replacement.  No node is fully explored."""
     m = _edge_target(g.n_edges, edge_fraction)
     rng = random.Random(seed)
-    # index pairs in g.edges() order, so the draws match label pairs'
-    all_edges = [(u, v) for u, neighbors in enumerate(g._sorted_adj()) for v in neighbors if v > u]
-    chosen = rng.sample(all_edges, m)
+    # sample reads only its population's length, so drawing positions in
+    # g.edges() order draws what drawing the edges themselves would
+    chosen = rng.sample(range(g.n_edges), m)
+    ends = g._edge_end_array()
     obs = ObservedGraph(g, origin="randedge", target_edge_fraction=edge_fraction)
-    for u, v in chosen:
-        obs._link(u, v)
+    for k in chosen:
+        obs._link(ends[2 * k], ends[2 * k + 1])
     return obs, SampleFractions(node_fraction=0.0, edge_fraction=m / g.n_edges)
 
 
@@ -144,7 +145,7 @@ def sample_random_walk(
     # would, and choice(adj[i]) takes i's neighbours in index order, not in
     # the label order of g.neighbors(u)
     n = g.n_nodes
-    adj = g._sorted_adj()
+    adj = g._nbrs
     current = rng.randrange(n)
     steps = 0
     jumps = 0

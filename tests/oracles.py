@@ -6,8 +6,9 @@ routes can disagree.  The exceptions are frozen copies of earlier library
 code: the label-keyed Louvain, whose partitions the library must equal
 with the queue-based local move and match in modularity with the
 pass-based one it replaced, and the line-by-line edge-list and
-observed-graph readers with the per-pair graph construction, which the
-library must equal.  The reference sweep is built on the library's
+observed-graph readers with the per-pair graph construction and the
+random-edge sampler that draws from a list of every edge: the library
+must equal these.  The reference sweep is built on the library's
 single-trial path, harness.run_trial, with seeds, pairing and row order
 of its own.
 """
@@ -360,8 +361,8 @@ def ref_complete_graph(edges, lines_read: int = 0) -> CompleteGraph:
     g._index = index
     g._labels = labels
     g._by_label = sorted(range(len(labels)), key=labels.__getitem__)
-    g._adj = [sorted(neighbors) for neighbors in nbrs]
-    g._nbrs = {u: frozenset(neighbors) for u, neighbors in enumerate(nbrs)}
+    g._edge_ends = None
+    g._nbrs = [sorted(neighbors) for neighbors in nbrs]
     g._n_edges = n_edges
     g.load_report = LoadReport(
         lines_read=lines_read,
@@ -388,6 +389,17 @@ def ref_load_edge_list(source) -> CompleteGraph:
             )
         edges.append((tokens[0], tokens[1]))
     return ref_complete_graph(edges, lines_read=lines_read)
+
+
+def ref_sample_random_edge(g: CompleteGraph, edge_fraction: float, seed: int) -> ObservedGraph:
+    """The random-edge sampler that draws its edges from the list of every
+    edge as a label pair, in g.edges() order."""
+    rng = random.Random(seed)
+    chosen = rng.sample(list(g.edges()), int(edge_fraction * g.n_edges))
+    obs = ObservedGraph(g, origin="randedge", target_edge_fraction=edge_fraction)
+    for u, v in chosen:
+        obs.add_edge(u, v)
+    return obs
 
 
 def ref_read_observed(source, g: CompleteGraph) -> ObservedGraph:

@@ -713,3 +713,9 @@ def test_console_script_runs():
     )
     assert result.returncode == 0
     assert "netprobe" in result.stdout
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only a parallel sweep needs multiprocessing, and it loads it then
+    code = "import sys, netprobe.cli; sys.exit('multiprocessing' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0

@@ -1,5 +1,6 @@
 """Trial execution, pairing, CCDF/AUC aggregation, and sweep plumbing."""
 
+import concurrent.futures
 import gc
 import io
 import logging
@@ -428,7 +429,7 @@ class TestSweep:
             def map(self, fn, iterable, chunksize=1):
                 return map(fn, iterable)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness, "_WORKER_GRAPH", None)
         g = planted_partition_graph(5, 8, 0.5, 0.02, seed=13)
         # one work unit per repeat: the grid has one sampler and edge fraction

@@ -22,7 +22,7 @@ from netprobe.graphs import (
     load_edge_list,
     read_observed,
 )
-from netprobe.sampling import sample_random_walk
+from netprobe.sampling import sample_random_edge
 
 from oracles import ref_load_edge_list, ref_read_observed
 
@@ -90,7 +90,7 @@ def blocks_of(block):
 
 def _graph_state(g: CompleteGraph):
     return (
-        list(g._index.items()), g._labels, g._by_label, g._sorted_adj(), g._nbrs,
+        list(g._index.items()), g._labels, g._by_label, g._nbrs,
         g.n_edges, g.load_report,
     )
 
@@ -294,10 +294,37 @@ def test_a_load_peaks_below_twice_what_the_graph_keeps(header):
     assert peak <= 2.0 * kept
 
 
-def test_sorted_neighbour_lists_are_built_on_first_use():
+@pytest.mark.parametrize("header", ["", "# header\n"])
+@pytest.mark.parametrize(
+    "text, lists, dropped",
+    [
+        # repeated in both orientations, plus a self-loop
+        ("a b\nb a\nb b\nc b\nb c\na b\n", [[1], [0, 2], [1]], (3, 1)),
+        # node 1's last neighbour is node 2's first: a false alarm for the
+        # load's scan for repeats, which must change nothing
+        ("a b\nc d\na d\nb d\n", [[1, 3], [0, 3], [3], [0, 1, 2]], (0, 0)),
+    ],
+)
+def test_neighbour_lists_are_sorted_without_repeats(header, text, lists, dropped):
+    g = load_edge_list(io.StringIO(header + text))
+    assert g._nbrs == lists
+    report = g.load_report
+    assert (report.duplicates_dropped, report.self_loops_dropped) == dropped
+    assert g._nbrs == CompleteGraph(line.split() for line in text.splitlines())._nbrs
+
+
+def test_a_real_graph_loads_sorted_lists_without_repeats():
+    for header in ("", "# header\n"):
+        g = load_edge_list(io.StringIO(header + HUB_TEXT))
+        assert all(all(map(int.__lt__, nbrs, nbrs[1:])) for nbrs in g._nbrs)
+        assert sum(map(len, g._nbrs)) == 2 * HUB.n_edges
+
+
+def test_edge_ends_are_built_on_first_use_in_edge_order():
     g = load_edge_list(io.StringIO(HUB_TEXT))
-    assert g._adj is None
-    sample_random_walk(g, 0.1, 0.0, seed=1)
-    adj = g._adj
-    assert adj == [sorted(g._nbrs[i]) for i in range(g.n_nodes)]
-    assert g._sorted_adj() is adj
+    assert g._edge_ends is None
+    sample_random_edge(g, 0.1, seed=1)
+    ends = g._edge_ends
+    labels = g.labels()
+    assert [(labels[u], labels[v]) for u, v in zip(ends[0::2], ends[1::2])] == list(g.edges())
+    assert g._edge_end_array() is ends

@@ -16,9 +16,10 @@ from their label order, Louvain equals the label-keyed reference with the
 queue-based local move, and so does each of its steps on random weighted
 levels with self-loops;
 the dispersion, clustering and cross-community scores equal their
-definitions.  A sweep's rows equal the reference sweep's on random grids
-with known samples and failing trials.  Then properties of the CCDF and
-AUC aggregation."""
+definitions.  The random-edge sampler draws the edges that drawing from
+a list of every edge draws.  A sweep's rows equal the reference sweep's
+on random grids with known samples and failing trials.  Then properties
+of the CCDF and AUC aggregation."""
 
 import io
 import random
@@ -45,7 +46,7 @@ from netprobe.graphs import (
 )
 from netprobe.harness import TrialConfig, auc, ccdf, common_range_aucs, run_session, sweep
 from netprobe.probing import PHASE_ESTIMATION, ProbeLedger, probe
-from netprobe.sampling import SAMPLER_NAMES, run_sampler
+from netprobe.sampling import SAMPLER_NAMES, run_sampler, sample_random_edge
 from netprobe.strategies import (
     HIGH,
     KNOWN_SAMPLERS,
@@ -71,6 +72,7 @@ from oracles import (
     ref_aggregate,
     ref_detect_communities,
     ref_queue_local_move,
+    ref_sample_random_edge,
     ref_sweep,
 )
 
@@ -491,6 +493,29 @@ def test_baseline_scorers_equal_their_definitions(
     missing = rng.choice(sorted(adj))
     with pytest.raises(UnknownNodeError, match="missing from the community partition"):
         score_cross_comm(obs, {u: c for u, c in partition.items() if u != missing})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    p=st.floats(0.05, 0.6),
+    graph_seed=st.integers(0, 10_000),
+    edge_fraction=st.floats(0.01, 1.0),
+    seed=st.integers(0, 2**32),
+)
+def test_random_edge_sample_equals_the_edge_list_draw(n, p, graph_seed, edge_fraction, seed):
+    # random.sample reads only its population's length, so positions drawn
+    # from range(|E|) are the edges drawn from the list of every edge
+    try:
+        g = random_graph(n, p, seed=graph_seed)
+        obs, fractions = sample_random_edge(g, edge_fraction, seed)
+    except (EmptyGraphError, SamplingError):
+        assume(False)
+    ref = ref_sample_random_edge(g, edge_fraction, seed)
+    assert _text(obs) == _text(ref)
+    assert obs.n_edges == ref.n_edges
+    assert fractions.edge_fraction == ref.n_edges / g.n_edges
+    _check_representation(obs)
 
 
 def _failing_highcc(obs, seed, est, b):
