@@ -5,13 +5,14 @@ Two graph classes live here: :class:`CompleteGraph`, the immutable ground
 truth that answers probes, and :class:`ObservedGraph`, the partial view that
 samplers and probes build up.  Both hold the complete graph's dense integer
 indices (``_nbrs`` maps an index to its neighbours' indices, ``_ix`` maps a
-label to its index), so each primitive has one path for both.  All public
-interfaces speak external string labels.
+label to its index, ``_adjacent`` tests two indices for an edge), so each
+primitive has one path for both.  All public interfaces speak external
+string labels.
 
 The complete graph is built block by block into its one adjacency,
 ``_nbrs``: each index's neighbours as a sorted list, which walks step
-through and membership tests scan.  The observed graph keeps a set per
-node, which probes and scorers grow and intersect.
+through and edge tests bisect.  The observed graph keeps a set per node,
+which probes and scorers grow and intersect.
 
 Every listing of nodes is in ascending label order, so that rankings can
 break ties by label and files are canonical.  The complete graph sorts its
@@ -24,10 +25,11 @@ from __future__ import annotations
 import math
 import re
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, count, islice
-from operator import eq, length_hint
+from itertools import chain
+from operator import eq, length_hint, ne
 from typing import IO, AbstractSet, Iterable, Iterator, Mapping
 
 from .errors import (
@@ -66,6 +68,17 @@ _EXPLORED = 2
 _STATUSES = (None, NodeStatus.CANDIDATE, NodeStatus.EXPLORED)
 
 
+class _Numbering(dict):
+    """Label -> dense index; looking up a new label numbers it next, so
+    labels are numbered by first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, label: str) -> int:
+        self[label] = i = len(self)
+        return i
+
+
 class CompleteGraph:
     """Immutable ground-truth graph.
 
@@ -88,7 +101,7 @@ class CompleteGraph:
         each, labels 2k and 2k + 1 are the endpoints of pair k.  Labels are
         numbered by first appearance among the pairs that are not
         self-loops."""
-        index: dict[str, int] = {}
+        index = _Numbering()
         nbrs: list[list[int]] = []
         n_pairs = self_loops = 0
         for tokens in chunks:
@@ -99,28 +112,25 @@ class CompleteGraph:
                 pairs = [(a, b) for a, b in zip(firsts, seconds) if a != b]
                 self_loops += len(firsts) - len(pairs)
                 tokens = list(chain.from_iterable(pairs))
-            new = [label for label in dict.fromkeys(tokens) if label not in index]
-            index.update(zip(new, count(len(index))))
-            nbrs += [[] for _ in new]
-            ends = iter(map(index.__getitem__, tokens))
+            # number the chunk's new labels, then give each a list
+            ends = iter(list(map(index.__getitem__, tokens)))
+            nbrs += [[] for _ in range(len(index) - len(nbrs))]
             for i, j in zip(ends, ends):
                 nbrs[i].append(j)
                 nbrs[j].append(i)
-        for neighbors in nbrs:
-            neighbors.sort()
-        # a repeated edge leaves two equal neighbours side by side in a
-        # list; so can the last of one list and the first of the next,
-        # which only costs the exact pass
-        flat = chain.from_iterable(nbrs)
-        if any(map(eq, flat, islice(chain.from_iterable(nbrs), 1, None))):
+        # a repeated edge leaves a list longer than its set
+        if any(map(ne, map(len, map(set, nbrs)), map(len, nbrs))):
             for i, neighbors in enumerate(nbrs):
                 nbrs[i] = sorted(set(neighbors))
+        else:
+            for neighbors in nbrs:
+                neighbors.sort()
         n_edges = sum(map(len, nbrs)) // 2
         if not n_edges:
             raise EmptyGraphError("graph must contain at least one edge")
 
         labels = list(index)
-        self._index = index
+        self._index = dict(index)
         self._labels = labels
         # every index, in ascending label order
         self._by_label = sorted(range(len(labels)), key=labels.__getitem__)
@@ -180,7 +190,19 @@ class CompleteGraph:
         return sorted(map(self._labels.__getitem__, self._nbrs[self._ix(u)]))
 
     def has_edge(self, u: str, v: str) -> bool:
-        return self._ix(v) in self._nbrs[self._ix(u)]
+        return self._adjacent(self._ix(u), self._ix(v))
+
+    def _adjacent(self, i: int | None, j: int | None) -> bool:
+        """Whether indices i and j are joined, found by bisecting i's
+        list; False if either is None (a label with no index)."""
+        if i is None or j is None:
+            return False
+        neighbors = self._nbrs[i]
+        try:
+            return neighbors[bisect_left(neighbors, j)] == j
+        except IndexError:
+            # j sorts after every neighbour
+            return False
 
     def edges(self) -> Iterator[tuple[str, str]]:
         """All edges once each, as label pairs in dense-index order."""
@@ -327,8 +349,12 @@ class ObservedGraph:
         return i is not None and self._status[i] != 0
 
     def has_edge(self, u: str, v: str) -> bool:
-        neighbors = self._nbrs.get(self._index.get(u))
-        return neighbors is not None and self._index.get(v) in neighbors
+        return self._adjacent(self._index.get(u), self._index.get(v))
+
+    def _adjacent(self, i: int | None, j: int | None) -> bool:
+        """Whether indices i and j are joined by an observed edge; False if
+        either is None (a label with no index)."""
+        return j in self._nbrs.get(i, ())
 
     def degree(self, u: str) -> int:
         return len(self._nbrs[self._ix(u)])
@@ -361,7 +387,7 @@ class ObservedGraph:
         subgraph by construction).  New endpoints enter as CANDIDATE.
         """
         i, j = self._index.get(u), self._index.get(v)
-        if i is None or j not in self.graph._nbrs[i]:
+        if not self.graph._adjacent(i, j):
             raise UnknownNodeError(f"({u!r}, {v!r}) is not an edge of the complete graph")
         return self._link(i, j)
 
@@ -459,7 +485,7 @@ def edge_dispersion(g: CompleteGraph | ObservedGraph, u: str, v: str) -> int:
     and v that are not connected and share no common neighbor other than u
     and v themselves."""
     i, j = g._ix(u), g._ix(v)
-    if j not in g._nbrs[i]:
+    if not g._adjacent(i, j):
         raise UnknownNodeError(f"({u!r}, {v!r}) is not an edge of the graph")
     # the common neighbours of i and j are neighbours of i
     return _edge_dispersion(_neighbour_sets(g, i), i, j)
@@ -617,10 +643,10 @@ def _fill_observed(obs: ObservedGraph, edges: list[str], statuses: list[str]) ->
     status entry; else the first status entry, in file order, with no
     incident edge or marked explored with an incomplete neighborhood."""
     g = obs.graph
-    index, g_nbrs, link = g._index, g._nbrs, obs._link
+    index, adjacent, link = g._index, g._adjacent, obs._link
     pairs = iter(list(map(index.get, edges)))
     for i, j in zip(pairs, pairs):
-        if i is None or j not in g_nbrs[i]:
+        if not adjacent(i, j):
             # the pair just read ends where the iterator stands
             end = len(edges) - length_hint(pairs)
             u, v = edges[end - 2:end]
@@ -637,7 +663,7 @@ def _fill_observed(obs: ObservedGraph, edges: list[str], statuses: list[str]) ->
         if i not in nbrs:
             raise ParseError(f"status entry for {u!r} but no incident edge")
         if flag == "E":
-            if len(nbrs[i]) != len(g_nbrs[i]):
+            if len(nbrs[i]) != len(g._nbrs[i]):
                 raise ParseError(
                     f"node {u!r} marked explored but its neighborhood is incomplete"
                 )

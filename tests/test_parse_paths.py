@@ -18,9 +18,11 @@ from netprobe.generators import hub_community_graph
 from netprobe.graphs import (
     _EDGE_LIST,
     CompleteGraph,
+    ObservedGraph,
     _observed_sections,
     load_edge_list,
     read_observed,
+    write_observed,
 )
 from netprobe.sampling import sample_random_edge
 
@@ -300,8 +302,7 @@ def test_a_load_peaks_below_twice_what_the_graph_keeps(header):
     [
         # repeated in both orientations, plus a self-loop
         ("a b\nb a\nb b\nc b\nb c\na b\n", [[1], [0, 2], [1]], (3, 1)),
-        # node 1's last neighbour is node 2's first: a false alarm for the
-        # load's scan for repeats, which must change nothing
+        # node 1's last neighbour is node 2's first, which is no repeat
         ("a b\nc d\na d\nb d\n", [[1, 3], [0, 3], [3], [0, 1, 2]], (0, 0)),
     ],
 )
@@ -318,6 +319,44 @@ def test_a_real_graph_loads_sorted_lists_without_repeats():
         g = load_edge_list(io.StringIO(header + HUB_TEXT))
         assert all(all(map(int.__lt__, nbrs, nbrs[1:])) for nbrs in g._nbrs)
         assert sum(map(len, g._nbrs)) == 2 * HUB.n_edges
+
+
+class _CountingList(list):
+    """A list that counts the entries read from it: one per indexed read,
+    and every entry for a membership scan."""
+
+    reads = 0
+
+    def __getitem__(self, k):
+        _CountingList.reads += 1
+        return super().__getitem__(k)
+
+    def __contains__(self, x):
+        _CountingList.reads += len(self)
+        return super().__contains__(x)
+
+
+def test_a_hub_that_sorts_first_is_read_back_in_log_time_per_edge():
+    # a star whose centre sorts before every leaf: write_observed writes
+    # each edge centre first, so every pair read tests the centre's list
+    d = 2000
+    g = load_edge_list(io.StringIO("".join(f"a b{k:04d}\n" for k in range(d))))
+    obs = ObservedGraph(g, "a", 1.0)
+    obs.explore("a")
+    sink = io.StringIO()
+    write_observed(obs, sink)
+    centre = g._index["a"]
+    g._nbrs[centre] = _CountingList(g._nbrs[centre])
+    _CountingList.reads = 0
+    back = read_observed(io.StringIO(sink.getvalue()), g)
+    assert _observed_state(back) == _observed_state(obs)
+    # a bisection per edge; a scan would read about d * d / 2 entries
+    assert _CountingList.reads <= d * (d.bit_length() + 1)
+    leaf = g._index["b0007"]
+    assert g._adjacent(centre, leaf) and g._adjacent(leaf, centre)
+    assert not g._adjacent(leaf, g._index["b0008"])
+    assert not g._adjacent(centre, None) and not g._adjacent(None, leaf)
+    assert obs._adjacent(centre, leaf) and not obs._adjacent(leaf, None)
 
 
 def test_edge_ends_are_built_on_first_use_in_edge_order():
