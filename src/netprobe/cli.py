@@ -37,6 +37,7 @@ from . import __version__
 from .errors import ConfigError, NetProbeError, SamplingError
 from .estimators import DEFAULT_ESTIMATION_PROBES, METHOD_FALLBACK, _check_fraction
 from .graphs import (
+    _clustering_of,
     count_triangles_wedges,
     global_clustering,
     load_edge_list,
@@ -303,7 +304,7 @@ def cmd_stats(args) -> int:
         "edges": g.n_edges,
         "triangles": counts.triangles,
         "wedges": counts.wedges,
-        "global_clustering": global_clustering(g),
+        "global_clustering": _clustering_of(counts),
         "max_degree": g.max_degree(),
         "duplicates_dropped": g.load_report.duplicates_dropped,
         "self_loops_dropped": g.load_report.self_loops_dropped,

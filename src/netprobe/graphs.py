@@ -9,10 +9,13 @@ label to its index, ``_adjacent`` tests two indices for an edge), so each
 primitive has one path for both.  All public interfaces speak external
 string labels.
 
-The complete graph is built block by block into its one adjacency,
-``_nbrs``: each index's neighbours as a sorted list, which walks step
-through and edge tests bisect.  The observed graph keeps a set per node,
-which probes and scorers grow and intersect.
+Edge lists and observed-graph files each have one reader, which reads a
+text in blocks of whole lines: a run of plain lines is split into labels in
+one call, and every other line is read on its own.  The complete graph is
+built block by block into its one adjacency, ``_nbrs``: each index's
+neighbours as a sorted list, which walks step through and edge tests
+bisect.  The observed graph keeps a set per node, which probes and scorers
+grow and intersect.
 
 Every listing of nodes is in ascending label order, so that rankings can
 break ties by label and files are canonical.  The complete graph sorts its
@@ -214,38 +217,33 @@ class CompleteGraph:
         return max(map(len, self._nbrs))
 
 
-def _lines_of(line: str) -> re.Pattern:
-    """The texts whose every line is ``line`` or blank (spaces and tabs
-    only), each line ending in "\\n" except that the last may end the text."""
-    return re.compile(rf"(?:{line}\n|[ \t]*\n)*(?:{line})?")
-
-
-# The texts the fast paths read.  An edge line is two labels, the first not
-# starting a comment, separated by spaces or tabs and followed by nothing
-# but spaces or tabs; a status line is the same with E or C for its second
-# label; an observed-graph header is comment and blank lines.
-_EDGE_LIST = _lines_of(r"[^\s#]\S*[ \t]+\S+[ \t]*")
-_STATUS_LIST = _lines_of(r"[^\s#]\S*[ \t]+[EC][ \t]*")
-_COMMENTS = _lines_of(r"[ \t]*#[^\n]*")
-# a match keeps state for every line a repeat has matched, and a split
-# makes a string of every label, so a long text is matched and split in
+# The runs of plain lines that the readers split into labels in one call:
+# lines that each end in "\n" and are blank (spaces and tabs only) or, for
+# _EDGE_RUN, two labels, the first not starting a comment, separated by
+# spaces or tabs and followed by nothing but spaces or tabs; for
+# _STATUS_RUN, the same with E or C for the second label.
+_EDGE_RUN = re.compile(r"(?:[^\s#]\S*[ \t]+\S+[ \t]*\n|[ \t]*\n)*")
+_STATUS_RUN = re.compile(r"(?:[^\s#]\S*[ \t]+[EC][ \t]*\n|[ \t]*\n)*")
+# a match keeps state for every line it has matched, next to the half-built
+# graph, and a split makes a string of every label, so a text is read in
 # blocks of whole lines of about this many characters
-_BLOCK = 1 << 14
+_BLOCK = 1 << 13
 
 
-def _blocks(text: str, start: int, end: int) -> Iterator[tuple[int, int]]:
-    """The bounds of text[start:end] cut into blocks of whole lines of about
-    _BLOCK characters, where end is the end of the text or follows a "\\n"."""
+def _blocks(text: str, start: int) -> Iterator[tuple[int, int]]:
+    """The bounds of text[start:] cut into blocks of whole lines of about
+    _BLOCK characters."""
+    end = len(text)
     while start < end:
         stop = text.find("\n", start + _BLOCK, end) + 1 or end
         yield start, stop
         start = stop
 
 
-def _lines_match(lines: re.Pattern, text: str, start: int, end: int) -> bool:
-    """Whether ``lines`` matches all of text[start:end] (bounded as for
-    _blocks)."""
-    return all(lines.fullmatch(text, a, b) for a, b in _blocks(text, start, end))
+def _line_error(text: str, pos: int, message: str) -> ParseError:
+    """A ParseError naming the number of the line of text at pos."""
+    lineno = text.count("\n", 0, pos) + 1
+    return ParseError(f"line {lineno}: {message}")
 
 
 def load_edge_list(source: IO[str]) -> CompleteGraph:
@@ -255,41 +253,33 @@ def load_edge_list(source: IO[str]) -> CompleteGraph:
     and so is one leading byte-order mark.  Reads the whole text with
     ``source.read()``; lines end at ``"\\n"``.  Raises :class:`ParseError`
     on a malformed line (with its number) and :class:`EmptyGraphError` if
-    nothing usable remains.
-
-    A text that ``_EDGE_LIST`` matches is split into labels one block of
-    lines at a time; any other text, one with a comment, other whitespace
-    or a malformed line, is read line by line, which is also what reports
-    its errors.  Either way the graph is built from one block's labels
-    before the next block is split.
+    nothing usable remains.  The graph is built from each block's labels,
+    read by :func:`_edge_line_labels`, before the next block is read.
     """
-    text = source.read()
-    start = int(text.startswith("\ufeff"))
-    if _lines_match(_EDGE_LIST, text, start, len(text)):
-        chunks = (text[a:b].split() for a, b in _blocks(text, start, len(text)))
-    else:
-        chunks = _edge_line_labels(text, start)
     g = CompleteGraph.__new__(CompleteGraph)
-    g._build(chunks)
+    g._build(_edge_line_labels(source.read()))
     return g
 
 
-def _edge_line_labels(text: str, start: int) -> Iterator[list[str]]:
-    """The labels of text[start:]'s edge lines, a list per block of lines,
-    raising ParseError on the first line that is neither blank, a comment
-    nor two labels."""
-    lineno = 0
-    for a, b in _blocks(text, start, len(text)):
-        labels: list[str] = []
-        # a block's last "\n" ends its last line and starts no other
-        lines = text[a:b - (text[b - 1] == "\n")].split("\n")
-        for lineno, line in enumerate(lines, lineno + 1):
-            fields = line.split()
-            if not fields or fields[0].startswith("#"):
-                continue
-            if len(fields) != 2:
-                raise ParseError(f"line {lineno}: expected 2 node labels, got {len(fields)}")
-            labels += fields
+def _edge_line_labels(text: str) -> Iterator[list[str]]:
+    """The labels of text's edge lines, less one leading byte-order mark, a
+    list per block of lines, raising ParseError on the first line that is
+    neither blank, a comment nor two labels.  Each run of lines that
+    _EDGE_RUN matches is split in one call; each other line is read on its
+    own."""
+    for a, b in _blocks(text, int(text.startswith("\ufeff"))):
+        run = _EDGE_RUN.match(text, a, b).end()
+        labels = text[a:run].split()
+        while run < b:
+            # the line after the run, then the next run
+            pos = text.find("\n", run, b) + 1 or b
+            fields = text[run:pos].split()
+            if fields and not fields[0].startswith("#"):
+                if len(fields) != 2:
+                    raise _line_error(text, run, f"expected 2 node labels, got {len(fields)}")
+                labels += fields
+            run = _EDGE_RUN.match(text, pos, b).end()
+            labels += text[pos:run].split()
         yield labels
 
 
@@ -468,7 +458,11 @@ def count_triangles_wedges(g: CompleteGraph | ObservedGraph) -> TriangleWedgeCou
 
 def global_clustering(g: CompleteGraph | ObservedGraph) -> float:
     """Transitivity: 3 * triangles / wedges, or 0 on a wedge-free graph."""
-    counts = count_triangles_wedges(g)
+    return _clustering_of(count_triangles_wedges(g))
+
+
+def _clustering_of(counts: TriangleWedgeCounts) -> float:
+    """global_clustering of a graph with these counts."""
     if counts.wedges == 0:
         return 0.0
     return 3.0 * counts.triangles / counts.wedges
@@ -588,51 +582,14 @@ def read_observed(source: IO[str], g: CompleteGraph) -> ObservedGraph:
     ``source.read()``, less one leading byte-order mark; lines end at
     ``"\\n"``.
 
-    A text laid out as :func:`_observed_sections` reads has its sections
-    split into labels in one call each; any other text, and one that lists
-    a node's status twice, is read line by line, which is what names a bad
-    line.  Either way the labels are checked once, on indices, by
-    :func:`_fill_observed`.
+    The text is read by :func:`_observed_lines`, and its labels are
+    checked once, on indices, by :func:`_fill_observed`.
     """
     text = source.read().removeprefix("\ufeff")
-    sections = _observed_sections(text)
-    if sections is None:
-        origin, target_fraction, edges, statuses = _observed_lines(text)
-    else:
-        header, edge_text, status_text = sections
-        edges, statuses = edge_text.split(), status_text.split()
-        listed = statuses[0::2]
-        if len(set(listed)) != len(listed):
-            # a second status entry for a node is a line error: the line
-            # reader raises it, with its line number
-            _observed_lines(text)
-        origin, target_fraction, _, _ = _observed_lines(header)
+    origin, target_fraction, edges, statuses = _observed_lines(text)
     obs = ObservedGraph(g, origin=origin, target_edge_fraction=target_fraction)
     _fill_observed(obs, edges, statuses)
     return obs
-
-
-def _observed_sections(text: str) -> tuple[str, str, str] | None:
-    """The header, [edges] and [status] texts of an observed-graph text laid
-    out as write_observed writes it, or None: comment and blank lines, then
-    each heading on a line of its own, with edge lines under [edges] and
-    status lines under [status]."""
-    edges_at = text.find("[edges]\n")
-    if edges_at < 0 or (edges_at and text[edges_at - 1] != "\n"):
-        return None
-    edges_from = edges_at + len("[edges]\n")
-    # the [status] heading may follow the [edges] heading's own "\n"
-    status_at = text.find("\n[status]\n", edges_from - 1) + 1
-    if not status_at:
-        return None
-    status_from = status_at + len("[status]\n")
-    if not (
-        _lines_match(_COMMENTS, text, 0, edges_at)
-        and _lines_match(_EDGE_LIST, text, edges_from, status_at)
-        and _lines_match(_STATUS_LIST, text, status_from, len(text))
-    ):
-        return None
-    return text[:edges_at], text[edges_from:status_at], text[status_from:]
 
 
 def _fill_observed(obs: ObservedGraph, edges: list[str], statuses: list[str]) -> None:
@@ -671,53 +628,78 @@ def _fill_observed(obs: ObservedGraph, edges: list[str], statuses: list[str]) ->
 
 
 def _observed_lines(text: str) -> tuple[str, float, list[str], list[str]]:
-    """Read an observed-graph text line by line: its origin, target edge
-    fraction, edge endpoints and (label, flag) status pairs, the last two
-    as flat label lists, raising ParseError on the first bad line."""
+    """Read an observed-graph text: its origin, target edge fraction, edge
+    endpoints and (label, flag) status pairs, the last two as flat label
+    lists, raising ParseError on the first bad line.  In a section, each run
+    of lines that _EDGE_RUN or _STATUS_RUN matches is split in one call;
+    each other line is read on its own, and so is each line of a status run
+    that names a node already listed, or one twice, so that the error names
+    the line."""
     origin = ""
     target_fraction = 0.0
     section = None
+    runs = {"edges": _EDGE_RUN, "status": _STATUS_RUN}
     edges: list[str] = []
     statuses: list[str] = []
     listed: set[str] = set()
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("origin:"):
-                origin = body[len("origin:"):].strip()
-            elif body.startswith("target_edge_fraction:"):
-                try:
-                    target_fraction = float(body[len("target_edge_fraction:"):])
-                except ValueError:
-                    target_fraction = math.nan
-                # the comparison is false for nan
-                if not 0.0 <= target_fraction <= 1.0:
-                    raise ParseError(
-                        f"line {lineno}: bad target_edge_fraction, expected a number in [0, 1]"
-                    )
-            continue
-        if line == "[edges]":
-            section = "edges"
-            continue
-        if line == "[status]":
-            section = "status"
-            continue
-        tokens = line.split()
-        if section == "edges":
-            if len(tokens) != 2:
-                raise ParseError(f"line {lineno}: expected 2 node labels")
-            edges += tokens
-        elif section == "status":
-            if len(tokens) != 2 or tokens[1] not in ("E", "C"):
-                raise ParseError(f"line {lineno}: expected '<label> E|C'")
-            if tokens[0] in listed:
-                raise ParseError(f"line {lineno}: second status entry for {tokens[0]!r}")
-            listed.add(tokens[0])
-            statuses += tokens
-        else:
-            raise ParseError(f"line {lineno}: content outside any section")
+    # lines before this position are read one by one
+    lines_to = 0
+    for pos, b in _blocks(text, 0):
+        while pos < b:
+            if section and pos >= lines_to:
+                run = runs[section].match(text, pos, b).end()
+                tokens = text[pos:run].split()
+                if section == "edges":
+                    edges += tokens
+                    pos = run
+                else:
+                    n_listed = len(listed)
+                    listed.update(tokens[0::2])
+                    if len(listed) - n_listed == len(tokens) // 2:
+                        statuses += tokens
+                        pos = run
+                    else:
+                        # a repeated label: read the run line by line
+                        listed = set(statuses[0::2])
+                        lines_to = run
+            line_at, pos = pos, text.find("\n", pos, b) + 1 or b
+            line = text[line_at:pos].strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("origin:"):
+                    origin = body[len("origin:"):].strip()
+                elif body.startswith("target_edge_fraction:"):
+                    try:
+                        target_fraction = float(body[len("target_edge_fraction:"):])
+                    except ValueError:
+                        target_fraction = math.nan
+                    # the comparison is false for nan
+                    if not 0.0 <= target_fraction <= 1.0:
+                        raise _line_error(
+                            text, line_at, "bad target_edge_fraction, expected a number in [0, 1]"
+                        )
+                continue
+            if line == "[edges]":
+                section = "edges"
+                continue
+            if line == "[status]":
+                section = "status"
+                continue
+            tokens = line.split()
+            if section == "edges":
+                if len(tokens) != 2:
+                    raise _line_error(text, line_at, "expected 2 node labels")
+                edges += tokens
+            elif section == "status":
+                if len(tokens) != 2 or tokens[1] not in ("E", "C"):
+                    raise _line_error(text, line_at, "expected '<label> E|C'")
+                if tokens[0] in listed:
+                    raise _line_error(text, line_at, f"second status entry for {tokens[0]!r}")
+                listed.add(tokens[0])
+                statuses += tokens
+            else:
+                raise _line_error(text, line_at, "content outside any section")
 
     return origin, target_fraction, edges, statuses

@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netprobe import cli
+from netprobe import cli, graphs
 from netprobe.cli import build_parser, main
 from netprobe.generators import planted_partition_graph
+from netprobe.graphs import CompleteGraph, ObservedGraph, load_edge_list
 from netprobe.sampling import SAMPLER_NAMES
 
 
@@ -366,6 +367,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("flags", [
         ("--budget-fracs", "7,0.1"),
+        ("--budget-fracs", "0.1,x"),
         ("--edge-fraction", "0"),
         ("--edge-fraction", "1.5"),
         ("--jump-prob", "1.5"),
@@ -519,6 +521,25 @@ class TestStats:
         stats = json.loads(capsys.readouterr().out)
         assert stats["observed"]["explored"] == 0
         assert stats["observed"]["origin"] == "randedge"
+
+    def test_each_graph_is_counted_once(self, graph_file, tmp_path, monkeypatch, capsys):
+        obs = TestProbe().make_sample(graph_file, tmp_path)
+        counted = []
+        count = graphs.count_triangles_wedges
+
+        def counting(g):
+            counted.append(type(g))
+            return count(g)
+
+        monkeypatch.setattr(graphs, "count_triangles_wedges", counting)
+        monkeypatch.setattr(cli, "count_triangles_wedges", counting)
+        capsys.readouterr()
+        assert run("stats", "--graph", graph_file, "--observed", obs) == 0
+        assert counted == [CompleteGraph, ObservedGraph]
+        stats = json.loads(capsys.readouterr().out)
+        with open(graph_file) as fh:
+            g = load_edge_list(fh)
+        assert stats["global_clustering"] == graphs.global_clustering(g)
 
 
 class TestCollectorPause:

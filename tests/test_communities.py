@@ -141,6 +141,12 @@ def test_bridge_node_crosses_half():
     assert scores["bridge"] == 0.5
 
 
+def test_an_empty_observation_has_no_communities():
+    obs = ObservedGraph(CompleteGraph([("a", "b")]))
+    assert detect_communities(obs) == {}
+    assert modularity(obs, {}) == 0.0
+
+
 def test_modularity_rejects_a_partition_missing_an_observed_node():
     obs = full_view(CompleteGraph([("a", "b"), ("b", "c"), ("c", "d")]))
     with pytest.raises(UnknownNodeError, match="'c' missing from the community partition"):

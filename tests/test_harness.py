@@ -179,6 +179,7 @@ class TestAuc:
         areas = common_range_aucs(curves)
         assert areas["a"] == pytest.approx(5.0)
         assert areas["b"] == pytest.approx(5.0)
+        assert common_range_aucs({}) == {}
 
 
 class TestSweep:

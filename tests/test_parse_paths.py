@@ -1,8 +1,7 @@
 """The edge-list and observed-graph readers against frozen copies of their
-line-by-line predecessors, on generated texts that take either reader's
-fast path (the text split into labels in one call) or its line-by-line
-fallback: both give equal graphs, or both raise the same error with the
-same message."""
+line-by-line predecessors, on generated texts whose lines each reader
+splits in runs or reads on its own: both give equal graphs, or both raise
+the same error with the same message."""
 
 import io
 import tracemalloc
@@ -12,14 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netprobe.errors import NetProbeError, UnknownNodeError
+from netprobe.errors import NetProbeError, ParseError, UnknownNodeError
 from netprobe import graphs
 from netprobe.generators import hub_community_graph
 from netprobe.graphs import (
-    _EDGE_LIST,
     CompleteGraph,
     ObservedGraph,
-    _observed_sections,
     load_edge_list,
     read_observed,
     write_observed,
@@ -29,8 +26,8 @@ from netprobe.sampling import sample_random_edge
 from oracles import ref_load_edge_list, ref_read_observed
 
 LABELS = ("a", "b", "c", "é", "节点", "#h", "x#")
-# str.isspace() whitespace other than space, tab and "\n": none of it is a
-# separator on the fast path
+# str.isspace() whitespace other than space, tab and "\n": a line with any
+# of it is read on its own
 ODD_SPACE = ("\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u3000", "\r")
 CLEAN_GAPS = (" ", "\t", " \t", "  ")
 CLEAN_TRAILS = ("", "", " ", "\t")
@@ -75,7 +72,7 @@ def edge_list_texts(draw):
     return _lines_text(draw, lines, clean)
 
 
-# the fast paths match long texts in blocks of lines; tiny blocks split the
+# the readers read long texts in blocks of lines; tiny blocks split the
 # generated texts into many
 DEFAULT_BLOCK = graphs._BLOCK
 BLOCKS = st.sampled_from((DEFAULT_BLOCK, 1, 7))
@@ -225,10 +222,9 @@ def test_read_observed_equals_line_reader(text, block):
     assert new == _outcome(ref_read_observed, text, G, summary=_observed_state)
 
 
-def test_a_fast_layout_text_goes_through_the_line_reader_only_for_its_header(monkeypatch):
-    """A text laid out as write_observed writes it is split once and
-    checked once: a failed check does not send it back to be read line by
-    line."""
+def test_a_text_is_read_once_and_checked_once(monkeypatch):
+    """Neither a failed check on indices nor a repeated status entry sends
+    a text back to be read again."""
     line_reader = graphs._observed_lines
     read = []
 
@@ -238,18 +234,18 @@ def test_a_fast_layout_text_goes_through_the_line_reader_only_for_its_header(mon
 
     monkeypatch.setattr(graphs, "_observed_lines", counted)
     text = "# origin: a\n[edges]\na b\na é\n[status]\na C\nb C\né C\n"
-    assert _observed_sections(text) is not None
     with pytest.raises(UnknownNodeError, match="is not an edge of the complete graph"):
         read_observed(io.StringIO(text), G)
-    assert read == ["# origin: a\n"]
+    repeated = "[edges]\na b\n[status]\na C\nb C\na C\n"
+    with pytest.raises(ParseError, match="^line 6: second status entry for 'a'$"):
+        read_observed(io.StringIO(repeated), G)
+    assert read == [text, repeated]
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_each_path_through_a_real_file(tmp_path, fast):
+@pytest.mark.parametrize("comment", ["", "# written by hand\r\n"], ids=["plain", "comment"])
+def test_a_real_file_reads_as_the_line_readers_read_it(tmp_path, comment):
     """A file opened in text mode turns "\\r\\n" into "\\n" before either
-    reader sees it; a comment line is what sends the second pair of files
-    down the line-by-line path."""
-    comment = "" if fast else "# written by hand\r\n"
+    reader sees it."""
     edges = tmp_path / "graph.edges"
     edges.write_bytes(f"{comment}a b\r\nb\tc\r\nc é\r\né 节点\r\n".encode())
     observed = tmp_path / "observed.txt"
@@ -258,15 +254,11 @@ def test_each_path_through_a_real_file(tmp_path, fast):
     )
 
     with open(edges, encoding="utf-8") as fh:
-        assert bool(_EDGE_LIST.fullmatch(fh.read())) is fast
-    with open(edges, encoding="utf-8") as fh:
         g = load_edge_list(fh)
     with open(edges, encoding="utf-8") as fh:
         assert _graph_state(g) == _graph_state(ref_load_edge_list(fh))
     assert g.n_edges == 4 and g.load_report.lines_read == 4
 
-    with open(observed, encoding="utf-8") as fh:
-        assert (_observed_sections(fh.read()) is not None) is fast
     with open(observed, encoding="utf-8") as fh:
         obs = read_observed(fh, g)
     with open(observed, encoding="utf-8") as fh:
@@ -274,8 +266,7 @@ def test_each_path_through_a_real_file(tmp_path, fast):
     assert obs.origin == "b" and obs.explored_nodes() == ["b"]
 
 
-# a 1230-node graph as an edge list: plain, which is split in blocks, and
-# with a comment line, which the line reader reads
+# a 1230-node graph as an edge list, plain and with a comment line
 HUB = hub_community_graph(100, 12, 0.85, 30, 20, seed=1)
 HUB_TEXT = "".join(f"{u} {v}\n" for u, v in HUB.edges())
 

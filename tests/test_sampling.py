@@ -208,6 +208,15 @@ class TestBernoulliNode:
             rates.append(len(obs.explored_nodes()) / g.n_nodes)
         assert abs(sum(rates) / len(rates) - 0.5) < 0.02
 
+    @pytest.mark.parametrize("node_prob", [0.0, -0.5, 1.5, float("nan")])
+    def test_bad_probability(self, node_prob):
+        with pytest.raises(SamplingError, match="node_prob must be in"):
+            sample_node_bernoulli(k4(), node_prob, seed=1)
+
+    def test_no_node_selected(self):
+        with pytest.raises(SamplingError, match="no node selected"):
+            sample_node_bernoulli(k4(), 1e-12, seed=1)
+
 
 class TestRunSampler:
     def test_dispatch_and_origin_tags(self):

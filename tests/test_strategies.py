@@ -293,6 +293,11 @@ class TestSelectRandom:
         _, p_value = scipy_stats.chisquare(list(counts.values()))
         assert p_value > 0.01
 
+    def test_no_budget_rejected(self):
+        obs = full_view(star())
+        with pytest.raises(ConfigError):
+            select_random(obs, 0, seed=1)
+
 
 class TestMakeProbePlan:
     def setup_sample(self, seed=0):
