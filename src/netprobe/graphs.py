@@ -426,6 +426,35 @@ class ObservedGraph:
         status[i] = _EXPLORED
         return len(nbrs) - n_before, n_fresh
 
+    def _exploration_growth(self, ixs: Iterable[int]) -> tuple[int, int]:
+        """The numbers of nodes and edges that exploring the candidates at
+        indices ixs would add, counted without exploring them.
+
+        Only candidates count, as only candidates can be probed: an index
+        not observed raises UnknownNodeError, and one explored or listed
+        twice NotCandidateError, with probe's messages.
+        """
+        nbrs, status, labels = self._nbrs, self._status, self._labels
+        complete = self.graph._nbrs
+        planned: set[int] = set()
+        for i in ixs:
+            if not status[i]:
+                raise UnknownNodeError(f"cannot probe {labels[i]!r}: not in the observed graph")
+            if status[i] == _EXPLORED or i in planned:
+                raise NotCandidateError(f"cannot probe {labels[i]!r}: already explored")
+            planned.add(i)
+        # planned nodes are observed, so only their neighbours can be new
+        reached = set().union(*map(complete.__getitem__, planned))
+        new_nodes = len(reached.difference(nbrs))
+        # each planned node's unobserved edges, less the unobserved edges
+        # between two planned nodes, which that sum counts twice
+        unobserved = twice = 0
+        for i in planned:
+            mine, theirs = nbrs[i], complete[i]
+            unobserved += len(theirs) - len(mine)
+            twice += len(planned.intersection(theirs)) - len(planned.intersection(mine))
+        return new_nodes, unobserved - twice // 2
+
     def copy(self) -> ObservedGraph:
         """An independent observation with the same nodes, edges, statuses,
         origin and target edge fraction."""

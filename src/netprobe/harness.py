@@ -2,6 +2,12 @@
 trial with a Random baseline on the identical sample, and aggregate percent
 improvements into CCDF curves with trapezoidal AUC.
 
+A sweep trial probes nothing in its selection phase: every strategy fixes
+its whole plan before the first selection probe, so the trial counts the
+nodes and edges the plan would add (ObservedGraph._exploration_growth).
+The CLI's probe session and run_trial, the reference a sweep is tested
+against, probe their plans node by node through run_session.
+
 A sweep's work unit (one drawn sample and every trial on it) runs with
 CPython's cyclic garbage collector paused.  A trial allocates many
 container objects but builds no reference cycle, so every object it drops
@@ -23,13 +29,13 @@ from dataclasses import dataclass, replace
 from itertools import chain
 from typing import IO, Sequence
 
-from .errors import ConfigError, NetProbeError, SamplingError
+from .errors import BudgetError, ConfigError, NetProbeError, SamplingError
 from .estimators import DEFAULT_ESTIMATION_PROBES, EstimateSet
 from .graphs import CompleteGraph, ObservedGraph
 from .probing import PHASE_SELECTION, ProbeLedger, probe
 from .sampling import DEFAULT_EDGE_FRACTION, DEFAULT_JUMP_PROB, SampleFractions
 from .sampling import check_sampler_args, run_sampler
-from .strategies import KNOWN_SAMPLERS, lookup_strategy, make_probe_plan
+from .strategies import ESTIMATED, KNOWN_SAMPLERS, ProbePlan, lookup_strategy, make_probe_plan
 
 logger = logging.getLogger(__name__)
 
@@ -131,6 +137,28 @@ def run_session(
     every probe in order, estimation probes first.  The estimate set is
     None for strategies that use none.
     """
+    ledger, plan, est = _plan_session(
+        g, obs, strategy, budget, seed, estimation_probes=estimation_probes,
+        known_sample=known_sample, charge_estimation=charge_estimation,
+    )
+    for u in plan.nodes:
+        probe(g, obs, ledger, u, phase=PHASE_SELECTION)
+    return ledger, est
+
+
+def _plan_session(
+    g: CompleteGraph,
+    obs: ObservedGraph,
+    strategy: str,
+    budget: int,
+    seed: int,
+    *,
+    estimation_probes: int,
+    known_sample: tuple[str, SampleFractions] | None,
+    charge_estimation: bool = True,
+) -> tuple[ProbeLedger, ProbePlan, EstimateSet | None]:
+    """run_session up to its selection probes: the ledger, charged with
+    any estimation probes made on obs, the plan and the estimate set."""
     ledger = ProbeLedger(budget=budget)
     plan, est = make_probe_plan(
         strategy, g, obs, ledger, selection_seed=seed,
@@ -138,9 +166,17 @@ def run_session(
         estimation_probes=estimation_probes, known_sample=known_sample,
         charge_estimation=charge_estimation,
     )
-    for u in plan.nodes:
-        probe(g, obs, ledger, u, phase=PHASE_SELECTION)
-    return ledger, est
+    return ledger, plan, est
+
+
+def _session_args(config: TrialConfig, g: CompleteGraph, fractions: SampleFractions) -> dict:
+    """The budget and estimation arguments of a session for a trial of
+    config on a sample its sampler drew with these fractions."""
+    return dict(
+        budget=budget_from_fraction(config.budget_fraction, g.n_nodes),
+        estimation_probes=config.estimation_probes,
+        known_sample=(config.sampler, fractions) if config.known_sample else None,
+    )
 
 
 def run_trial(
@@ -149,35 +185,52 @@ def run_trial(
     sampler_seed: int,
     strategy_seed: int,
 ) -> TrialResult:
-    """Sample, plan, probe, count.  Deterministic given both seeds."""
+    """Sample, plan, probe, count.  Deterministic given both seeds.
+
+    A sweep counts its trials without probing their plans; this probing
+    path is the reference its rows are tested against.
+    """
     _check_config(config, g)
     obs, fractions = run_sampler(
         g, config.sampler, config.edge_fraction, sampler_seed, jump_prob=config.jump_prob
     )
-    return _probe_sample(g, config, obs, fractions, strategy_seed)
-
-
-def _probe_sample(
-    g: CompleteGraph,
-    config: TrialConfig,
-    obs: ObservedGraph,
-    fractions: SampleFractions,
-    strategy_seed: int,
-) -> TrialResult:
-    """Plan, probe and count on obs, a sample config's sampler drew with
-    these fractions (its known sample, if the config asks for one)."""
-    budget = budget_from_fraction(config.budget_fraction, g.n_nodes)
     nodes_before = obs.n_nodes
-    known = (config.sampler, fractions) if config.known_sample else None
     ledger, est = run_session(
-        g, obs, config.strategy, budget, strategy_seed,
-        estimation_probes=config.estimation_probes, known_sample=known,
+        g, obs, config.strategy, seed=strategy_seed, **_session_args(config, g, fractions)
     )
     return TrialResult(
         nodes_before=nodes_before,
         nodes_after=obs.n_nodes,
         edges_after=obs.n_edges,
         probes_spent=ledger.spent,
+        estimate=est,
+    )
+
+
+def _count_trial(
+    g: CompleteGraph,
+    config: TrialConfig,
+    obs: ObservedGraph,
+    fractions: SampleFractions,
+    strategy_seed: int,
+) -> TrialResult:
+    """The result run_trial would give on obs, a sample config's sampler
+    drew with these fractions: plan, then count what probing the plan
+    would add instead of probing it.  A plan fixes every selection probe
+    before the first is made, so the count equals the probes' growth.
+    Only the estimation phase, if the trial has one, probes obs."""
+    nodes_before = obs.n_nodes
+    ledger, plan, est = _plan_session(
+        g, obs, config.strategy, seed=strategy_seed, **_session_args(config, g, fractions)
+    )
+    if len(plan.nodes) > ledger.remaining:
+        raise BudgetError(f"probe budget {ledger.budget} exhausted")
+    new_nodes, new_edges = obs._exploration_growth(map(g._index.__getitem__, plan.nodes))
+    return TrialResult(
+        nodes_before=nodes_before,
+        nodes_after=obs.n_nodes + new_nodes,
+        edges_after=obs.n_edges + new_edges,
+        probes_spent=ledger.spent + len(plan.nodes),
         estimate=est,
     )
 
@@ -334,10 +387,13 @@ def _detached(exc: NetProbeError) -> NetProbeError:
 # pass would walk the whole sample
 @_collector_paused()
 def _run_unit(g: CompleteGraph, specs: list[_TrialSpec]) -> list:
-    """Draw the sample the specs share once, then run each spec's trial on
-    its own copy of it, the last trial on the sample itself.  Returns one
-    TrialResult or NetProbeError per spec; a sample that fails fails every
-    trial.  Runs with the cyclic garbage collector paused."""
+    """Draw the sample the specs share once, then count each spec's trial
+    on it.  A trial whose estimation phase probes the sample (an estimated
+    strategy without a known sample) runs on its own copy, unless it is the
+    unit's last trial; every other trial reads the shared sample and leaves
+    it as it was.  Returns one TrialResult or NetProbeError per spec; a
+    sample that fails fails every trial.  Runs with the cyclic garbage
+    collector paused."""
     c = specs[0].config
     try:
         sample, fractions = run_sampler(
@@ -348,9 +404,11 @@ def _run_unit(g: CompleteGraph, specs: list[_TrialSpec]) -> list:
     outcomes = []
     last = len(specs) - 1
     for k, spec in enumerate(specs):
+        config = spec.config
         try:
-            obs = sample if k == last else sample.copy()
-            outcomes.append(_probe_sample(g, spec.config, obs, fractions, spec.strategy_seed))
+            probes_sample = config.strategy in ESTIMATED and not config.known_sample
+            obs = sample.copy() if probes_sample and k != last else sample
+            outcomes.append(_count_trial(g, config, obs, fractions, spec.strategy_seed))
         except NetProbeError as exc:
             outcomes.append(_detached(exc))
     return outcomes
@@ -384,7 +442,9 @@ def sweep(
 
     Each repeat is one incomplete network probed by every strategy at every
     budget, and the Random baseline sees the byte-identical sample, drawn
-    once and copied for each trial.  A config that no trial could run, an
+    once.  Each trial counts the growth its plan would bring on that sample
+    instead of probing it; only a trial whose estimation phase probes the
+    sample gets a copy of it.  A config that no trial could run, an
     out-of-range fraction among them, a config listed twice (equal but for
     n_repeats, or for a jump probability, which only rwj reads), or jobs
     below 1 raises ConfigError before any trial runs; trials that fail on

@@ -12,7 +12,7 @@ import pytest
 from netprobe import harness, strategies
 from netprobe.errors import ConfigError, NetProbeError, SamplingError
 from netprobe.generators import planted_partition_graph, random_graph
-from netprobe.graphs import ObservedGraph
+from netprobe.graphs import ObservedGraph, write_observed
 from netprobe.harness import (
     RESULT_COLUMNS,
     AggregateCurve,
@@ -316,13 +316,13 @@ class TestSweep:
     def test_random_trial_equal_to_its_baseline_runs_once(self, monkeypatch):
         g = planted_partition_graph(6, 10, 0.5, 0.02, seed=8)
         calls = []
-        run_session = harness.run_session
+        count_trial = harness._count_trial
 
-        def counting_run_session(g, obs, strategy, budget, seed, **kwargs):
-            calls.append((strategy, seed))
-            return run_session(g, obs, strategy, budget, seed, **kwargs)
+        def recording_count_trial(g, config, obs, fractions, seed):
+            calls.append((config.strategy, seed))
+            return count_trial(g, config, obs, fractions, seed)
 
-        monkeypatch.setattr(harness, "run_session", counting_run_session)
+        monkeypatch.setattr(harness, "_count_trial", recording_count_trial)
         grid = [TrialConfig(sampler="randedge", strategy=strategy, edge_fraction=0.2,
                             budget_fraction=0.1, n_repeats=2)
                 for strategy in ("highdeg", "random")]
@@ -366,8 +366,61 @@ class TestSweep:
         monkeypatch.setattr(harness, "_run_unit", counting_run_unit)
         rows = sweep(g, self.small_grid(n_repeats=2), master_seed=1)
         assert all(r["nodes_after"] != "" for r in rows)
-        # per sample: 2 strategies x 2 budgets plus 2 baselines
-        assert units == [(6, 5), (6, 5)]
+        # per sample: 2 strategies x 2 budgets plus 2 baselines, and only
+        # the 2 maxoutprobe trials probe the sample, to estimate
+        assert units == [(6, 2), (6, 2)]
+        # the grid's random trials come first, so an estimating trial is
+        # each sample's last and probes the sample itself
+        units.clear()
+        grid = [TrialConfig(sampler="randedge", strategy=strategy, edge_fraction=0.2,
+                            budget_fraction=0.1, n_repeats=2, estimation_probes=4)
+                for strategy in ("random", "maxoutprobe")]
+        rows = sweep(g, grid, master_seed=1)
+        assert all(r["nodes_after"] != "" for r in rows)
+        assert units == [(2, 0), (2, 0)]
+
+    def test_trials_that_do_not_estimate_leave_the_shared_sample_unchanged(self, monkeypatch):
+        g = planted_partition_graph(6, 10, 0.5, 0.02, seed=8)
+        samples = []
+
+        def recording_run_sampler(*args, **kwargs):
+            sample, fractions = run_sampler(*args, **kwargs)
+            samples.append(sample)
+            return sample, fractions
+
+        def text(obs):
+            sink = io.StringIO()
+            write_observed(obs, sink)
+            return sink.getvalue()
+
+        trials = []
+        count_trial = harness._count_trial
+
+        def recording_count_trial(g, config, obs, fractions, seed):
+            before = text(obs)
+            outcome = count_trial(g, config, obs, fractions, seed)
+            trials.append((config, obs, before == text(obs)))
+            return outcome
+
+        monkeypatch.setattr(harness, "run_sampler", recording_run_sampler)
+        monkeypatch.setattr(harness, "_count_trial", recording_count_trial)
+        grid = [TrialConfig(sampler=sampler, strategy=strategy, edge_fraction=0.2,
+                            budget_fraction=0.1, n_repeats=1, estimation_probes=4,
+                            known_sample=known)
+                for sampler in ("randnode", "randedge", "rw")
+                for strategy in strategies.STRATEGIES
+                for known in ((False, True) if sampler != "rw" and strategy == "maxoutprobe"
+                              else (False,))]
+        rows = sweep(g, grid, master_seed=2)
+        assert all(r["nodes_after"] != "" for r in rows)
+        assert len(samples) == 3 and len(trials) == len(rows)
+        for config, obs, unchanged in trials:
+            if config.strategy in strategies.ESTIMATED and not config.known_sample:
+                # not its unit's last trial, so it probes its own copy
+                assert all(obs is not sample for sample in samples) and not unchanged
+            else:
+                assert obs is samples[("randnode", "randedge", "rw").index(config.sampler)]
+                assert unchanged
 
     def test_parallel_matches_serial(self):
         g = planted_partition_graph(5, 8, 0.5, 0.02, seed=13)
@@ -378,14 +431,14 @@ class TestSweep:
 
     def test_failed_baseline_blanks_its_rows_and_every_improvement(self, monkeypatch, caplog):
         g = planted_partition_graph(6, 10, 0.5, 0.02, seed=12)
-        run_session = harness.run_session
+        count_trial = harness._count_trial
 
-        def run_session_failing_random(g, obs, strategy, *args, **kwargs):
-            if strategy == "random":
+        def count_trial_failing_random(g, config, *args):
+            if config.strategy == "random":
                 raise SamplingError("random failed")
-            return run_session(g, obs, strategy, *args, **kwargs)
+            return count_trial(g, config, *args)
 
-        monkeypatch.setattr(harness, "run_session", run_session_failing_random)
+        monkeypatch.setattr(harness, "_count_trial", count_trial_failing_random)
         grid = self.small_grid(n_repeats=2)
         with caplog.at_level("WARNING", logger="netprobe.harness"):
             rows = sweep(g, grid, master_seed=5)
@@ -401,7 +454,7 @@ class TestSweep:
             f"trial failed (randedge/random b={b} rep={rep}): random failed"
             for b, rep in sorted((b, rep) for b in (0.1, 0.2) for rep in range(2))
         ]
-        # forked pool workers inherit the patched run_session
+        # forked pool workers inherit the patched _count_trial
         assert sweep(g, grid, master_seed=5, jobs=2) == rows
 
     def test_serial_sweep_leaves_no_worker_graph(self, monkeypatch):
@@ -539,15 +592,15 @@ class TestCollectorPause:
     def test_trials_run_paused_and_the_collector_is_back_on_after(self, monkeypatch):
         g = planted_partition_graph(6, 10, 0.5, 0.02, seed=8)
         states = []
-        run_session = harness.run_session
+        count_trial = harness._count_trial
 
-        def recording_run_session(*args, **kwargs):
+        def recording_count_trial(g, config, *args):
             states.append(gc.isenabled())
-            if args[2] == "random":
+            if config.strategy == "random":
                 raise SamplingError("random failed")
-            return run_session(*args, **kwargs)
+            return count_trial(g, config, *args)
 
-        monkeypatch.setattr(harness, "run_session", recording_run_session)
+        monkeypatch.setattr(harness, "_count_trial", recording_count_trial)
         rows = sweep(g, self.grid(), master_seed=1)
         assert states == [False] * 4
         assert [r["nodes_after"] == "" for r in rows] == [False] * 2 + [True] * 2
@@ -572,10 +625,10 @@ class TestCollectorPause:
     def test_a_unit_that_raises_turns_the_collector_back_on(self, monkeypatch):
         g = planted_partition_graph(6, 10, 0.5, 0.02, seed=8)
 
-        def broken_run_session(*args, **kwargs):
+        def broken_count_trial(*args):
             raise TypeError("injected bug")
 
-        monkeypatch.setattr(harness, "run_session", broken_run_session)
+        monkeypatch.setattr(harness, "_count_trial", broken_count_trial)
         spec = harness._TrialSpec.derive(1, self.grid()[0], 0)
         with pytest.raises(TypeError, match="injected bug"):
             harness._run_unit(g, [spec])

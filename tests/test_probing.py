@@ -2,10 +2,11 @@
 
 import io
 import random
+import re
 
 import pytest
 
-from netprobe.errors import BudgetError, NotCandidateError, UnknownNodeError
+from netprobe.errors import BudgetError, NetProbeError, NotCandidateError, UnknownNodeError
 from netprobe.generators import random_graph
 from netprobe.graphs import CompleteGraph, ObservedGraph
 from netprobe.probing import (
@@ -81,6 +82,46 @@ class TestProbe:
                     assert g.has_edge(u, v)
             for u in obs.explored_nodes():
                 assert obs.neighbors(u) == sorted(g.neighbors(u))
+
+
+class TestExplorationGrowth:
+    """ObservedGraph._exploration_growth counts what probing a plan would add."""
+
+    @staticmethod
+    def world():
+        # u-a and a-b observed, then b explored, which reveals u-b; u-c, c-d,
+        # a-e and u-e unobserved
+        g = CompleteGraph([("u", "a"), ("u", "b"), ("a", "b"), ("u", "c"),
+                           ("c", "d"), ("a", "e"), ("u", "e")])
+        obs = ObservedGraph(g)
+        obs.add_edge("u", "a")
+        obs.add_edge("a", "b")
+        obs.explore("b")
+        return g, obs
+
+    def test_adjacent_planned_nodes_count_each_edge_once(self):
+        g, obs = self.world()
+        obs.add_edge("u", "e")
+        # u-a is observed, a-e and u-e join planned nodes, only u-e observed
+        plan = ["u", "a", "e"]
+        assert obs._exploration_growth([g._index[u] for u in plan]) == (1, 2)
+        ledger = ProbeLedger(budget=3)
+        for u in plan:
+            probe(g, obs, ledger, u)
+        assert [(e.new_nodes, e.new_edges) for e in ledger.log] == [(1, 1), (0, 1), (0, 0)]
+
+    @pytest.mark.parametrize("plan", [["u", "u"], ["u", "b"], ["a", "d"]])
+    def test_a_plan_that_probing_refuses_raises_the_error_probe_raises(self, plan):
+        # a repeated node, an explored node and one outside the observation
+        g, obs = self.world()
+        probed = obs.copy()
+        ledger = ProbeLedger(budget=len(plan))
+        with pytest.raises(NetProbeError) as refused:
+            for u in plan:
+                probe(g, probed, ledger, u)
+        expected = refused.value
+        with pytest.raises(type(expected), match=re.escape(str(expected))):
+            obs._exploration_growth([g._index[u] for u in plan])
 
 
 class TestCandidates:

@@ -5,8 +5,9 @@ have complete neighbourhoods, the observed-graph file round-trips, and
 every observation is a consistent graph whose counting primitives agree
 with brute force and whose node listings are in label order, also when
 the complete graph's index order differs from it.  A copy of an
-observation is equal to it and independent of it, and a reveal reports
-exactly what it added.  Every scorer keys its scores by candidate index in
+observation is equal to it and independent of it, a reveal reports
+exactly what it added, and the growth counted for a plan is what probing
+the plan on a copy adds.  Every scorer keys its scores by candidate index in
 label order, and the selector keeps the same top b as a full sort by
 (-score, label); MaxOutProbe told b scores a
 label-ordered subset of the candidates, with the same scores and the same
@@ -228,6 +229,44 @@ def test_copy_is_independent_and_explore_counts_its_reveal(
     _check_representation(copy)
     assert _text(obs) == start
     assert obs.n_edges == n_edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(6, 24),
+    p=st.floats(0.1, 0.8),
+    graph_seed=st.integers(0, 10_000),
+    sampler=st.sampled_from(SAMPLER_NAMES),
+    edge_fraction=st.floats(0.1, 0.6),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_exploration_growth_equals_probing_the_plan_on_a_copy(
+    n, p, graph_seed, sampler, edge_fraction, seed, data
+):
+    try:
+        g = random_graph(n, p, seed=graph_seed)
+        obs, _ = run_sampler(g, sampler, edge_fraction, seed)
+    except (EmptyGraphError, SamplingError):
+        assume(False)
+    # explore some candidates first, as an estimation phase does; a randnode
+    # sample holds explored nodes already
+    for u in data.draw(st.lists(st.sampled_from(obs.candidate_nodes()), max_size=3, unique=True)):
+        obs.explore(u)
+    candidates = obs.candidate_nodes()
+    assume(candidates)
+    # on dense graphs, planned nodes are often adjacent, by an observed edge
+    # or by one not yet observed
+    plan = data.draw(st.permutations(candidates))[: data.draw(st.integers(1, len(candidates)))]
+    start = _text(obs)
+    ixs = [g._index[u] for u in plan]
+    new_nodes, new_edges = obs._exploration_growth(ixs)
+    assert _text(obs) == start
+    probed = obs.copy()
+    ledger = ProbeLedger(budget=len(plan))
+    for u in plan:
+        probe(g, probed, ledger, u)
+    assert (new_nodes, new_edges) == (probed.n_nodes - obs.n_nodes, probed.n_edges - obs.n_edges)
 
 
 @settings(max_examples=150, deadline=None)
