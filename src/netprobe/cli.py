@@ -231,6 +231,8 @@ def cmd_estimate(args) -> int:
     seed = derive_seed(args.seed, "estimation")  # as run_session derives it for probe
     est = estimate(g, obs, ProbeLedger(budget), known, n_probes=args.n_probes, seed=seed)
     if est.method == METHOD_FALLBACK:
+        if not obs.candidate_nodes():
+            raise ConfigError("no candidate to probe: every observed node is explored")
         raise ConfigError(
             "budget too small for any estimation probe; "
             "use --known-sampler or a larger budget"

@@ -219,11 +219,14 @@ class CompleteGraph:
 
 # The runs of plain lines that the readers split into labels in one call:
 # lines that each end in "\n" and are blank (spaces and tabs only) or, for
-# _EDGE_RUN, two labels, the first not starting a comment, separated by
-# spaces or tabs and followed by nothing but spaces or tabs; for
-# _STATUS_RUN, the same with E or C for the second label.
-_EDGE_RUN = re.compile(r"(?:[^\s#]\S*[ \t]+\S+[ \t]*\n|[ \t]*\n)*")
+# _EDGE_RUN, two labels, neither starting with "#", separated by spaces or
+# tabs and followed by nothing but spaces or tabs; for _STATUS_RUN, the
+# same with E or C for the second label.
+_EDGE_RUN = re.compile(r"(?:[^\s#]\S*[ \t]+[^\s#]\S*[ \t]*\n|[ \t]*\n)*")
 _STATUS_RUN = re.compile(r"(?:[^\s#]\S*[ \t]+[EC][ \t]*\n|[ \t]*\n)*")
+# the error for a second label that starts with "#": write_observed puts
+# each label first on a line, where it would read as a comment
+_HASH_LABEL = "node label {!r} starts with '#', which marks a comment"
 # a match keeps state for every line it has matched, next to the half-built
 # graph, and a split makes a string of every label, so a text is read in
 # blocks of whole lines of about this many characters
@@ -249,8 +252,8 @@ def _line_error(text: str, pos: int, message: str) -> ParseError:
 def load_edge_list(source: IO[str]) -> CompleteGraph:
     """Parse a whitespace-separated edge list into a :class:`CompleteGraph`.
 
-    One edge per line, two labels; ``#`` lines and blank lines are ignored,
-    and so is one leading byte-order mark.  Reads the whole text with
+    One edge per line, two labels, neither starting with ``#``; ``#`` lines
+    and blank lines are ignored, and so is one leading byte-order mark.  Reads the whole text with
     ``source.read()``; lines end at ``"\\n"``.  Raises :class:`ParseError`
     on a malformed line (with its number) and :class:`EmptyGraphError` if
     nothing usable remains.  The graph is built from each block's labels,
@@ -277,6 +280,8 @@ def _edge_line_labels(text: str) -> Iterator[list[str]]:
             if fields and not fields[0].startswith("#"):
                 if len(fields) != 2:
                     raise _line_error(text, run, f"expected 2 node labels, got {len(fields)}")
+                if fields[1].startswith("#"):
+                    raise _line_error(text, run, _HASH_LABEL.format(fields[1]))
                 labels += fields
             run = _EDGE_RUN.match(text, pos, b).end()
             labels += text[pos:run].split()
@@ -720,6 +725,8 @@ def _observed_lines(text: str) -> tuple[str, float, list[str], list[str]]:
             if section == "edges":
                 if len(tokens) != 2:
                     raise _line_error(text, line_at, "expected 2 node labels")
+                if tokens[1].startswith("#"):
+                    raise _line_error(text, line_at, _HASH_LABEL.format(tokens[1]))
                 edges += tokens
             elif section == "status":
                 if len(tokens) != 2 or tokens[1] not in ("E", "C"):

@@ -2,11 +2,12 @@
 trial with a Random baseline on the identical sample, and aggregate percent
 improvements into CCDF curves with trapezoidal AUC.
 
-A sweep trial probes nothing in its selection phase: every strategy fixes
-its whole plan before the first selection probe, so the trial counts the
-nodes and edges the plan would add (ObservedGraph._exploration_growth).
-The CLI's probe session and run_trial, the reference a sweep is tested
-against, probe their plans node by node through run_session.
+A trial probes nothing in its selection phase: every strategy fixes its
+whole plan before the first selection probe, so the trial counts the nodes
+and edges the plan would add (ObservedGraph._exploration_growth).
+_count_trial is the one trial implementation, which run_trial and every
+sweep work unit call; only the CLI's probe session probes its plan node by
+node, through run_session.
 
 A sweep's work unit (one drawn sample and every trial on it) runs with
 CPython's cyclic garbage collector paused.  A trial allocates many
@@ -169,65 +170,47 @@ def _plan_session(
     return ledger, plan, est
 
 
-def _session_args(config: TrialConfig, g: CompleteGraph, fractions: SampleFractions) -> dict:
-    """The budget and estimation arguments of a session for a trial of
-    config on a sample its sampler drew with these fractions."""
-    return dict(
-        budget=budget_from_fraction(config.budget_fraction, g.n_nodes),
-        estimation_probes=config.estimation_probes,
-        known_sample=(config.sampler, fractions) if config.known_sample else None,
-    )
-
-
 def run_trial(
     g: CompleteGraph,
     config: TrialConfig,
     sampler_seed: int,
     strategy_seed: int,
 ) -> TrialResult:
-    """Sample, plan, probe, count.  Deterministic given both seeds.
-
-    A sweep counts its trials without probing their plans; this probing
-    path is the reference its rows are tested against.
-    """
+    """Sample, plan, count.  Deterministic given both seeds: the trial a
+    sweep runs for config with these seeds, on a sample of its own."""
     _check_config(config, g)
-    obs, fractions = run_sampler(
+    sample, fractions = run_sampler(
         g, config.sampler, config.edge_fraction, sampler_seed, jump_prob=config.jump_prob
     )
-    nodes_before = obs.n_nodes
-    ledger, est = run_session(
-        g, obs, config.strategy, seed=strategy_seed, **_session_args(config, g, fractions)
-    )
-    return TrialResult(
-        nodes_before=nodes_before,
-        nodes_after=obs.n_nodes,
-        edges_after=obs.n_edges,
-        probes_spent=ledger.spent,
-        estimate=est,
-    )
+    return _count_trial(g, config, sample, fractions, strategy_seed)
 
 
 def _count_trial(
     g: CompleteGraph,
     config: TrialConfig,
-    obs: ObservedGraph,
+    sample: ObservedGraph,
     fractions: SampleFractions,
     strategy_seed: int,
 ) -> TrialResult:
-    """The result run_trial would give on obs, a sample config's sampler
-    drew with these fractions: plan, then count what probing the plan
-    would add instead of probing it.  A plan fixes every selection probe
-    before the first is made, so the count equals the probes' growth.
-    Only the estimation phase, if the trial has one, probes obs."""
-    nodes_before = obs.n_nodes
+    """The result of a trial of config on sample, which config's sampler
+    drew with these fractions: plan as run_session does, then count what
+    probing the plan would add instead of probing it.  A plan fixes every
+    selection probe before the first is made, so the count equals the
+    probes' growth.  sample is never changed: a trial whose estimation
+    phase probes (an estimated strategy without a known sample) plans on
+    its own copy of it."""
+    known = config.known_sample
+    obs = sample.copy() if config.strategy in ESTIMATED and not known else sample
     ledger, plan, est = _plan_session(
-        g, obs, config.strategy, seed=strategy_seed, **_session_args(config, g, fractions)
+        g, obs, config.strategy, budget_from_fraction(config.budget_fraction, g.n_nodes),
+        strategy_seed, estimation_probes=config.estimation_probes,
+        known_sample=(config.sampler, fractions) if known else None,
     )
     if len(plan.nodes) > ledger.remaining:
         raise BudgetError(f"probe budget {ledger.budget} exhausted")
     new_nodes, new_edges = obs._exploration_growth(map(g._index.__getitem__, plan.nodes))
     return TrialResult(
-        nodes_before=nodes_before,
+        nodes_before=sample.n_nodes,
         nodes_after=obs.n_nodes + new_nodes,
         edges_after=obs.n_edges + new_edges,
         probes_spent=ledger.spent + len(plan.nodes),
@@ -388,12 +371,9 @@ def _detached(exc: NetProbeError) -> NetProbeError:
 @_collector_paused()
 def _run_unit(g: CompleteGraph, specs: list[_TrialSpec]) -> list:
     """Draw the sample the specs share once, then count each spec's trial
-    on it.  A trial whose estimation phase probes the sample (an estimated
-    strategy without a known sample) runs on its own copy, unless it is the
-    unit's last trial; every other trial reads the shared sample and leaves
-    it as it was.  Returns one TrialResult or NetProbeError per spec; a
-    sample that fails fails every trial.  Runs with the cyclic garbage
-    collector paused."""
+    on it; no trial changes it.  Returns one TrialResult or NetProbeError
+    per spec; a sample that fails fails every trial.  Runs with the cyclic
+    garbage collector paused."""
     c = specs[0].config
     try:
         sample, fractions = run_sampler(
@@ -402,13 +382,9 @@ def _run_unit(g: CompleteGraph, specs: list[_TrialSpec]) -> list:
     except NetProbeError as exc:
         return [_detached(exc)] * len(specs)
     outcomes = []
-    last = len(specs) - 1
-    for k, spec in enumerate(specs):
-        config = spec.config
+    for spec in specs:
         try:
-            probes_sample = config.strategy in ESTIMATED and not config.known_sample
-            obs = sample.copy() if probes_sample and k != last else sample
-            outcomes.append(_count_trial(g, config, obs, fractions, spec.strategy_seed))
+            outcomes.append(_count_trial(g, spec.config, sample, fractions, spec.strategy_seed))
         except NetProbeError as exc:
             outcomes.append(_detached(exc))
     return outcomes
@@ -443,12 +419,13 @@ def sweep(
     Each repeat is one incomplete network probed by every strategy at every
     budget, and the Random baseline sees the byte-identical sample, drawn
     once.  Each trial counts the growth its plan would bring on that sample
-    instead of probing it; only a trial whose estimation phase probes the
-    sample gets a copy of it.  A config that no trial could run, an
-    out-of-range fraction among them, a config listed twice (equal but for
-    n_repeats, or for a jump probability, which only rwj reads), or jobs
-    below 1 raises ConfigError before any trial runs; trials that fail on
-    their own become rows with blank measurements, and the sweep continues.
+    instead of probing it, and no trial changes the sample: one whose
+    estimation phase probes works on a copy.  A config that no trial could
+    run, an out-of-range fraction among them, a config listed twice (equal
+    but for n_repeats, or for a jump probability, which only rwj reads), or
+    jobs below 1 raises ConfigError before any trial runs; trials that fail
+    on their own become rows with blank measurements, and the sweep
+    continues.
     Rows list the grid's trials in grid order, then in pair-key order the
     baselines the grid does not list itself: each trial is written once.
     """

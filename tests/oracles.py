@@ -8,9 +8,10 @@ with the queue-based local move and match in modularity with the
 pass-based one it replaced, and the line-by-line edge-list and
 observed-graph readers with the per-pair graph construction and the
 random-edge sampler that draws from a list of every edge: the library
-must equal these.  The reference sweep is built on the library's
-single-trial path, harness.run_trial, with seeds, pairing and row order
-of its own.
+must equal these.  The reference trial probes its plan node by node
+through the public run_session, where the library counts what the plan
+would add, and the reference sweep is built on it, with seeds, pairing and
+row order of its own.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from itertools import combinations
 
 from netprobe.errors import EmptyGraphError, NetProbeError, ParseError
 from netprobe.graphs import CompleteGraph, LoadReport, ObservedGraph
-from netprobe.harness import derive_seed, run_trial
+from netprobe.harness import TrialResult, budget_from_fraction, derive_seed, run_session
+from netprobe.sampling import run_sampler
 
 
 def adjacency(g):
@@ -373,6 +375,14 @@ def ref_complete_graph(edges, lines_read: int = 0) -> CompleteGraph:
     return g
 
 
+def _check_second_label(lineno: int, label: str) -> None:
+    """The one rule the readers gained after these copies were frozen."""
+    if label.startswith("#"):
+        raise ParseError(
+            f"line {lineno}: node label {label!r} starts with '#', which marks a comment"
+        )
+
+
 def ref_load_edge_list(source) -> CompleteGraph:
     """The edge-list reader that iterates over the source's lines."""
     edges: list[tuple[str, str]] = []
@@ -387,6 +397,7 @@ def ref_load_edge_list(source) -> CompleteGraph:
             raise ParseError(
                 f"line {lineno}: expected 2 node labels, got {len(tokens)}"
             )
+        _check_second_label(lineno, tokens[1])
         edges.append((tokens[0], tokens[1]))
     return ref_complete_graph(edges, lines_read=lines_read)
 
@@ -438,6 +449,7 @@ def ref_read_observed(source, g: CompleteGraph) -> ObservedGraph:
         if section == "edges":
             if len(tokens) != 2:
                 raise ParseError(f"line {lineno}: expected 2 node labels")
+            _check_second_label(lineno, tokens[1])
             edges.append((tokens[0], tokens[1]))
         elif section == "status":
             if len(tokens) != 2 or tokens[1] not in ("E", "C"):
@@ -466,8 +478,23 @@ def ref_read_observed(source, g: CompleteGraph) -> ObservedGraph:
     return obs
 
 
+def ref_trial(g: CompleteGraph, config, sampler_seed: int, strategy_seed: int) -> TrialResult:
+    """The result harness.run_trial must return for a valid config: draw
+    the sample, then probe the plan node by node."""
+    obs, fractions = run_sampler(
+        g, config.sampler, config.edge_fraction, sampler_seed, jump_prob=config.jump_prob
+    )
+    nodes_before = obs.n_nodes
+    ledger, est = run_session(
+        g, obs, config.strategy, budget_from_fraction(config.budget_fraction, g.n_nodes),
+        strategy_seed, estimation_probes=config.estimation_probes,
+        known_sample=(config.sampler, fractions) if config.known_sample else None,
+    )
+    return TrialResult(nodes_before, obs.n_nodes, obs.n_edges, ledger.spent, est)
+
+
 def ref_sweep(g: CompleteGraph, grid, master_seed: int) -> list[dict]:
-    """The rows harness.sweep must return for a valid grid, one run_trial
+    """The rows harness.sweep must return for a valid grid, one ref_trial
     call per trial, each drawing its own sample, and no pool.
 
     The sampler seed comes from (sampler, repeat), the selection seed from
@@ -500,7 +527,7 @@ def ref_sweep(g: CompleteGraph, grid, master_seed: int) -> list[dict]:
         selection_seed = derive_seed(master_seed, "selection", config.sampler,
                                      config.strategy, config.budget_fraction, repeat)
         try:
-            result = run_trial(g, config, sampler_seed, selection_seed)
+            result = ref_trial(g, config, sampler_seed, selection_seed)
         except NetProbeError:
             result = None
         outcomes[config, repeat] = (sampler_seed, result)

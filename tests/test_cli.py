@@ -294,6 +294,25 @@ class TestEstimate:
         assert json.loads((tmp_path / "r.json").read_text()) == planned
 
 
+    def test_an_observation_with_no_candidate_is_not_blamed_on_the_budget(
+        self, tmp_path, capsys
+    ):
+        graph = tmp_path / "triangle.edges"
+        graph.write_text("a b\nb c\nc a\n")
+        obs = tmp_path / "all.txt"
+        obs.write_text("[edges]\na b\na c\nb c\n[status]\na E\nb E\nc E\n")
+        code = run("estimate", "--graph", graph, "--observed", obs,
+                   "--budget", "100", "--out", tmp_path / "r.json")
+        assert_usage_error(code, capsys, "no candidate to probe")
+        assert not (tmp_path / "r.json").exists()
+
+    def test_a_budget_of_one_leaves_no_estimation_probe(self, graph_file, tmp_path, capsys):
+        obs = TestProbe().make_sample(graph_file, tmp_path)
+        capsys.readouterr()
+        code = run("estimate", "--graph", graph_file, "--observed", obs,
+                   "--budget", "1", "--out", tmp_path / "r.json")
+        assert_usage_error(code, capsys, "budget too small for any estimation probe")
+
     @pytest.mark.parametrize("frac", ["-0.5", "0", "7", "0.001", "nan", "-1e-3"])
     def test_budget_frac_out_of_range_is_usage_error(self, graph_file, tmp_path, capsys, frac):
         obs = TestProbe().make_sample(graph_file, tmp_path)

@@ -349,7 +349,7 @@ class TestSweep:
         assert len(rows) == 2 * 2 * (2 + 3)
         assert all(r["nodes_after"] != "" for r in rows)
 
-    def test_last_trial_of_a_sample_probes_it_uncopied(self, monkeypatch):
+    def test_each_estimating_trial_copies_the_sample_once(self, monkeypatch):
         g = planted_partition_graph(6, 10, 0.5, 0.02, seed=8)
         copies = []
         copy = ObservedGraph.copy
@@ -369,17 +369,16 @@ class TestSweep:
         # per sample: 2 strategies x 2 budgets plus 2 baselines, and only
         # the 2 maxoutprobe trials probe the sample, to estimate
         assert units == [(6, 2), (6, 2)]
-        # the grid's random trials come first, so an estimating trial is
-        # each sample's last and probes the sample itself
+        # an estimating trial that ends its unit copies the sample too
         units.clear()
         grid = [TrialConfig(sampler="randedge", strategy=strategy, edge_fraction=0.2,
                             budget_fraction=0.1, n_repeats=2, estimation_probes=4)
                 for strategy in ("random", "maxoutprobe")]
         rows = sweep(g, grid, master_seed=1)
         assert all(r["nodes_after"] != "" for r in rows)
-        assert units == [(2, 0), (2, 0)]
+        assert units == [(2, 1), (2, 1)]
 
-    def test_trials_that_do_not_estimate_leave_the_shared_sample_unchanged(self, monkeypatch):
+    def test_every_trial_gets_the_shared_sample_and_leaves_it_unchanged(self, monkeypatch):
         g = planted_partition_graph(6, 10, 0.5, 0.02, seed=8)
         samples = []
 
@@ -414,13 +413,10 @@ class TestSweep:
         rows = sweep(g, grid, master_seed=2)
         assert all(r["nodes_after"] != "" for r in rows)
         assert len(samples) == 3 and len(trials) == len(rows)
+        # the maxoutprobe trials without a known sample estimate on a copy
         for config, obs, unchanged in trials:
-            if config.strategy in strategies.ESTIMATED and not config.known_sample:
-                # not its unit's last trial, so it probes its own copy
-                assert all(obs is not sample for sample in samples) and not unchanged
-            else:
-                assert obs is samples[("randnode", "randedge", "rw").index(config.sampler)]
-                assert unchanged
+            assert obs is samples[("randnode", "randedge", "rw").index(config.sampler)]
+            assert unchanged
 
     def test_parallel_matches_serial(self):
         g = planted_partition_graph(5, 8, 0.5, 0.02, seed=13)

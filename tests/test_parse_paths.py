@@ -242,6 +242,18 @@ def test_a_text_is_read_once_and_checked_once(monkeypatch):
     assert read == [text, repeated]
 
 
+@pytest.mark.parametrize("block", [DEFAULT_BLOCK, 1])
+def test_a_second_label_that_starts_with_a_hash_is_refused(block):
+    """write_observed would write '#b' first on its status line, where it
+    reads as a comment, so neither reader accepts it."""
+    message = "^line 3: node label '#b' starts with '#', which marks a comment$"
+    with blocks_of(block):
+        with pytest.raises(ParseError, match=message):
+            load_edge_list(io.StringIO("a c\nc d\na #b\nd a\n"))
+        with pytest.raises(ParseError, match=message):
+            read_observed(io.StringIO("[edges]\na b\na #b\n[status]\na C\nb C\n"), G)
+
+
 @pytest.mark.parametrize("comment", ["", "# written by hand\r\n"], ids=["plain", "comment"])
 def test_a_real_file_reads_as_the_line_readers_read_it(tmp_path, comment):
     """A file opened in text mode turns "\\r\\n" into "\\n" before either

@@ -31,6 +31,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from netprobe import harness
 from netprobe.communities import _aggregate, _local_move, detect_communities
 from netprobe.errors import EmptyGraphError, NetProbeError, SamplingError, UnknownNodeError
 from netprobe.estimators import METHOD_PROBE, EstimateSet, probe_based_estimates
@@ -75,6 +76,7 @@ from oracles import (
     ref_queue_local_move,
     ref_sample_random_edge,
     ref_sweep,
+    ref_trial,
 )
 
 
@@ -601,6 +603,13 @@ _EXAMPLE_GRID = [
 ]
 
 
+# the grid's random trials come first, so an estimating trial ends each unit
+_RANDOM_FIRST_GRID = [
+    TrialConfig("randedge", "random", 0.2, 0.1, 2),
+    TrialConfig("randedge", "maxoutprobe", 0.2, 0.1, 2, estimation_probes=4),
+]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     grid=sweep_grids(),
@@ -609,6 +618,7 @@ _EXAMPLE_GRID = [
     jobs=st.just(1),
 )
 @example(grid=_EXAMPLE_GRID, shape=(3, 8, 5), master_seed=7, jobs=2)
+@example(grid=_RANDOM_FIRST_GRID, shape=(3, 8, 5), master_seed=7, jobs=1)
 def test_sweep_equals_the_reference_sweep(grid, shape, master_seed, jobs):
     n_blocks, block_size, graph_seed = shape
     g = planted_partition_graph(n_blocks, block_size, 0.5, 0.05, seed=graph_seed)
@@ -616,6 +626,44 @@ def test_sweep_equals_the_reference_sweep(grid, shape, master_seed, jobs):
     # forked pool workers inherit the patched scorer
     with patch.dict(STRATEGIES, highcc=_failing_highcc):
         assert sweep(g, grid, master_seed, jobs=jobs) == ref_sweep(g, grid, master_seed)
+
+
+def _outcome(trial, *args):
+    """A trial's result, or its error's type and message."""
+    try:
+        return trial(*args)
+    except NetProbeError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("sampler, known_sample", [
+    *((sampler, False) for sampler in SAMPLER_NAMES),
+    *((sampler, True) for sampler in KNOWN_SAMPLERS),
+])
+@pytest.mark.parametrize("strategy", tuple(STRATEGIES))
+@settings(max_examples=6, deadline=None)
+@given(
+    shape=st.tuples(st.integers(2, 5), st.integers(6, 10), st.integers(0, 10_000)),
+    budget_fraction=st.sampled_from((0.05, 0.2, 0.6)),
+    estimation_probes=st.integers(1, 5),
+    seeds=st.tuples(st.integers(0, 2**32), st.integers(0, 2**32)),
+)
+def test_a_counted_trial_leaves_its_sample_and_equals_the_probed_one(
+    sampler, known_sample, strategy, shape, budget_fraction, estimation_probes, seeds
+):
+    n_blocks, block_size, graph_seed = shape
+    sampler_seed, strategy_seed = seeds
+    g = planted_partition_graph(n_blocks, block_size, 0.5, 0.05, seed=graph_seed)
+    config = TrialConfig(sampler, strategy, 0.2, budget_fraction, 1,
+                         estimation_probes=estimation_probes, known_sample=known_sample)
+    try:
+        sample, fractions = run_sampler(g, sampler, 0.2, sampler_seed, jump_prob=config.jump_prob)
+    except (EmptyGraphError, SamplingError):
+        assume(False)
+    before = _text(sample)
+    counted = _outcome(harness._count_trial, g, config, sample, fractions, strategy_seed)
+    assert _text(sample) == before
+    assert counted == _outcome(ref_trial, g, config, sampler_seed, strategy_seed)
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
