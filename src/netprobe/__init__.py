@@ -38,7 +38,6 @@ from .graphs import (
 from .sampling import (
     SampleFractions,
     run_sampler,
-    sample_node_bernoulli,
     sample_random_edge,
     sample_random_node,
     sample_random_walk,

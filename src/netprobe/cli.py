@@ -104,20 +104,26 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _write_manifest(out_path: Path, args, **derived) -> None:
+def _input_digests(args) -> dict[str, str]:
+    """The digests of the run's input files by path.  A command takes them
+    before it writes its first output, which may overwrite an input."""
+    paths = [Path(p) for p in (args.graph, getattr(args, "observed", None)) if p]
+    return {str(p): _sha256(p) for p in paths}
+
+
+def _write_manifest(out_path: Path, args, inputs: dict[str, str], **derived) -> None:
     """Write out_path's manifest: every parsed flag under its argparse dest,
     plus the derived values the run resolved (they win over a flag of the
-    same name), the digests of the input files and the tool version."""
+    same name), the input digests and the tool version."""
     params = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     params.update(derived)
-    inputs = [Path(p) for p in (params["graph"], params.get("observed")) if p]
     _write_json(out_path.with_suffix(out_path.suffix + ".manifest.json"), {
         "tool": "netprobe",
         "version": __version__,
         "command": args.command,
         "master_seed": params.get("master_seed", params.get("seed")),
         "parameters": params,
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": inputs,
     })
 
 
@@ -182,11 +188,12 @@ def cmd_sample(args) -> int:
     obs, fractions = run_sampler(
         g, args.sampler, args.fraction, args.seed, jump_prob=args.jump_prob
     )
+    inputs = _input_digests(args)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
         write_observed(obs, fh)
-    _write_manifest(out, args, achieved_node_fraction=fractions.node_fraction,
+    _write_manifest(out, args, inputs, achieved_node_fraction=fractions.node_fraction,
                     achieved_edge_fraction=fractions.edge_fraction)
     print(
         f"sampled {obs.n_nodes} nodes, {obs.n_edges} edges "
@@ -206,6 +213,7 @@ def cmd_probe(args) -> int:
         charge_estimation=not args.estimation_uncharged,
     )
 
+    inputs = _input_digests(args)
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     observed_path = Path(f"{prefix}.observed.txt")
@@ -216,7 +224,7 @@ def cmd_probe(args) -> int:
     with open(log_path, "w", encoding="utf-8", newline="") as fh:
         write_probe_log(ledger, fh)
     _write_json(report_path, est.report() if est is not None else None)
-    _write_manifest(observed_path, args, budget=budget)
+    _write_manifest(observed_path, args, inputs, budget=budget)
     print(
         f"probed {ledger.spent} nodes: {obs.n_nodes} nodes observed -> {observed_path}"
     )
@@ -237,10 +245,11 @@ def cmd_estimate(args) -> int:
             "budget too small for any estimation probe; "
             "use --known-sampler or a larger budget"
         )
+    inputs = _input_digests(args)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_json(out, est.report())
-    _write_manifest(out, args, budget=budget)
+    _write_manifest(out, args, inputs, budget=budget)
     print(json.dumps(est.report(), sort_keys=True))
     return EXIT_OK
 
@@ -283,6 +292,7 @@ def cmd_sweep(args) -> int:
     ]
     rows = sweep(g, grid, master_seed=args.master_seed, jobs=args.jobs)
 
+    inputs = _input_digests(args)
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     results_path = Path(f"{prefix}.results.csv")
@@ -292,7 +302,7 @@ def cmd_sweep(args) -> int:
     curves = improvement_curves(rows)
     with open(curves_path, "w", encoding="utf-8", newline="") as fh:
         write_curves_csv(curves, fh)
-    _write_manifest(results_path, args)
+    _write_manifest(results_path, args, inputs)
     print(f"{len(rows)} trial rows -> {results_path}")
     print(f"{len(curves)} curves -> {curves_path}")
     return EXIT_OK

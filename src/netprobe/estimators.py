@@ -18,7 +18,6 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import BudgetError, EstimationError, SamplingError
 from .graphs import (
@@ -195,30 +194,19 @@ def unbiased_clustering_edge_sampling(
     return min(1.0, max(0.0, raw)), not 0.0 <= raw <= 1.0
 
 
-def _closed_form_estimates(
-    obs: ObservedGraph, method: str, fraction: float,
-    degree_estimate: Callable[[int, float], float],
-    clustering_estimate: Callable[[float, float], tuple[float, bool]],
-) -> EstimateSet:
-    """Closed-form estimates of a sample of known origin and fraction: the
-    observed global clustering rescaled by clustering_estimate, and the
-    degree scale degree_estimate(1, fraction)."""
-    clustering, clamped = clustering_estimate(global_clustering(obs), fraction)
-    return EstimateSet(method=method, scale_multiplier=degree_estimate(1, fraction),
-                       clustering=clustering, clustering_clamped=clamped)
-
-
 def known_node_sample_estimates(obs: ObservedGraph, node_fraction: float) -> EstimateSet:
     """Closed-form estimates for a sample known to be random-node with the
     given selection fraction; spends no probes."""
-    return _closed_form_estimates(obs, METHOD_KNOWN_NODE, node_fraction,
-                                  unbiased_degree_node_sampling,
-                                  unbiased_clustering_node_sampling)
+    clustering, clamped = unbiased_clustering_node_sampling(global_clustering(obs), node_fraction)
+    return EstimateSet(method=METHOD_KNOWN_NODE,
+                       scale_multiplier=unbiased_degree_node_sampling(1, node_fraction),
+                       clustering=clustering, clustering_clamped=clamped)
 
 
 def known_edge_sample_estimates(obs: ObservedGraph, edge_fraction: float) -> EstimateSet:
     """Closed-form estimates for a sample known to be random-edge with the
     given fraction; spends no probes."""
-    return _closed_form_estimates(obs, METHOD_KNOWN_EDGE, edge_fraction,
-                                  unbiased_degree_edge_sampling,
-                                  unbiased_clustering_edge_sampling)
+    clustering, clamped = unbiased_clustering_edge_sampling(global_clustering(obs), edge_fraction)
+    return EstimateSet(method=METHOD_KNOWN_EDGE,
+                       scale_multiplier=unbiased_degree_edge_sampling(1, edge_fraction),
+                       clustering=clustering, clustering_clamped=clamped)

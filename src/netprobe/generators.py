@@ -1,8 +1,7 @@
 """Synthetic graph generators for tests and benchmarks.
 
-Planted-partition graphs give tunable clustering; bipartite graphs are the
-triangle-free control.  Labels are zero-padded so label order matches
-numeric order.
+Planted-partition graphs give tunable clustering.  Labels are zero-padded
+so label order matches numeric order.
 """
 
 from __future__ import annotations
@@ -46,18 +45,6 @@ def planted_partition_graph(
             p = p_in if j // community_size == ci else p_out
             if p > 0 and rng.random() < p:
                 edges.append((_label(i), _label(j)))
-    return CompleteGraph(edges)
-
-
-def random_bipartite_graph(n_left: int, n_right: int, p: float, seed: int) -> CompleteGraph:
-    """Random bipartite graph: triangle-free by construction."""
-    rng = random.Random(seed)
-    edges = [
-        (_label(i), _label(n_left + j))
-        for i in range(n_left)
-        for j in range(n_right)
-        if rng.random() < p
-    ]
     return CompleteGraph(edges)
 
 

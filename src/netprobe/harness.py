@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from itertools import chain
 from typing import IO, Sequence
 
-from .errors import BudgetError, ConfigError, NetProbeError, SamplingError
+from .errors import ConfigError, NetProbeError, SamplingError
 from .estimators import DEFAULT_ESTIMATION_PROBES, EstimateSet
 from .graphs import CompleteGraph, ObservedGraph
 from .probing import PHASE_SELECTION, ProbeLedger, probe
@@ -195,10 +195,10 @@ def _count_trial(
     """The result of a trial of config on sample, which config's sampler
     drew with these fractions: plan as run_session does, then count what
     probing the plan would add instead of probing it.  A plan fixes every
-    selection probe before the first is made, so the count equals the
-    probes' growth.  sample is never changed: a trial whose estimation
-    phase probes (an estimated strategy without a known sample) plans on
-    its own copy of it."""
+    selection probe before the first is made, within the ledger's remaining
+    budget, so the count equals the probes' growth.  sample is never
+    changed: a trial whose estimation phase probes (an estimated strategy
+    without a known sample) plans on its own copy of it."""
     known = config.known_sample
     obs = sample.copy() if config.strategy in ESTIMATED and not known else sample
     ledger, plan, est = _plan_session(
@@ -206,8 +206,6 @@ def _count_trial(
         strategy_seed, estimation_probes=config.estimation_probes,
         known_sample=(config.sampler, fractions) if known else None,
     )
-    if len(plan.nodes) > ledger.remaining:
-        raise BudgetError(f"probe budget {ledger.budget} exhausted")
     new_nodes, new_edges = obs._exploration_growth(map(g._index.__getitem__, plan.nodes))
     return TrialResult(
         nodes_before=sample.n_nodes,

@@ -1,9 +1,8 @@
 """Samplers that generate an incomplete observation of a complete graph.
 
-Four edge-budget samplers (random node, random edge, random walk, random
-walk with jump) plus a Bernoulli node sampler whose selection probability is
-known exactly -- the model the closed-form estimators assume.  All samplers
-are pure functions of (graph, parameters, seed).
+Four edge-budget samplers: random node, random edge, random walk and random
+walk with jump.  All samplers are pure functions of (graph, parameters,
+seed).
 """
 
 from __future__ import annotations
@@ -24,9 +23,8 @@ SAMPLER_NAMES = ("randnode", "randedge", "rw", "rwj")
 class SampleFractions:
     """Achieved coverage of the complete graph.
 
-    node_fraction is the fraction of nodes *selected* (fully explored or,
-    for the Bernoulli sampler, the selection probability); edge_fraction is
-    the fraction of edges observed.
+    node_fraction is the fraction of nodes *selected* (fully explored);
+    edge_fraction is the fraction of edges observed.
     """
 
     node_fraction: float
@@ -176,29 +174,6 @@ def sample_random_walk(
     if stats is not None:
         stats.update(steps=steps, jumps=jumps, restarts=restarts)
     return obs, SampleFractions(node_fraction=0.0, edge_fraction=obs.n_edges / g.n_edges)
-
-
-def sample_node_bernoulli(
-    g: CompleteGraph, node_prob: float, seed: int
-) -> tuple[ObservedGraph, SampleFractions]:
-    """Select each node independently with probability node_prob, with its
-    full neighborhood.
-
-    This is the selection model behind the closed-form degree and clustering
-    estimators; node_fraction reports the design probability rather than the
-    realized share so the estimators can consume it directly.
-    """
-    if not 0.0 < node_prob <= 1.0:
-        raise SamplingError(f"node_prob must be in (0, 1], got {node_prob}")
-    rng = random.Random(seed)
-    obs = ObservedGraph(g, origin="bernoullinode", target_edge_fraction=0.0)
-    selected = [u for u in g.labels() if rng.random() < node_prob]
-    if not selected:
-        raise SamplingError("no node selected; try a larger node_prob or another seed")
-    for u in selected:
-        obs.explore(u)
-    obs.target_edge_fraction = obs.n_edges / g.n_edges
-    return obs, SampleFractions(node_prob, obs.target_edge_fraction)
 
 
 def run_sampler(

@@ -11,7 +11,10 @@ random-edge sampler that draws from a list of every edge: the library
 must equal these.  The reference trial probes its plan node by node
 through the public run_session, where the library counts what the plan
 would add, and the reference sweep is built on it, with seeds, pairing and
-row order of its own.
+row order of its own.  Two helpers serve the estimator tests and no
+program: sample_node_bernoulli, the Bernoulli node selection the
+closed-form estimators assume, and random_bipartite_graph, their
+triangle-free control.
 """
 
 from __future__ import annotations
@@ -22,10 +25,11 @@ from collections import defaultdict
 from dataclasses import replace
 from itertools import combinations
 
-from netprobe.errors import EmptyGraphError, NetProbeError, ParseError
+from netprobe.errors import EmptyGraphError, NetProbeError, ParseError, SamplingError
+from netprobe.generators import _label
 from netprobe.graphs import CompleteGraph, LoadReport, ObservedGraph
 from netprobe.harness import TrialResult, budget_from_fraction, derive_seed, run_session
-from netprobe.sampling import run_sampler
+from netprobe.sampling import SampleFractions, run_sampler
 
 
 def adjacency(g):
@@ -411,6 +415,41 @@ def ref_sample_random_edge(g: CompleteGraph, edge_fraction: float, seed: int) ->
     for u, v in chosen:
         obs.add_edge(u, v)
     return obs
+
+
+def sample_node_bernoulli(
+    g: CompleteGraph, node_prob: float, seed: int
+) -> tuple[ObservedGraph, SampleFractions]:
+    """Select each node independently with probability node_prob, with its
+    full neighborhood.
+
+    This is the selection model behind the closed-form degree and clustering
+    estimators; node_fraction reports the design probability rather than the
+    realized share so the estimators can consume it directly.
+    """
+    if not 0.0 < node_prob <= 1.0:
+        raise SamplingError(f"node_prob must be in (0, 1], got {node_prob}")
+    rng = random.Random(seed)
+    obs = ObservedGraph(g, origin="bernoullinode", target_edge_fraction=0.0)
+    selected = [u for u in g.labels() if rng.random() < node_prob]
+    if not selected:
+        raise SamplingError("no node selected; try a larger node_prob or another seed")
+    for u in selected:
+        obs.explore(u)
+    obs.target_edge_fraction = obs.n_edges / g.n_edges
+    return obs, SampleFractions(node_prob, obs.target_edge_fraction)
+
+
+def random_bipartite_graph(n_left: int, n_right: int, p: float, seed: int) -> CompleteGraph:
+    """Random bipartite graph: triangle-free by construction."""
+    rng = random.Random(seed)
+    edges = [
+        (_label(i), _label(n_left + j))
+        for i in range(n_left)
+        for j in range(n_right)
+        if rng.random() < p
+    ]
+    return CompleteGraph(edges)
 
 
 def ref_read_observed(source, g: CompleteGraph) -> ObservedGraph:

@@ -36,11 +36,7 @@ from netprobe.graphs import (
 )
 from netprobe.harness import TrialConfig, derive_seed, run_trial, sweep, write_results_csv
 from netprobe.probing import ProbeLedger, probe
-from netprobe.sampling import (
-    run_sampler,
-    sample_node_bernoulli,
-    sample_random_edge,
-)
+from netprobe.sampling import run_sampler, sample_random_edge
 from netprobe.strategies import (
     score_degree,
     score_max_out_probe,
@@ -58,6 +54,7 @@ from oracles import (
     brute_two_hop_open_wedges,
     brute_wedges,
     by_label,
+    sample_node_bernoulli,
 )
 
 

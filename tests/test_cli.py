@@ -138,6 +138,22 @@ class TestProbe:
         assert report["method"] == "probe_based"
         assert report["probes_used"] == 4
 
+    def test_in_place_probe_records_the_digest_of_what_it_read(self, graph_file, tmp_path):
+        """A probe whose observed output is its observed input: the manifest
+        records the digest of the file the probe read, not of the one it
+        wrote over it."""
+        obs = tmp_path / "run.observed.txt"
+        run("sample", "--graph", graph_file, "--sampler", "randedge",
+            "--fraction", "0.2", "--seed", "3", "--out", obs)
+        read = hashlib.sha256(obs.read_bytes()).hexdigest()
+        code = run("probe", "--graph", graph_file, "--observed", obs,
+                   "--strategy", "highdeg", "--budget", "5", "--seed", "5",
+                   "--out-prefix", tmp_path / "run")
+        assert code == 0
+        assert hashlib.sha256(obs.read_bytes()).hexdigest() != read
+        manifest = json.loads((tmp_path / "run.observed.txt.manifest.json").read_text())
+        assert manifest["inputs"][str(obs)] == read
+
     def test_no_probe_to_estimate_with_reports_the_fallback(self, graph_file, tmp_path):
         obs = self.make_sample(graph_file, tmp_path)
         prefix = tmp_path / "run"

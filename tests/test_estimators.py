@@ -20,16 +20,12 @@ from netprobe.estimators import (
     unbiased_degree_node_sampling,
     wedge_survival_prob,
 )
-from netprobe.generators import (
-    planted_partition_graph,
-    random_bipartite_graph,
-    random_graph,
-)
+from netprobe.generators import planted_partition_graph, random_graph
 from netprobe.graphs import CompleteGraph, ObservedGraph, global_clustering
 from netprobe.probing import ProbeLedger, probe
-from netprobe.sampling import sample_node_bernoulli, sample_random_edge
+from netprobe.sampling import sample_random_edge
 
-from oracles import brute_probe_estimates
+from oracles import brute_probe_estimates, random_bipartite_graph, sample_node_bernoulli
 
 
 def two_hub_graph():

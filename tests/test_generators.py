@@ -1,11 +1,9 @@
 """Synthetic generator properties."""
 
-from netprobe.generators import (
-    planted_partition_graph,
-    random_bipartite_graph,
-    random_graph,
-)
+from netprobe.generators import planted_partition_graph, random_graph
 from netprobe.graphs import count_triangles_wedges, global_clustering
+
+from oracles import random_bipartite_graph
 
 
 def test_random_graph_deterministic():

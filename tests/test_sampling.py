@@ -10,11 +10,12 @@ from netprobe.generators import planted_partition_graph, random_graph
 from netprobe.graphs import CompleteGraph, NodeStatus, write_observed
 from netprobe.sampling import (
     run_sampler,
-    sample_node_bernoulli,
     sample_random_edge,
     sample_random_node,
     sample_random_walk,
 )
+
+from oracles import sample_node_bernoulli
 
 
 def k4():
