@@ -25,6 +25,7 @@ collector state its caller had, whatever the exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -76,6 +77,19 @@ DEFAULT_BUDGETS = "0.01,0.02,0.03,0.04,0.05"
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; the contract here is exit 1."""
+
+    # dest -> (environment variable, fallback): defaults read on every
+    # parse, not when the parser is built, so one parser serves a process
+    env_defaults: dict[str, tuple[str, str]] = {}
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse converts a string default with the option's type, so a
+        # bad value is a usage error like a bad flag
+        self.set_defaults(**{
+            dest: os.environ.get(variable, fallback)
+            for dest, (variable, fallback) in self.env_defaults.items()
+        })
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -350,6 +364,9 @@ def _add_session_args(p) -> None:
     p.add_argument("--f-e", type=finite_float, default=None, help="known observed-edge fraction")
 
 
+# one parser per process: a parser is some 430 objects in reference cycles,
+# which only the cyclic collector could free
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="netprobe", description=__doc__)
     parser.add_argument("--version", action="version", version=f"netprobe {__version__}")
@@ -396,8 +413,9 @@ def build_parser() -> _Parser:
     p.add_argument("--known-sample", action="store_true",
                    help="give maxoutprobe the sampler's true fractions")
     p.add_argument("--master-seed", type=int, default=0)
-    p.add_argument("--jobs", type=positive_int, default=os.environ.get("NETPROBE_JOBS", "1"),
+    p.add_argument("--jobs", type=positive_int,
                    help="worker processes (default: NETPROBE_JOBS, else 1)")
+    p.env_defaults = {"jobs": ("NETPROBE_JOBS", "1")}
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_sweep)
 
@@ -409,9 +427,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-# the whole of main, parser included: a parser is cyclic garbage once main
-# returns, and one built while the collector runs can be promoted to the
-# oldest generation, where it waits for a rare full pass
+# the whole of main: a command allocates many container objects but builds
+# no reference cycle, so a pass of the collector would find nothing, yet
+# each full pass walks the graph the command loaded
 @_collector_paused()
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()

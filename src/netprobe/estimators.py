@@ -14,7 +14,6 @@ Two routes to the same pair of statistics:
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from dataclasses import dataclass
@@ -79,14 +78,16 @@ def probe_based_estimates(
     ledger: ProbeLedger,
     n_probes: int = DEFAULT_ESTIMATION_PROBES,
     seed: int = 0,
+    by_degree: list[int] | None = None,
 ) -> EstimateSet:
     """Probe a random subset of the highest-observed-degree candidates and
     estimate the scale multiplier and the clustering from what they reveal.
 
     The pool is the ledger.budget highest-degree candidates (ties broken by
-    label), from which min(n_probes, pool size) nodes are drawn uniformly.
-    Each probe mutates obs and is charged to the ledger under the
-    estimation phase.  Just before each probe, the node's true/observed
+    label), from which min(n_probes, pool size) nodes are drawn uniformly:
+    the prefix of by_degree, strategies.Candidates.by_degree of obs (None:
+    list them).  Each probe mutates obs and is charged to the ledger under
+    the estimation phase.  Just before each probe, the node's true/observed
     degree ratio, its open-wedge partners and the partners among its true
     neighbours (the wedges the probe closes) are counted.
 
@@ -94,8 +95,12 @@ def probe_based_estimates(
     the observed one.  The clustering is closed wedges over open wedges, or
     0 when no probed node had an open-wedge partner.
     """
-    candidates = obs._candidate_ixs()
-    if not candidates:
+    if by_degree is None:
+        # strategies imports this module, so it is imported only here
+        from .strategies import Candidates
+
+        by_degree = Candidates(obs).by_degree
+    if not by_degree:
         raise EstimationError("no candidate nodes to estimate from")
     if n_probes <= 0:
         raise EstimationError(f"n_probes must be positive, got {n_probes}")
@@ -104,9 +109,7 @@ def probe_based_estimates(
             f"{n_probes} estimation probes exceed remaining budget {ledger.remaining}"
         )
     nbrs, labels = obs._nbrs, obs._labels
-    # candidates come in label order and nsmallest is stable, so equal
-    # degrees go by label
-    pool = heapq.nsmallest(ledger.budget, candidates, key=lambda i: -len(nbrs[i]))
+    pool = by_degree[: ledger.budget]
     rng = random.Random(seed)
     chosen = rng.sample(pool, min(n_probes, len(pool)))
 

@@ -439,26 +439,36 @@ class ObservedGraph:
         not observed raises UnknownNodeError, and one explored or listed
         twice NotCandidateError, with probe's messages.
         """
+        ixs = list(ixs)
+        return next(self._growth_walk(ixs, [len(ixs)]))
+
+    def _growth_walk(self, ixs: list[int], ends: Iterable[int]) -> Iterator[tuple[int, int]]:
+        """_exploration_growth of each prefix ixs[:k] for k in ends, which
+        ascend, counted in one walk along ixs.  An index that is no
+        candidate raises when the walk reaches it, after every prefix
+        before it has been counted."""
         nbrs, status, labels = self._nbrs, self._status, self._labels
         complete = self.graph._nbrs
         planned: set[int] = set()
-        for i in ixs:
-            if not status[i]:
-                raise UnknownNodeError(f"cannot probe {labels[i]!r}: not in the observed graph")
-            if status[i] == _EXPLORED or i in planned:
-                raise NotCandidateError(f"cannot probe {labels[i]!r}: already explored")
-            planned.add(i)
-        # planned nodes are observed, so only their neighbours can be new
-        reached = set().union(*map(complete.__getitem__, planned))
-        new_nodes = len(reached.difference(nbrs))
-        # each planned node's unobserved edges, less the unobserved edges
-        # between two planned nodes, which that sum counts twice
-        unobserved = twice = 0
-        for i in planned:
-            mine, theirs = nbrs[i], complete[i]
-            unobserved += len(theirs) - len(mine)
-            twice += len(planned.intersection(theirs)) - len(planned.intersection(mine))
-        return new_nodes, unobserved - twice // 2
+        reached: set[int] = set()
+        new_edges = start = 0
+        for end in ends:
+            chunk = ixs[start:end]
+            for i in chunk:
+                if not status[i]:
+                    raise UnknownNodeError(f"cannot probe {labels[i]!r}: not in the observed graph")
+                if status[i] == _EXPLORED or i in planned:
+                    raise NotCandidateError(f"cannot probe {labels[i]!r}: already explored")
+                # i's unobserved edges, less those to nodes planned before
+                # it, which were counted at their other end
+                mine, theirs = nbrs[i], complete[i]
+                new_edges += len(theirs) - len(mine)
+                new_edges -= len(planned.intersection(theirs)) - len(planned.intersection(mine))
+                planned.add(i)
+            # planned nodes are observed, so only their neighbours can be new
+            reached.update(*map(complete.__getitem__, chunk))
+            yield len(reached.difference(nbrs)), new_edges
+            start = end
 
     def copy(self) -> ObservedGraph:
         """An independent observation with the same nodes, edges, statuses,

@@ -4,18 +4,25 @@ improvements into CCDF curves with trapezoidal AUC.
 
 A trial probes nothing in its selection phase: every strategy fixes its
 whole plan before the first selection probe, so the trial counts the nodes
-and edges the plan would add (ObservedGraph._exploration_growth).
-_count_trial is the one trial implementation, which run_trial and every
-sweep work unit call; only the CLI's probe session probes its plan node by
-node, through run_session.
+and edges the plan would add (ObservedGraph._exploration_growth).  Only
+the CLI's probe session probes its plan node by node, through run_session.
 
-A sweep's work unit (one drawn sample and every trial on it) runs with
-CPython's cyclic garbage collector paused.  A trial allocates many
-container objects but builds no reference cycle, so every object it drops
-is freed by reference counting; the collector would find nothing, yet each
-of its full passes walks the whole complete graph.  The pause is
-process-wide, and the collector state the caller had is restored when the
-unit ends, also when a trial raises.
+A sweep's work unit is one drawn sample and every trial on it.  _run_unit
+runs one, and run_trial runs a unit of one, so there is one trial path.  A
+unit does its per-sample work once.  It lists the sample's candidates once
+(strategies.Candidates) for every trial that reads the unchanged sample,
+and sorts them by degree only when a trial reads that order: the highdeg
+plans and the probe-based estimation pools are its prefixes.  The trials
+of one budget-free ranker (strategies.BUDGET_FREE) share its plan at their
+largest budget, and _count_trials counts each smaller budget's prefix in
+the same walk along the plan.
+
+A work unit runs with CPython's cyclic garbage collector paused.  A trial
+allocates many container objects but builds no reference cycle, so every
+object it drops is freed by reference counting; the collector would find
+nothing, yet each of its full passes walks the whole complete graph.  The
+pause is process-wide, and the collector state the caller had is restored
+when the unit ends, also when a trial raises.
 """
 
 from __future__ import annotations
@@ -36,7 +43,15 @@ from .graphs import CompleteGraph, ObservedGraph
 from .probing import PHASE_SELECTION, ProbeLedger, probe
 from .sampling import DEFAULT_EDGE_FRACTION, DEFAULT_JUMP_PROB, SampleFractions
 from .sampling import check_sampler_args, run_sampler
-from .strategies import ESTIMATED, KNOWN_SAMPLERS, ProbePlan, lookup_strategy, make_probe_plan
+from .strategies import (
+    BUDGET_FREE,
+    ESTIMATED,
+    KNOWN_SAMPLERS,
+    Candidates,
+    ProbePlan,
+    lookup_strategy,
+    make_probe_plan,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -157,6 +172,7 @@ def _plan_session(
     estimation_probes: int,
     known_sample: tuple[str, SampleFractions] | None,
     charge_estimation: bool = True,
+    candidates: Candidates | None = None,
 ) -> tuple[ProbeLedger, ProbePlan, EstimateSet | None]:
     """run_session up to its selection probes: the ledger, charged with
     any estimation probes made on obs, the plan and the estimate set."""
@@ -165,7 +181,7 @@ def _plan_session(
         strategy, g, obs, ledger, selection_seed=seed,
         estimation_seed=derive_seed(seed, "estimation"),
         estimation_probes=estimation_probes, known_sample=known_sample,
-        charge_estimation=charge_estimation,
+        charge_estimation=charge_estimation, candidates=candidates,
     )
     return ledger, plan, est
 
@@ -177,43 +193,13 @@ def run_trial(
     strategy_seed: int,
 ) -> TrialResult:
     """Sample, plan, count.  Deterministic given both seeds: the trial a
-    sweep runs for config with these seeds, on a sample of its own."""
+    sweep runs for config with these seeds, as a work unit of one, on a
+    sample of its own.  A failed trial raises its error."""
     _check_config(config, g)
-    sample, fractions = run_sampler(
-        g, config.sampler, config.edge_fraction, sampler_seed, jump_prob=config.jump_prob
-    )
-    return _count_trial(g, config, sample, fractions, strategy_seed)
-
-
-def _count_trial(
-    g: CompleteGraph,
-    config: TrialConfig,
-    sample: ObservedGraph,
-    fractions: SampleFractions,
-    strategy_seed: int,
-) -> TrialResult:
-    """The result of a trial of config on sample, which config's sampler
-    drew with these fractions: plan as run_session does, then count what
-    probing the plan would add instead of probing it.  A plan fixes every
-    selection probe before the first is made, within the ledger's remaining
-    budget, so the count equals the probes' growth.  sample is never
-    changed: a trial whose estimation phase probes (an estimated strategy
-    without a known sample) plans on its own copy of it."""
-    known = config.known_sample
-    obs = sample.copy() if config.strategy in ESTIMATED and not known else sample
-    ledger, plan, est = _plan_session(
-        g, obs, config.strategy, budget_from_fraction(config.budget_fraction, g.n_nodes),
-        strategy_seed, estimation_probes=config.estimation_probes,
-        known_sample=(config.sampler, fractions) if known else None,
-    )
-    new_nodes, new_edges = obs._exploration_growth(map(g._index.__getitem__, plan.nodes))
-    return TrialResult(
-        nodes_before=sample.n_nodes,
-        nodes_after=obs.n_nodes + new_nodes,
-        edges_after=obs.n_edges + new_edges,
-        probes_spent=ledger.spent + len(plan.nodes),
-        estimate=est,
-    )
+    (outcome,) = _run_unit(g, [_TrialSpec(config, 0, sampler_seed, strategy_seed)])
+    if isinstance(outcome, NetProbeError):
+        raise outcome
+    return outcome
 
 
 def percent_improvement(strategy_nodes: int, random_nodes: int) -> float:
@@ -368,10 +354,11 @@ def _detached(exc: NetProbeError) -> NetProbeError:
 # pass would walk the whole sample
 @_collector_paused()
 def _run_unit(g: CompleteGraph, specs: list[_TrialSpec]) -> list:
-    """Draw the sample the specs share once, then count each spec's trial
-    on it; no trial changes it.  Returns one TrialResult or NetProbeError
-    per spec; a sample that fails fails every trial.  Runs with the cyclic
-    garbage collector paused."""
+    """Draw the sample the specs share and list its candidates, once, then
+    count the specs' trials on it; no trial changes it.  The specs of one
+    budget-free ranker share one plan.  Returns one TrialResult or
+    NetProbeError per spec; a sample that fails fails every trial.  Runs
+    with the cyclic garbage collector paused."""
     c = specs[0].config
     try:
         sample, fractions = run_sampler(
@@ -379,13 +366,65 @@ def _run_unit(g: CompleteGraph, specs: list[_TrialSpec]) -> list:
         )
     except NetProbeError as exc:
         return [_detached(exc)] * len(specs)
-    outcomes = []
+    candidates = Candidates(sample)
+    plans: dict[object, list[_TrialSpec]] = {}
     for spec in specs:
-        try:
-            outcomes.append(_count_trial(g, spec.config, sample, fractions, spec.strategy_seed))
-        except NetProbeError as exc:
-            outcomes.append(_detached(exc))
-    return outcomes
+        strategy = spec.config.strategy
+        plans.setdefault(strategy if strategy in BUDGET_FREE else spec, []).append(spec)
+    outcomes = {}
+    for shared in plans.values():
+        outcomes.update(zip(shared, _count_trials(g, shared, sample, fractions, candidates)))
+    return list(map(outcomes.__getitem__, specs))
+
+
+def _count_trials(
+    g: CompleteGraph,
+    specs: list[_TrialSpec],
+    sample: ObservedGraph,
+    fractions: SampleFractions,
+    candidates: Candidates,
+) -> list:
+    """The outcomes of the specs' trials on sample, which their sampler
+    drew with these fractions, when they share one plan: one trial, or one
+    budget-free ranker's trials at several budgets.
+
+    Plan as run_session does at the largest budget, then count what probing
+    each budget's prefix of the plan would add, in one walk along it.  A
+    plan fixes every selection probe before the first is made, so the count
+    equals the probes' growth.  sample is never changed: a trial whose
+    estimation phase probes (an estimated strategy without a known sample)
+    plans on its own copy.  A plan that fails fails every spec, and a count
+    that fails on a node, every spec whose prefix reaches it.
+    """
+    try:
+        budgets = [budget_from_fraction(s.config.budget_fraction, g.n_nodes) for s in specs]
+        top = specs[budgets.index(max(budgets))]
+        c = top.config
+        known = c.known_sample
+        obs = sample.copy() if c.strategy in ESTIMATED and not known else sample
+        ledger, plan, est = _plan_session(
+            g, obs, c.strategy, max(budgets), top.strategy_seed,
+            estimation_probes=c.estimation_probes,
+            known_sample=(c.sampler, fractions) if known else None, candidates=candidates,
+        )
+    except NetProbeError as exc:
+        return [_detached(exc)] * len(specs)
+    ixs = list(map(g._index.__getitem__, plan.nodes))
+    ends = [min(b, len(ixs)) for b in budgets]
+    walked = sorted(set(ends))
+    results, failure = {}, None
+    try:
+        for end, (new_nodes, new_edges) in zip(walked, obs._growth_walk(ixs, walked)):
+            results[end] = TrialResult(
+                nodes_before=sample.n_nodes,
+                nodes_after=obs.n_nodes + new_nodes,
+                edges_after=obs.n_edges + new_edges,
+                probes_spent=ledger.spent + end,
+                estimate=est,
+            )
+    except NetProbeError as exc:
+        failure = _detached(exc)
+    return [results.get(end, failure) for end in ends]
 
 
 _WORKER_GRAPH: CompleteGraph | None = None

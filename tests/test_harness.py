@@ -316,13 +316,13 @@ class TestSweep:
     def test_random_trial_equal_to_its_baseline_runs_once(self, monkeypatch):
         g = planted_partition_graph(6, 10, 0.5, 0.02, seed=8)
         calls = []
-        count_trial = harness._count_trial
+        count_trials = harness._count_trials
 
-        def recording_count_trial(g, config, obs, fractions, seed):
-            calls.append((config.strategy, seed))
-            return count_trial(g, config, obs, fractions, seed)
+        def recording_count_trials(g, specs, *args):
+            calls.extend((spec.config.strategy, spec.strategy_seed) for spec in specs)
+            return count_trials(g, specs, *args)
 
-        monkeypatch.setattr(harness, "_count_trial", recording_count_trial)
+        monkeypatch.setattr(harness, "_count_trials", recording_count_trials)
         grid = [TrialConfig(sampler="randedge", strategy=strategy, edge_fraction=0.2,
                             budget_fraction=0.1, n_repeats=2)
                 for strategy in ("highdeg", "random")]
@@ -393,16 +393,16 @@ class TestSweep:
             return sink.getvalue()
 
         trials = []
-        count_trial = harness._count_trial
+        count_trials = harness._count_trials
 
-        def recording_count_trial(g, config, obs, fractions, seed):
+        def recording_count_trials(g, specs, obs, *args):
             before = text(obs)
-            outcome = count_trial(g, config, obs, fractions, seed)
-            trials.append((config, obs, before == text(obs)))
-            return outcome
+            outcomes = count_trials(g, specs, obs, *args)
+            trials.extend((spec.config, obs, before == text(obs)) for spec in specs)
+            return outcomes
 
         monkeypatch.setattr(harness, "run_sampler", recording_run_sampler)
-        monkeypatch.setattr(harness, "_count_trial", recording_count_trial)
+        monkeypatch.setattr(harness, "_count_trials", recording_count_trials)
         grid = [TrialConfig(sampler=sampler, strategy=strategy, edge_fraction=0.2,
                             budget_fraction=0.1, n_repeats=1, estimation_probes=4,
                             known_sample=known)
@@ -427,14 +427,14 @@ class TestSweep:
 
     def test_failed_baseline_blanks_its_rows_and_every_improvement(self, monkeypatch, caplog):
         g = planted_partition_graph(6, 10, 0.5, 0.02, seed=12)
-        count_trial = harness._count_trial
+        plan_session = harness._plan_session
 
-        def count_trial_failing_random(g, config, *args):
-            if config.strategy == "random":
+        def plan_session_failing_random(g, obs, strategy, *args, **kwargs):
+            if strategy == "random":
                 raise SamplingError("random failed")
-            return count_trial(g, config, *args)
+            return plan_session(g, obs, strategy, *args, **kwargs)
 
-        monkeypatch.setattr(harness, "_count_trial", count_trial_failing_random)
+        monkeypatch.setattr(harness, "_plan_session", plan_session_failing_random)
         grid = self.small_grid(n_repeats=2)
         with caplog.at_level("WARNING", logger="netprobe.harness"):
             rows = sweep(g, grid, master_seed=5)
@@ -450,7 +450,7 @@ class TestSweep:
             f"trial failed (randedge/random b={b} rep={rep}): random failed"
             for b, rep in sorted((b, rep) for b in (0.1, 0.2) for rep in range(2))
         ]
-        # forked pool workers inherit the patched _count_trial
+        # forked pool workers inherit the patched _plan_session
         assert sweep(g, grid, master_seed=5, jobs=2) == rows
 
     def test_serial_sweep_leaves_no_worker_graph(self, monkeypatch):
@@ -588,15 +588,15 @@ class TestCollectorPause:
     def test_trials_run_paused_and_the_collector_is_back_on_after(self, monkeypatch):
         g = planted_partition_graph(6, 10, 0.5, 0.02, seed=8)
         states = []
-        count_trial = harness._count_trial
+        plan_session = harness._plan_session
 
-        def recording_count_trial(g, config, *args):
+        def recording_plan_session(g, obs, strategy, *args, **kwargs):
             states.append(gc.isenabled())
-            if config.strategy == "random":
+            if strategy == "random":
                 raise SamplingError("random failed")
-            return count_trial(g, config, *args)
+            return plan_session(g, obs, strategy, *args, **kwargs)
 
-        monkeypatch.setattr(harness, "_count_trial", recording_count_trial)
+        monkeypatch.setattr(harness, "_plan_session", recording_plan_session)
         rows = sweep(g, self.grid(), master_seed=1)
         assert states == [False] * 4
         assert [r["nodes_after"] == "" for r in rows] == [False] * 2 + [True] * 2
@@ -621,10 +621,10 @@ class TestCollectorPause:
     def test_a_unit_that_raises_turns_the_collector_back_on(self, monkeypatch):
         g = planted_partition_graph(6, 10, 0.5, 0.02, seed=8)
 
-        def broken_count_trial(*args):
+        def broken_count_trials(*args):
             raise TypeError("injected bug")
 
-        monkeypatch.setattr(harness, "_count_trial", broken_count_trial)
+        monkeypatch.setattr(harness, "_count_trials", broken_count_trials)
         spec = harness._TrialSpec.derive(1, self.grid()[0], 0)
         with pytest.raises(TypeError, match="injected bug"):
             harness._run_unit(g, [spec])
@@ -660,7 +660,7 @@ class TestCollectorPause:
         # and no warning is recorded, so no kept record keeps an error alive
         caplog.set_level(logging.ERROR, logger="netprobe.harness")
 
-        def failing_scorer(obs, seed, est, b):
+        def failing_scorer(obs, seed, est, b, candidates):
             if failing == "scorer":
                 raise NetProbeError("injected scorer failure")
             try:

@@ -19,7 +19,10 @@ levels with self-loops;
 the dispersion, clustering and cross-community scores equal their
 definitions.  The random-edge sampler draws the edges that drawing from
 a list of every edge draws.  A sweep's rows equal the reference sweep's
-on random grids with known samples and failing trials.  Then properties
+on random grids with known samples and failing trials, a work unit's
+outcomes equal its trials counted alone, also where the plan that a
+budget-free ranker's trials share fails, and one walk along a plan counts
+the growth of each of its prefixes.  Then properties
 of the CCDF and AUC aggregation."""
 
 import io
@@ -31,9 +34,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from netprobe import harness
+from netprobe import harness, strategies
 from netprobe.communities import _aggregate, _local_move, detect_communities
-from netprobe.errors import EmptyGraphError, NetProbeError, SamplingError, UnknownNodeError
+from netprobe.errors import (
+    ConfigError,
+    EmptyGraphError,
+    NetProbeError,
+    SamplingError,
+    UnknownNodeError,
+)
 from netprobe.estimators import METHOD_PROBE, EstimateSet, probe_based_estimates
 from netprobe.generators import planted_partition_graph, random_graph
 from netprobe.graphs import (
@@ -50,10 +59,12 @@ from netprobe.harness import TrialConfig, auc, ccdf, common_range_aucs, run_sess
 from netprobe.probing import PHASE_ESTIMATION, ProbeLedger, probe
 from netprobe.sampling import SAMPLER_NAMES, run_sampler, sample_random_edge
 from netprobe.strategies import (
+    BUDGET_FREE,
     HIGH,
     KNOWN_SAMPLERS,
     LOW,
     STRATEGIES,
+    Candidates,
     score_clustering,
     score_cross_comm,
     score_dispersion,
@@ -293,7 +304,7 @@ def test_select_top_b_equals_the_full_label_tie_sort(
     except (EmptyGraphError, SamplingError):
         assume(False)
     est = EstimateSet(method=METHOD_PROBE, scale_multiplier=m_hat, clustering=c_hat)
-    scores = STRATEGIES[strategy](obs, seed, est, None)
+    scores = STRATEGIES[strategy](obs, seed, est, None, obs._candidate_ixs())
     assert list(scores) == obs._candidate_ixs()
     # the selector's definition before score maps: sort every candidate by
     # (-score, label) and keep the first b
@@ -301,6 +312,9 @@ def test_select_top_b_equals_the_full_label_tie_sort(
     reference = [u for u, _ in sorted(candidates, key=lambda c: (-c[1], c[0]))]
     for b in range(1, len(candidates) + 2):
         assert select_top_b(obs, scores, b).nodes == tuple(reference[:b])
+    if strategy == "highdeg":
+        # make_probe_plan cuts highdeg's plans from this order
+        assert [obs._labels[i] for i in Candidates(obs).by_degree] == reference
 
 
 @settings(max_examples=150, deadline=None)
@@ -559,7 +573,7 @@ def test_random_edge_sample_equals_the_edge_list_draw(n, p, graph_seed, edge_fra
     _check_representation(obs)
 
 
-def _failing_highcc(obs, seed, est, b):
+def _failing_highcc(obs, seed, est, b, candidates):
     """The highcc scorer, failing on every sample with an odd edge count."""
     if obs.n_edges % 2:
         raise NetProbeError("injected scorer failure")
@@ -661,9 +675,152 @@ def test_a_counted_trial_leaves_its_sample_and_equals_the_probed_one(
     except (EmptyGraphError, SamplingError):
         assume(False)
     before = _text(sample)
-    counted = _outcome(harness._count_trial, g, config, sample, fractions, strategy_seed)
+    counted = _outcome(_counted, g, config, sample, fractions, strategy_seed)
     assert _text(sample) == before
     assert counted == _outcome(ref_trial, g, config, sampler_seed, strategy_seed)
+
+
+def _counted(g, config, sample, fractions, strategy_seed):
+    """The trial of config on sample counted alone, with candidates of its
+    own: the outcome, or its error raised."""
+    spec = harness._TrialSpec(config, 0, 0, strategy_seed)
+    (outcome,) = harness._count_trials(g, [spec], sample, fractions, Candidates(sample))
+    if isinstance(outcome, NetProbeError):
+        raise outcome
+    return outcome
+
+
+def _unit_specs(names, budget_fractions, master_seed, **fields):
+    """The specs of one sweep work unit: every named strategy at every
+    budget, on the sample of repeat 0."""
+    return [
+        harness._TrialSpec.derive(
+            master_seed, TrialConfig(strategy=name, budget_fraction=b, n_repeats=1, **fields), 0
+        )
+        for b in budget_fractions
+        for name in names
+    ]
+
+
+@pytest.mark.parametrize("sampler", SAMPLER_NAMES)
+@pytest.mark.parametrize("ranker", sorted(BUDGET_FREE))
+@settings(max_examples=5, deadline=None)
+@given(
+    shape=st.tuples(st.integers(2, 5), st.integers(6, 10), st.integers(0, 10_000)),
+    budget_fractions=st.lists(st.sampled_from((0.05, 0.1, 0.2, 0.5)), min_size=2, unique=True),
+    also=st.lists(st.sampled_from(("maxoutprobe", "random", "highdeg", "lowcc")), unique=True),
+    master_seed=st.integers(0, 2**32),
+)
+def test_a_unit_counts_each_trial_as_if_it_ran_alone(
+    sampler, ranker, shape, budget_fractions, also, master_seed
+):
+    # a budget of every node always exceeds the candidates, as explored
+    # nodes or ones the sample missed are no candidates
+    budget_fractions = [*budget_fractions, 1.0]
+    n_blocks, block_size, graph_seed = shape
+    g = planted_partition_graph(n_blocks, block_size, 0.5, 0.05, seed=graph_seed)
+    specs = _unit_specs(dict.fromkeys([ranker, *also]), budget_fractions, master_seed,
+                        sampler=sampler, edge_fraction=0.2, estimation_probes=3)
+    try:
+        for spec in specs:
+            harness._check_config(spec.config, g)
+        sample, fractions = run_sampler(g, sampler, 0.2, specs[0].sampler_seed)
+    except (EmptyGraphError, SamplingError, ConfigError):
+        assume(False)
+    assert len(sample.candidate_nodes()) < g.n_nodes
+    before = _text(sample)
+    unit = [o if isinstance(o, harness.TrialResult) else (type(o), str(o))
+            for o in harness._run_unit(g, specs)]
+    alone = [_outcome(_counted, g, spec.config, sample, fractions, spec.strategy_seed)
+             for spec in specs]
+    assert unit == alone
+    assert _text(sample) == before
+
+
+@pytest.mark.parametrize("fails_at", [None, 3])
+@pytest.mark.parametrize("ranker", sorted(BUDGET_FREE))
+def test_a_failing_shared_plan_fails_its_trials_as_if_each_ran_alone(ranker, fails_at):
+    # fails_at None: planning raises, at every budget; else the shared plan
+    # holds a node outside the sample at that place, and only the budgets
+    # whose prefix reaches it fail, as the count of that prefix fails
+    g = planted_partition_graph(4, 8, 0.5, 0.05, seed=3)
+    specs = _unit_specs((ranker, "random"), (0.1, 0.2, 0.4), 5, sampler="rw", edge_fraction=0.2)
+    sample, fractions = run_sampler(g, "rw", 0.2, specs[0].sampler_seed)
+    outside = next(i for i, label in enumerate(g._labels) if not sample.has_node(label))
+
+    def failing(obs, *args):
+        if fails_at is None:
+            raise NetProbeError(f"injected {ranker} failure")
+        candidates = obs._candidate_ixs()
+        ranked = candidates[:fails_at] + [outside]
+        scores = dict.fromkeys(candidates, 0.0)
+        scores.update((i, float(len(ranked) - k)) for k, i in enumerate(ranked))
+        return scores
+
+    # highdeg plans from the degree order, which score_degree ranks
+    with patch.object(strategies, "score_degree", failing), \
+            patch.dict(STRATEGIES, {ranker: failing}):
+        outcomes = harness._run_unit(g, specs)
+        alone = [_outcome(_counted, g, spec.config, sample, fractions, spec.strategy_seed)
+                 for spec in specs]
+    assert [(type(o), str(o)) if isinstance(o, NetProbeError) else o for o in outcomes] == alone
+    mine = [o for o, spec in zip(outcomes, specs) if spec.config.strategy == ranker]
+    if fails_at is None:
+        assert [(type(o), str(o)) for o in mine] == [(NetProbeError, f"injected {ranker} failure")] * 3
+    else:
+        assert [type(o) for o in mine] == [harness.TrialResult, UnknownNodeError, UnknownNodeError]
+    assert all(isinstance(o, harness.TrialResult) for o, spec in zip(outcomes, specs)
+               if spec.config.strategy == "random")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(6, 24),
+    p=st.floats(0.1, 0.8),
+    graph_seed=st.integers(0, 10_000),
+    sampler=st.sampled_from(SAMPLER_NAMES),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_the_growth_walk_counts_each_prefix(n, p, graph_seed, sampler, seed, data):
+    try:
+        g = random_graph(n, p, seed=graph_seed)
+        obs, _ = run_sampler(g, sampler, 0.3, seed)
+    except (EmptyGraphError, SamplingError):
+        assume(False)
+    for u in data.draw(st.lists(st.sampled_from(obs.candidate_nodes()), max_size=2, unique=True)):
+        obs.explore(u)
+    candidates = obs.candidate_nodes()
+    assume(candidates)
+    ixs = [g._index[u] for u in data.draw(st.permutations(candidates))]
+    # a plan that is no plan of candidates: an explored or repeated node
+    # fails the walk where it stands, after the prefixes before it
+    if data.draw(st.booleans()):
+        explored = [g._index[u] for u in obs.explored_nodes()]
+        bad = data.draw(st.sampled_from(explored + ixs))
+        ixs.insert(data.draw(st.integers(0, len(ixs))), bad)
+    ends = sorted(data.draw(st.sets(st.integers(0, len(ixs)), min_size=1)))
+    start = _text(obs)
+    walked = []
+    try:
+        for counts in obs._growth_walk(ixs, ends):
+            walked.append(counts)
+    except NetProbeError as exc:
+        walked.append((type(exc), str(exc)))
+    expected = []
+    for end in ends:
+        expected.append(_outcome(obs._exploration_growth, ixs[:end]))
+        if not isinstance(expected[-1][0], int):
+            break
+    assert walked == expected
+    assert _text(obs) == start
+    # and each counted prefix is what probing it on a copy adds
+    for end, counts in zip(ends, walked):
+        if isinstance(counts[0], int):
+            probed = obs.copy()
+            for i in ixs[:end]:
+                probed.explore(g._labels[i])
+            assert counts == (probed.n_nodes - obs.n_nodes, probed.n_edges - obs.n_edges)
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
