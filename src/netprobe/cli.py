@@ -407,7 +407,7 @@ def build_parser() -> _Parser:
     p.add_argument("--budget-fracs", default=DEFAULT_BUDGETS,
                    help="comma-separated node-fraction budgets (default 1%%..5%%)")
     p.add_argument("--edge-fraction", type=finite_float, default=DEFAULT_EDGE_FRACTION)
-    p.add_argument("--repeats", type=int, default=20)
+    p.add_argument("--repeats", type=positive_int, default=20)
     p.add_argument("--jump-prob", type=finite_float, default=DEFAULT_JUMP_PROB)
     p.add_argument("--estimation-probes", type=positive_int, default=DEFAULT_ESTIMATION_PROBES)
     p.add_argument("--known-sample", action="store_true",

@@ -78,28 +78,26 @@ def probe_based_estimates(
     ledger: ProbeLedger,
     n_probes: int = DEFAULT_ESTIMATION_PROBES,
     seed: int = 0,
-    by_degree: list[int] | None = None,
 ) -> EstimateSet:
     """Probe a random subset of the highest-observed-degree candidates and
     estimate the scale multiplier and the clustering from what they reveal.
 
     The pool is the ledger.budget highest-degree candidates (ties broken by
     label), from which min(n_probes, pool size) nodes are drawn uniformly:
-    the prefix of by_degree, strategies.Candidates.by_degree of obs (None:
-    list them).  Each probe mutates obs and is charged to the ledger under
-    the estimation phase.  Just before each probe, the node's true/observed
-    degree ratio, its open-wedge partners and the partners among its true
-    neighbours (the wedges the probe closes) are counted.
+    the prefix of strategies._by_degree(obs).  Each probe mutates obs and
+    is charged to the ledger under the estimation phase.  Just before each
+    probe, the node's true/observed degree ratio, its open-wedge partners
+    and the partners among its true neighbours (the wedges the probe
+    closes) are counted.
 
     The ratio mean is clamped to at least 1: a true degree cannot be below
     the observed one.  The clustering is closed wedges over open wedges, or
     0 when no probed node had an open-wedge partner.
     """
-    if by_degree is None:
-        # strategies imports this module, so it is imported only here
-        from .strategies import Candidates
+    # strategies imports this module, so it is imported only here
+    from .strategies import _by_degree
 
-        by_degree = Candidates(obs).by_degree
+    by_degree = _by_degree(obs)
     if not by_degree:
         raise EstimationError("no candidate nodes to estimate from")
     if n_probes <= 0:

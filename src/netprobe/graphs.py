@@ -20,7 +20,8 @@ grow and intersect.
 Every listing of nodes is in ascending label order, so that rankings can
 break ties by label and files are canonical.  The complete graph sorts its
 indices by label once, at load (``_by_label``); the observed graph lists
-its nodes by filtering that list on their status, with no sort of its own.
+its nodes by filtering that list on their status, with no sort of its own,
+and keeps its candidate listing until it changes.
 """
 
 from __future__ import annotations
@@ -312,6 +313,10 @@ class ObservedGraph:
         self._nbrs: dict[int, set[int]] = {}
         self._status = bytearray(graph.n_nodes)
         self._n_edges = 0
+        # values derived from the present nodes, edges and statuses, filled
+        # on first use (_candidate_ixs) and shared with copies; every change
+        # drops the reference, never empties the dict, as a copy may hold it
+        self._derived: dict | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -365,9 +370,19 @@ class ObservedGraph:
         i = self._index.get(u)
         return i is not None and self._status[i] == _CANDIDATE
 
+    def _derived_values(self) -> dict:
+        """The dict of values derived from the present state (see __init__)."""
+        if self._derived is None:
+            self._derived = {}
+        return self._derived
+
     def _candidate_ixs(self) -> list[int]:
-        """Candidate indices in ascending label order (see _in_label_order)."""
-        return self._in_label_order(_CANDIDATE)
+        """Candidate indices in ascending label order (see _in_label_order),
+        listed once per state; callers must not change the list."""
+        derived = self._derived_values()
+        if "by_label" not in derived:
+            derived["by_label"] = self._in_label_order(_CANDIDATE)
+        return derived["by_label"]
 
     def candidate_nodes(self) -> list[str]:
         return list(map(self._labels.__getitem__, self._candidate_ixs()))
@@ -388,6 +403,7 @@ class ObservedGraph:
 
     def _link(self, i: int, j: int) -> bool:
         """add_edge on indices of an edge known to be in the complete graph."""
+        self._derived = None
         nbrs = self._nbrs
         mine = nbrs.get(i)
         if mine is None:
@@ -412,6 +428,7 @@ class ObservedGraph:
         numbers of nodes (u not counted) and edges the reveal added.
         """
         i = self.graph._ix(u)
+        self._derived = None
         nbrs, status = self._nbrs, self._status
         n_before = len(nbrs) + (i not in nbrs)
         mine = nbrs.setdefault(i, set())
@@ -472,8 +489,10 @@ class ObservedGraph:
 
     def copy(self) -> ObservedGraph:
         """An independent observation with the same nodes, edges, statuses,
-        origin and target edge fraction."""
+        origin and target edge fraction.  The two share their derived values
+        until either changes."""
         other = ObservedGraph(self.graph, self.origin, self.target_edge_fraction)
+        other._derived = self._derived_values()
         other._nbrs = {i: neighbors.copy() for i, neighbors in self._nbrs.items()}
         other._status[:] = self._status
         other._n_edges = self._n_edges
@@ -481,6 +500,7 @@ class ObservedGraph:
 
     def mark_explored(self, u: str) -> None:
         self._status[self._ix(u)] = _EXPLORED
+        self._derived = None
 
 
 def count_triangles_wedges(g: CompleteGraph | ObservedGraph) -> TriangleWedgeCounts:
@@ -642,7 +662,9 @@ def _fill_observed(obs: ObservedGraph, edges: list[str], statuses: list[str]) ->
     fault: the first pair, in file order, that is not an edge of the
     complete graph; else the first observed node, in label order, with no
     status entry; else the first status entry, in file order, with no
-    incident edge or marked explored with an incomplete neighborhood."""
+    incident edge or marked explored with an incomplete neighborhood.  The
+    status writes keep obs's derived values, as nothing lists obs before
+    the fill returns."""
     g = obs.graph
     index, adjacent, link = g._index, g._adjacent, obs._link
     pairs = iter(list(map(index.get, edges)))

@@ -9,13 +9,12 @@ the CLI's probe session probes its plan node by node, through run_session.
 
 A sweep's work unit is one drawn sample and every trial on it.  _run_unit
 runs one, and run_trial runs a unit of one, so there is one trial path.  A
-unit does its per-sample work once.  It lists the sample's candidates once
-(strategies.Candidates) for every trial that reads the unchanged sample,
-and sorts them by degree only when a trial reads that order: the highdeg
-plans and the probe-based estimation pools are its prefixes.  The trials
-of one budget-free ranker (strategies.BUDGET_FREE) share its plan at their
-largest budget, and _count_trials counts each smaller budget's prefix in
-the same walk along the plan.
+unit does its per-sample work once: the sample keeps its candidate listing
+and degree order while it is unchanged, and shares them with its copies
+(ObservedGraph._derived), so every trial on the unit reads the same ones.
+The trials of one budget-free ranker (strategies.BUDGET_FREE) share its
+plan at their largest budget, and _count_trials counts each smaller
+budget's prefix in the same walk along the plan.
 
 A work unit runs with CPython's cyclic garbage collector paused.  A trial
 allocates many container objects but builds no reference cycle, so every
@@ -47,7 +46,6 @@ from .strategies import (
     BUDGET_FREE,
     ESTIMATED,
     KNOWN_SAMPLERS,
-    Candidates,
     ProbePlan,
     lookup_strategy,
     make_probe_plan,
@@ -172,7 +170,6 @@ def _plan_session(
     estimation_probes: int,
     known_sample: tuple[str, SampleFractions] | None,
     charge_estimation: bool = True,
-    candidates: Candidates | None = None,
 ) -> tuple[ProbeLedger, ProbePlan, EstimateSet | None]:
     """run_session up to its selection probes: the ledger, charged with
     any estimation probes made on obs, the plan and the estimate set."""
@@ -181,7 +178,7 @@ def _plan_session(
         strategy, g, obs, ledger, selection_seed=seed,
         estimation_seed=derive_seed(seed, "estimation"),
         estimation_probes=estimation_probes, known_sample=known_sample,
-        charge_estimation=charge_estimation, candidates=candidates,
+        charge_estimation=charge_estimation,
     )
     return ledger, plan, est
 
@@ -354,11 +351,11 @@ def _detached(exc: NetProbeError) -> NetProbeError:
 # pass would walk the whole sample
 @_collector_paused()
 def _run_unit(g: CompleteGraph, specs: list[_TrialSpec]) -> list:
-    """Draw the sample the specs share and list its candidates, once, then
-    count the specs' trials on it; no trial changes it.  The specs of one
-    budget-free ranker share one plan.  Returns one TrialResult or
-    NetProbeError per spec; a sample that fails fails every trial.  Runs
-    with the cyclic garbage collector paused."""
+    """Draw the sample the specs share, once, then count the specs' trials
+    on it; no trial changes it.  The specs of one budget-free ranker share
+    one plan.  Returns one TrialResult or NetProbeError per spec; a sample
+    that fails fails every trial.  Runs with the cyclic garbage collector
+    paused."""
     c = specs[0].config
     try:
         sample, fractions = run_sampler(
@@ -366,14 +363,13 @@ def _run_unit(g: CompleteGraph, specs: list[_TrialSpec]) -> list:
         )
     except NetProbeError as exc:
         return [_detached(exc)] * len(specs)
-    candidates = Candidates(sample)
     plans: dict[object, list[_TrialSpec]] = {}
     for spec in specs:
         strategy = spec.config.strategy
         plans.setdefault(strategy if strategy in BUDGET_FREE else spec, []).append(spec)
     outcomes = {}
     for shared in plans.values():
-        outcomes.update(zip(shared, _count_trials(g, shared, sample, fractions, candidates)))
+        outcomes.update(zip(shared, _count_trials(g, shared, sample, fractions)))
     return list(map(outcomes.__getitem__, specs))
 
 
@@ -382,7 +378,6 @@ def _count_trials(
     specs: list[_TrialSpec],
     sample: ObservedGraph,
     fractions: SampleFractions,
-    candidates: Candidates,
 ) -> list:
     """The outcomes of the specs' trials on sample, which their sampler
     drew with these fractions, when they share one plan: one trial, or one
@@ -405,7 +400,7 @@ def _count_trials(
         ledger, plan, est = _plan_session(
             g, obs, c.strategy, max(budgets), top.strategy_seed,
             estimation_probes=c.estimation_probes,
-            known_sample=(c.sampler, fractions) if known else None, candidates=candidates,
+            known_sample=(c.sampler, fractions) if known else None,
         )
     except NetProbeError as exc:
         return [_detached(exc)] * len(specs)

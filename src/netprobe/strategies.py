@@ -6,8 +6,9 @@ Every strategy but random maps the candidate nodes of an observed graph to
 scores (see Scores) and one selector takes the top b, breaking ties by
 ascending label so runs are reproducible.  A scorer is told b and may leave
 out candidates that cannot be among the top b; MaxOutProbe does, the
-baselines score every candidate.  A plan reads the candidates from a
-Candidates, which lists them once for every plan on one unchanged graph.
+baselines score every candidate.  The observed graph lists its candidates
+once per state (ObservedGraph._candidate_ixs), and _by_degree ranks them by
+degree once per state, for every plan made on it or on an unchanged copy.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 from .communities import communities_by_index, detect_communities
@@ -29,7 +29,6 @@ from .estimators import (
     probe_based_estimates,
 )
 from .graphs import (
-    _CANDIDATE,
     CompleteGraph,
     ObservedGraph,
     _edge_dispersion,
@@ -55,25 +54,6 @@ class ProbePlan:
     nodes: tuple[str, ...]
 
 
-class Candidates:
-    """The candidates of an observed graph, listed once for every plan made
-    on it or on an unchanged copy: by ascending label (by_label), and on
-    first use by descending observed degree, ties by label (by_degree).
-    by_degree is select_top_b's ranking of score_degree(obs, HIGH): highdeg's
-    plan and the estimation pool at budget b are its first b nodes.
-    """
-
-    def __init__(self, obs: ObservedGraph):
-        self.obs = obs
-        self.by_label = obs._candidate_ixs()
-
-    @cached_property
-    def by_degree(self) -> list[int]:
-        scores = score_degree(self.obs, HIGH, self.by_label)
-        # sorted is stable also in reverse, so equal degrees keep label order
-        return sorted(scores, key=scores.__getitem__, reverse=True)
-
-
 def _check_b(b_remaining: int) -> None:
     if b_remaining < 1:
         raise ConfigError(f"b_remaining must be at least 1, got {b_remaining}")
@@ -81,10 +61,6 @@ def _check_b(b_remaining: int) -> None:
 
 def _plan(obs: ObservedGraph, ixs) -> ProbePlan:
     return ProbePlan(nodes=tuple(map(obs._labels.__getitem__, ixs)))
-
-
-def _listed(obs: ObservedGraph, candidates: list[int] | None) -> list[int]:
-    return obs._candidate_ixs() if candidates is None else candidates
 
 
 def _direction_sign(direction: str) -> float:
@@ -95,9 +71,7 @@ def _direction_sign(direction: str) -> float:
     raise ConfigError(f"direction must be 'high' or 'low', got {direction!r}")
 
 
-def score_max_out_probe(
-    obs: ObservedGraph, est: EstimateSet, b: int | None = None, candidates: list[int] | None = None
-) -> Scores:
+def score_max_out_probe(obs: ObservedGraph, est: EstimateSet, b: int | None = None) -> Scores:
     """Score candidates by estimated neighbors outside the observed graph.
 
     For candidate u with observed degree d: the estimated true degree m̂·d,
@@ -110,10 +84,9 @@ def score_max_out_probe(
     above, as ĉ ≥ 0 and w ≥ 0, so candidates are visited by descending
     bound and the scan stops at the first bound below the b-th best score
     so far (the threshold algorithm of Fagin, Lotem and Naor).
-    candidates, as for every scorer, is Candidates.by_label (None: list them).
     """
     nbrs = obs._nbrs
-    order = _listed(obs, candidates)
+    order = obs._candidate_ixs()
     cands = set(order)
     m_hat, c_hat = est.scale_multiplier, est.clustering
 
@@ -158,17 +131,26 @@ def select_top_b(obs: ObservedGraph, scores: Scores, b_remaining: int) -> ProbeP
     return _plan(obs, heapq.nlargest(b_remaining, scores, key=scores.__getitem__))
 
 
-def score_degree(
-    obs: ObservedGraph, direction: str = HIGH, candidates: list[int] | None = None
-) -> Scores:
+def score_degree(obs: ObservedGraph, direction: str = HIGH) -> Scores:
     sign = _direction_sign(direction)
     nbrs = obs._nbrs
-    return {i: sign * len(nbrs[i]) for i in _listed(obs, candidates)}
+    return {i: sign * len(nbrs[i]) for i in obs._candidate_ixs()}
 
 
-def score_dispersion(
-    obs: ObservedGraph, direction: str = HIGH, candidates: list[int] | None = None
-) -> Scores:
+def _by_degree(obs: ObservedGraph) -> list[int]:
+    """obs's candidates by descending observed degree, ties by label: the
+    ranking select_top_b makes of score_degree(obs, HIGH), sorted once per
+    state of obs.  highdeg's plan and the estimation pool at budget b are
+    its first b nodes; callers must not change the list."""
+    derived = obs._derived_values()
+    if "by_degree" not in derived:
+        scores = score_degree(obs, HIGH)
+        # sorted is stable also in reverse, so equal degrees keep label order
+        derived["by_degree"] = sorted(scores, key=scores.__getitem__, reverse=True)
+    return derived["by_degree"]
+
+
+def score_dispersion(obs: ObservedGraph, direction: str = HIGH) -> Scores:
     """Mean dispersion of a candidate's incident observed edges (every
     observed node has at least one)."""
     sign = _direction_sign(direction)
@@ -177,7 +159,7 @@ def score_dispersion(
     # (lower, higher index) -> an edge's dispersion, computed at the first of
     # its candidate ends and dropped at the second
     dispersion = {}
-    for i in _listed(obs, candidates):
+    for i in obs._candidate_ixs():
         mine = nbrs[i]
         total = 0
         for j in mine:
@@ -190,9 +172,7 @@ def score_dispersion(
     return scores
 
 
-def score_cross_comm(
-    obs: ObservedGraph, partition: dict[str, int], candidates: list[int] | None = None
-) -> Scores:
+def score_cross_comm(obs: ObservedGraph, partition: dict[str, int]) -> Scores:
     """Fraction of a candidate's observed neighbors outside its community.
 
     The partition must cover every observed node (UnknownNodeError if not).
@@ -200,7 +180,7 @@ def score_cross_comm(
     nbrs = obs._nbrs
     community = communities_by_index(obs, partition)
     scores = {}
-    for i in _listed(obs, candidates):
+    for i in obs._candidate_ixs():
         mine = nbrs[i]
         cu = community[i]
         outside = sum(community[j] != cu for j in mine)
@@ -208,44 +188,39 @@ def score_cross_comm(
     return scores
 
 
-def score_clustering(
-    obs: ObservedGraph, direction: str = HIGH, candidates: list[int] | None = None
-) -> Scores:
+def score_clustering(obs: ObservedGraph, direction: str = HIGH) -> Scores:
     sign = _direction_sign(direction)
     nbrs = obs._nbrs
-    return {i: sign * _local_clustering(nbrs, i) for i in _listed(obs, candidates)}
+    return {i: sign * _local_clustering(nbrs, i) for i in obs._candidate_ixs()}
 
 
-def select_random(
-    obs: ObservedGraph, b_remaining: int, seed: int, candidates: list[int] | None = None
-) -> ProbePlan:
+def select_random(obs: ObservedGraph, b_remaining: int, seed: int) -> ProbePlan:
     """Uniform sample of candidates, without replacement, seed-deterministic."""
     _check_b(b_remaining)
-    pool = _listed(obs, candidates)
+    pool = obs._candidate_ixs()
     return _plan(obs, random.Random(seed).sample(pool, min(b_remaining, len(pool))))
 
 
-Scorer = Callable[[ObservedGraph, int, EstimateSet | None, int | None, list[int]], Scores]
+Scorer = Callable[[ObservedGraph, int, EstimateSet | None, int | None], Scores]
 
-# Strategy name -> scorer(obs, selection_seed, est, b, candidates), in the
-# order the CLI lists them; random has no scorer and draws candidates
-# uniformly.  b is the number of probes the plan takes (None: rank every
-# candidate); only maxoutprobe uses it, to skip candidates that cannot make
-# the top b.  candidates is Candidates.by_label.  Each scorer looks up the
-# module's function when it is called, so replacing a module attribute (to
-# trace it, say) reaches every strategy.  make_probe_plan cuts highdeg's plan
-# from Candidates.by_degree, its scorer's ranking.
+# Strategy name -> scorer(obs, selection_seed, est, b), in the order the CLI
+# lists them; random has no scorer and draws candidates uniformly.  b is the
+# number of probes the plan takes (None: rank every candidate); only
+# maxoutprobe uses it, to skip candidates that cannot make the top b.  Each
+# scorer looks up the module's function when it is called, so replacing a
+# module attribute (to trace it, say) reaches every strategy.
+# make_probe_plan cuts highdeg's plan from _by_degree, its scorer's ranking.
 STRATEGIES: dict[str, Scorer | None] = {
-    "maxoutprobe": lambda obs, seed, est, b, cands: score_max_out_probe(obs, est, b, cands),
-    "highdeg": lambda obs, seed, est, b, cands: score_degree(obs, HIGH, cands),
-    "lowdeg": lambda obs, seed, est, b, cands: score_degree(obs, LOW, cands),
-    "highdisp": lambda obs, seed, est, b, cands: score_dispersion(obs, HIGH, cands),
-    "lowdisp": lambda obs, seed, est, b, cands: score_dispersion(obs, LOW, cands),
-    "crosscomm": lambda obs, seed, est, b, cands: score_cross_comm(
-        obs, detect_communities(obs, seed=seed), cands
+    "maxoutprobe": lambda obs, seed, est, b: score_max_out_probe(obs, est, b),
+    "highdeg": lambda obs, seed, est, b: score_degree(obs, HIGH),
+    "lowdeg": lambda obs, seed, est, b: score_degree(obs, LOW),
+    "highdisp": lambda obs, seed, est, b: score_dispersion(obs, HIGH),
+    "lowdisp": lambda obs, seed, est, b: score_dispersion(obs, LOW),
+    "crosscomm": lambda obs, seed, est, b: score_cross_comm(
+        obs, detect_communities(obs, seed=seed)
     ),
-    "highcc": lambda obs, seed, est, b, cands: score_clustering(obs, HIGH, cands),
-    "lowcc": lambda obs, seed, est, b, cands: score_clustering(obs, LOW, cands),
+    "highcc": lambda obs, seed, est, b: score_clustering(obs, HIGH),
+    "lowcc": lambda obs, seed, est, b: score_clustering(obs, LOW),
     "random": None,
 }
 # The strategies that run the estimation phase first; their scorers get its
@@ -278,7 +253,6 @@ def estimate(
     known_sample: tuple[str, SampleFractions] | None = None,
     n_probes: int = DEFAULT_ESTIMATION_PROBES,
     seed: int = 0,
-    candidates: Candidates | None = None,
 ) -> EstimateSet:
     """Estimate the degree scale and the clustering a plan ranks obs with.
 
@@ -288,7 +262,6 @@ def estimate(
     probes are charged to the ledger, capped at half its budget so selection
     keeps at least half, at its remaining budget and at the number of
     candidates.  When that cap leaves no probe, it returns FALLBACK_ESTIMATE.
-    The probe-based phase pools from candidates.by_degree (None: list them).
     """
     if known_sample is not None:
         sampler, fractions = known_sample
@@ -297,12 +270,11 @@ def estimate(
         if sampler == "randedge":
             return known_edge_sample_estimates(obs, fractions.edge_fraction)
         raise ConfigError(f"known_sample needs a sampler in {KNOWN_SAMPLERS}, got {sampler!r}")
-    n_candidates = obs._status.count(_CANDIDATE)
+    n_candidates = len(obs._candidate_ixs())
     n_probes = min(n_probes, ledger.budget // 2, ledger.remaining, n_candidates)
     if n_probes < 1:
         return FALLBACK_ESTIMATE
-    by_degree = (candidates or Candidates(obs)).by_degree
-    return probe_based_estimates(g, obs, ledger, n_probes=n_probes, seed=seed, by_degree=by_degree)
+    return probe_based_estimates(g, obs, ledger, n_probes=n_probes, seed=seed)
 
 
 def make_probe_plan(
@@ -315,33 +287,25 @@ def make_probe_plan(
     estimation_probes: int = DEFAULT_ESTIMATION_PROBES,
     known_sample: tuple[str, SampleFractions] | None = None,
     charge_estimation: bool = True,
-    candidates: Candidates | None = None,
 ) -> tuple[ProbePlan, EstimateSet | None]:
     """Build the probe plan for a named strategy against one observed graph.
 
     A strategy that needs estimates runs :func:`estimate` first, charging
     its probes unless charge_estimation is False.  Returns the plan over the
     remaining budget and the estimate set used, None for the other strategies.
-    candidates are obs's Candidates (None: list them), listed again once
-    estimation probes have changed obs.
     """
     scorer = lookup_strategy(strategy)
-    if candidates is None:
-        candidates = Candidates(obs)
     est: EstimateSet | None = None
     if strategy in ESTIMATED:
         est = estimate(
-            g, obs, ledger, known_sample, n_probes=estimation_probes, seed=estimation_seed,
-            candidates=candidates,
+            g, obs, ledger, known_sample, n_probes=estimation_probes, seed=estimation_seed
         )
         if not charge_estimation:
             ledger.budget += est.probes_used
-        if est.probes_used:
-            candidates = Candidates(obs)
     b = ledger.remaining
     if scorer is None:
-        return select_random(obs, b, selection_seed, candidates.by_label), None
+        return select_random(obs, b, selection_seed), None
     if strategy == "highdeg":
         _check_b(b)
-        return _plan(obs, candidates.by_degree[:b]), est
-    return select_top_b(obs, scorer(obs, selection_seed, est, b, candidates.by_label), b), est
+        return _plan(obs, _by_degree(obs)[:b]), est
+    return select_top_b(obs, scorer(obs, selection_seed, est, b), b), est

@@ -2,9 +2,11 @@
 
 import io
 import random
+from itertools import product
 
 import pytest
 
+from netprobe import strategies
 from netprobe.errors import (
     EmptyGraphError,
     NotCandidateError,
@@ -13,6 +15,7 @@ from netprobe.errors import (
 )
 from netprobe.generators import random_graph
 from netprobe.graphs import (
+    _CANDIDATE,
     CompleteGraph,
     NodeStatus,
     ObservedGraph,
@@ -24,6 +27,7 @@ from netprobe.graphs import (
     two_hop_open_wedges,
     write_observed,
 )
+from netprobe.probing import ProbeLedger, probe
 from netprobe.sampling import sample_random_edge, sample_random_node
 
 from oracles import (
@@ -365,3 +369,70 @@ class TestObservedGraph:
         g = CompleteGraph([("a", "b")])
         text = f"# target_edge_fraction: {value}\n[edges]\na b\n[status]\na E\nb E\n"
         assert read_observed(io.StringIO(text), g).target_edge_fraction == float(value)
+
+
+# a-b observed at first; each change then alters the candidates or degrees
+DERIVED_GRAPH = CompleteGraph(
+    [("a", "b"), ("b", "c"), ("c", "d"), ("b", "e"), ("a", "e"), ("d", "f")]
+)
+CHANGES = {
+    # both ends new: the case of a copy listing into a dict it still shares
+    "add_edge": lambda obs: obs.add_edge("c", "d"),
+    "_link": lambda obs: obs._link(obs._index["b"], obs._index["c"]),
+    "explore": lambda obs: obs.explore("b"),
+    "mark_explored": lambda obs: obs.mark_explored("a"),
+    "probe": lambda obs: probe(DERIVED_GRAPH, obs, ProbeLedger(budget=1), "a"),
+}
+
+
+def _list(obs, what):
+    """Fill obs's derived values: the label listing, or the degree order
+    (which lists by label too)."""
+    if what == "by_label":
+        obs._candidate_ixs()
+    else:
+        strategies._by_degree(obs)
+
+
+def _check_derived(obs):
+    """obs's derived values equal those listed afresh from its state."""
+    expected = obs._in_label_order(_CANDIDATE)
+    assert obs._candidate_ixs() == expected
+    labels = [obs._labels[i] for i in expected]
+    by_degree = sorted(labels, key=lambda u: (-obs.degree(u), u))
+    assert [obs._labels[i] for i in strategies._by_degree(obs)] == by_degree
+
+
+class TestDerivedValues:
+    @pytest.mark.parametrize("changed", [["original"], ["copy"], ["original", "copy"],
+                                         ["copy", "original"]])
+    @pytest.mark.parametrize("change", CHANGES)
+    def test_a_change_drops_what_it_makes_stale(self, change, changed):
+        listings = [None, *product(["before the copy", "original", "copy"],
+                                   ["by_label", "by_degree"])]
+        reads = [["original", "copy"], ["copy", "original"]]
+        for listing, read in product(listings, reads):
+            original = ObservedGraph(DERIVED_GRAPH)
+            original.add_edge("a", "b")
+            if listing and listing[0] == "before the copy":
+                _list(original, listing[1])
+            graphs = {"original": original, "copy": original.copy()}
+            if listing and listing[0] in graphs:
+                _list(graphs[listing[0]], listing[1])
+            for name in changed:
+                CHANGES[change](graphs[name])
+            for name in read:
+                _check_derived(graphs[name])
+
+    def test_a_copy_shares_derived_values_until_either_changes(self):
+        original = ObservedGraph(DERIVED_GRAPH)
+        original.add_edge("a", "b")
+        original.add_edge("b", "c")
+        copy = original.copy()
+        by_degree = strategies._by_degree(copy)
+        assert strategies._by_degree(original) is by_degree
+        assert original._candidate_ixs() is copy._candidate_ixs()
+        copy.explore("b")
+        _check_derived(copy)
+        assert strategies._by_degree(original) is by_degree
+        assert [original._labels[i] for i in by_degree] == ["b", "a", "c"]

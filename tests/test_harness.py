@@ -660,7 +660,7 @@ class TestCollectorPause:
         # and no warning is recorded, so no kept record keeps an error alive
         caplog.set_level(logging.ERROR, logger="netprobe.harness")
 
-        def failing_scorer(obs, seed, est, b, candidates):
+        def failing_scorer(obs, seed, est, b):
             if failing == "scorer":
                 raise NetProbeError("injected scorer failure")
             try:

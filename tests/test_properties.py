@@ -64,7 +64,6 @@ from netprobe.strategies import (
     KNOWN_SAMPLERS,
     LOW,
     STRATEGIES,
-    Candidates,
     score_clustering,
     score_cross_comm,
     score_dispersion,
@@ -304,7 +303,7 @@ def test_select_top_b_equals_the_full_label_tie_sort(
     except (EmptyGraphError, SamplingError):
         assume(False)
     est = EstimateSet(method=METHOD_PROBE, scale_multiplier=m_hat, clustering=c_hat)
-    scores = STRATEGIES[strategy](obs, seed, est, None, obs._candidate_ixs())
+    scores = STRATEGIES[strategy](obs, seed, est, None)
     assert list(scores) == obs._candidate_ixs()
     # the selector's definition before score maps: sort every candidate by
     # (-score, label) and keep the first b
@@ -314,7 +313,7 @@ def test_select_top_b_equals_the_full_label_tie_sort(
         assert select_top_b(obs, scores, b).nodes == tuple(reference[:b])
     if strategy == "highdeg":
         # make_probe_plan cuts highdeg's plans from this order
-        assert [obs._labels[i] for i in Candidates(obs).by_degree] == reference
+        assert [obs._labels[i] for i in strategies._by_degree(obs)] == reference
 
 
 @settings(max_examples=150, deadline=None)
@@ -573,7 +572,7 @@ def test_random_edge_sample_equals_the_edge_list_draw(n, p, graph_seed, edge_fra
     _check_representation(obs)
 
 
-def _failing_highcc(obs, seed, est, b, candidates):
+def _failing_highcc(obs, seed, est, b):
     """The highcc scorer, failing on every sample with an odd edge count."""
     if obs.n_edges % 2:
         raise NetProbeError("injected scorer failure")
@@ -681,10 +680,10 @@ def test_a_counted_trial_leaves_its_sample_and_equals_the_probed_one(
 
 
 def _counted(g, config, sample, fractions, strategy_seed):
-    """The trial of config on sample counted alone, with candidates of its
-    own: the outcome, or its error raised."""
+    """The trial of config on sample counted alone: the outcome, or its
+    error raised."""
     spec = harness._TrialSpec(config, 0, 0, strategy_seed)
-    (outcome,) = harness._count_trials(g, [spec], sample, fractions, Candidates(sample))
+    (outcome,) = harness._count_trials(g, [spec], sample, fractions)
     if isinstance(outcome, NetProbeError):
         raise outcome
     return outcome
