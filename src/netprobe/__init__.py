@@ -70,7 +70,6 @@ from .strategies import (
     select_top_b,
 )
 from .harness import (
-    AggregateCurve,
     TrialConfig,
     TrialResult,
     auc,

@@ -12,8 +12,10 @@ line go to stderr, and the exit code is 2.  Every float flag must be
 finite.  A budget fraction must lie in (0, 1] and give at least one probe;
 every count flag (budget, probes, jobs) must be at least 1.  --f-n goes
 only with --known-sampler randnode and --f-e only with --known-sampler
-randedge.  The NETPROBE_JOBS environment variable sets the default sweep
-parallelism.
+randedge.  Without --jobs, sweep reads its worker count from the
+NETPROBE_JOBS environment variable, else runs one; the variable too must
+be a whole number of at least 1.  Each list flag of sweep must list at
+least one entry, and none twice.
 
 main runs with CPython's cyclic garbage collector paused, from parsing the
 flags to the command's last write: a command builds no reference cycle, so
@@ -77,19 +79,6 @@ DEFAULT_BUDGETS = "0.01,0.02,0.03,0.04,0.05"
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; the contract here is exit 1."""
-
-    # dest -> (environment variable, fallback): defaults read on every
-    # parse, not when the parser is built, so one parser serves a process
-    env_defaults: dict[str, tuple[str, str]] = {}
-
-    def parse_known_args(self, args=None, namespace=None):
-        # argparse converts a string default with the option's type, so a
-        # bad value is a usage error like a bad flag
-        self.set_defaults(**{
-            dest: os.environ.get(variable, fallback)
-            for dest, (variable, fallback) in self.env_defaults.items()
-        })
-        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -268,26 +257,43 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _distinct(flag: str, entries: list) -> list:
-    """entries, unless one is listed twice: its trials would run twice and
+def _grid_list(flag: str, text: str, kind=str) -> list:
+    """The entries of a comma-separated list flag, each read with kind:
+    at least one, and none listed twice, as its trials would run twice and
     count twice in the curves."""
-    seen = set()
-    for entry in entries:
-        if entry in seen:
-            raise ConfigError(f"{flag} lists {entry!r} more than once")
-        seen.add(entry)
+    entries = []
+    for entry in filter(None, text.split(",")):
+        try:
+            value = kind(entry)
+        except ValueError:
+            raise ConfigError(f"{flag} lists {entry!r}, which is not a number") from None
+        if value in entries:
+            raise ConfigError(f"{flag} lists {value!r} more than once")
+        entries.append(value)
+    if not entries:
+        raise ConfigError(f"{flag} lists no entry")
     return entries
 
 
-def cmd_sweep(args) -> int:
-    g = _load_graph(args.graph)
-    samplers = _distinct("--samplers", [s for s in args.samplers.split(",") if s])
-    strategies = _distinct("--strategies", [s for s in args.strategies.split(",") if s])
+def _sweep_jobs(args) -> int:
+    """--jobs, else the NETPROBE_JOBS environment variable, else 1."""
+    if args.jobs is not None:
+        return args.jobs
+    text = os.environ.get("NETPROBE_JOBS", "1")
     try:
-        budgets = [float(b) for b in args.budget_fracs.split(",") if b]
-    except ValueError:
-        raise ConfigError(f"bad budget list {args.budget_fracs!r}") from None
-    _distinct("--budget-fracs", budgets)
+        return positive_int(text)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise ConfigError(
+            f"NETPROBE_JOBS must be a whole number of at least 1, got {text!r}"
+        ) from None
+
+
+def cmd_sweep(args) -> int:
+    samplers = _grid_list("--samplers", args.samplers)
+    strategies = _grid_list("--strategies", args.strategies)
+    budgets = _grid_list("--budget-fracs", args.budget_fracs, float)
+    jobs = _sweep_jobs(args)
+    g = _load_graph(args.graph)
 
     grid = [
         TrialConfig(
@@ -304,7 +310,7 @@ def cmd_sweep(args) -> int:
         for strategy in strategies
         for budget in budgets
     ]
-    rows = sweep(g, grid, master_seed=args.master_seed, jobs=args.jobs)
+    rows = sweep(g, grid, master_seed=args.master_seed, jobs=jobs)
 
     inputs = _input_digests(args)
     prefix = Path(args.out_prefix)
@@ -316,7 +322,7 @@ def cmd_sweep(args) -> int:
     curves = improvement_curves(rows)
     with open(curves_path, "w", encoding="utf-8", newline="") as fh:
         write_curves_csv(curves, fh)
-    _write_manifest(results_path, args, inputs)
+    _write_manifest(results_path, args, inputs, jobs=jobs)
     print(f"{len(rows)} trial rows -> {results_path}")
     print(f"{len(curves)} curves -> {curves_path}")
     return EXIT_OK
@@ -415,7 +421,6 @@ def build_parser() -> _Parser:
     p.add_argument("--master-seed", type=int, default=0)
     p.add_argument("--jobs", type=positive_int,
                    help="worker processes (default: NETPROBE_JOBS, else 1)")
-    p.env_defaults = {"jobs": ("NETPROBE_JOBS", "1")}
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_sweep)
 

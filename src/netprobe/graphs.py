@@ -448,22 +448,17 @@ class ObservedGraph:
         status[i] = _EXPLORED
         return len(nbrs) - n_before, n_fresh
 
-    def _exploration_growth(self, ixs: Iterable[int]) -> tuple[int, int]:
+    def _growth_walk(self, ixs: list[int], ends: Iterable[int]) -> Iterator[tuple[int, int]]:
         """The numbers of nodes and edges that exploring the candidates at
-        indices ixs would add, counted without exploring them.
+        indices ixs[:k] would add, for each k in ends, which ascend: counted
+        without exploring them, in one walk along ixs.
 
         Only candidates count, as only candidates can be probed: an index
         not observed raises UnknownNodeError, and one explored or listed
-        twice NotCandidateError, with probe's messages.
+        twice NotCandidateError, with probe's messages.  The walk raises
+        when it reaches such an index, after every prefix before it has
+        been counted.
         """
-        ixs = list(ixs)
-        return next(self._growth_walk(ixs, [len(ixs)]))
-
-    def _growth_walk(self, ixs: list[int], ends: Iterable[int]) -> Iterator[tuple[int, int]]:
-        """_exploration_growth of each prefix ixs[:k] for k in ends, which
-        ascend, counted in one walk along ixs.  An index that is no
-        candidate raises when the walk reaches it, after every prefix
-        before it has been counted."""
         nbrs, status, labels = self._nbrs, self._status, self._labels
         complete = self.graph._nbrs
         planned: set[int] = set()

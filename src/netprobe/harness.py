@@ -4,8 +4,8 @@ improvements into CCDF curves with trapezoidal AUC.
 
 A trial probes nothing in its selection phase: every strategy fixes its
 whole plan before the first selection probe, so the trial counts the nodes
-and edges the plan would add (ObservedGraph._exploration_growth).  Only
-the CLI's probe session probes its plan node by node, through run_session.
+and edges the plan would add (ObservedGraph._growth_walk).  Only the CLI's
+probe session probes its plan node by node, through run_session.
 
 A sweep's work unit is one drawn sample and every trial on it.  _run_unit
 runs one, and run_trial runs a unit of one, so there is one trial path.  A
@@ -31,6 +31,7 @@ import csv
 import gc
 import hashlib
 import logging
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -206,14 +207,12 @@ def percent_improvement(strategy_nodes: int, random_nodes: int) -> float:
     return 100.0 * (strategy_nodes - random_nodes) / random_nodes
 
 
-@dataclass(frozen=True)
-class AggregateCurve:
-    """Complementary CDF: fraction of values at or above each x."""
-
-    points: tuple[tuple[float, float], ...]
+# A complementary CDF's points (x, y), in ascending x: the fraction y of the
+# values at or above each x.
+Curve = tuple[tuple[float, float], ...]
 
 
-def ccdf(values: Sequence[float]) -> AggregateCurve:
+def ccdf(values: Sequence[float]) -> Curve:
     """CCDF over the distinct values: y(x) = |{v >= x}| / n."""
     if not values:
         raise ConfigError("cannot build a CCDF from no values")
@@ -224,47 +223,37 @@ def ccdf(values: Sequence[float]) -> AggregateCurve:
         if i > 0 and x == ordered[i - 1]:
             continue
         points.append((x, (n - i) / n))
-    return AggregateCurve(points=tuple(points))
+    return tuple(points)
 
 
-def _step_value(points: Sequence[tuple[float, float]], x: float) -> float:
-    """Evaluate a CCDF at any x: y of the next point at or above x, the
-    first point's y below the support, 0 above it."""
-    if x <= points[0][0]:
-        return points[0][1]
-    for px, py in points:
-        if px >= x:
-            return py
-    return 0.0
-
-
-def auc(
-    curve: AggregateCurve, x_lo: float | None = None, x_hi: float | None = None
-) -> float:
+def auc(curve: Curve, x_lo: float | None = None, x_hi: float | None = None) -> float:
     """Trapezoidal area under the curve over [x_lo, x_hi] (defaults to the
     curve's own range).  A single-point curve has zero area."""
-    points = curve.points
     if x_lo is None:
-        x_lo = points[0][0]
+        x_lo = curve[0][0]
     if x_hi is None:
-        x_hi = points[-1][0]
+        x_hi = curve[-1][0]
     if x_hi <= x_lo:
         return 0.0
-    xs = [x_lo] + [px for px, _ in points if x_lo < px < x_hi] + [x_hi]
-    ys = [_step_value(points, x) for x in xs]
+    points_x = [px for px, _ in curve]
+    points_y = [py for _, py in curve] + [0.0]
+    xs = [x_lo, *points_x[bisect_right(points_x, x_lo):bisect_left(points_x, x_hi)], x_hi]
+    # the step value at x is the y of the first point at or above x: the
+    # first point's y below the support, 0 above it
+    ys = [points_y[bisect_left(points_x, x)] for x in xs]
     area = 0.0
     for i in range(1, len(xs)):
         area += (xs[i] - xs[i - 1]) * (ys[i] + ys[i - 1]) / 2.0
     return area
 
 
-def common_range_aucs(curves: dict[str, AggregateCurve]) -> dict[str, float]:
+def common_range_aucs(curves: dict[str, Curve]) -> dict[str, float]:
     """AUC of each curve over the x-range shared by all of them, making the
     areas comparable across strategies."""
     if not curves:
         return {}
-    x_lo = max(c.points[0][0] for c in curves.values())
-    x_hi = min(c.points[-1][0] for c in curves.values())
+    x_lo = max(c[0][0] for c in curves.values())
+    x_hi = min(c[-1][0] for c in curves.values())
     return {name: auc(c, x_lo, x_hi) for name, c in curves.items()}
 
 
@@ -529,7 +518,7 @@ def write_results_csv(rows: Sequence[dict], sink: IO[str]) -> None:
         writer.writerow(row)
 
 
-def improvement_curves(rows: Sequence[dict]) -> dict[str, AggregateCurve]:
+def improvement_curves(rows: Sequence[dict]) -> dict[str, Curve]:
     """CCDF of percent improvement over Random, per non-baseline strategy."""
     by_strategy: dict[str, list[float]] = {}
     for row in rows:
@@ -540,13 +529,13 @@ def improvement_curves(rows: Sequence[dict]) -> dict[str, AggregateCurve]:
     return {name: ccdf(values) for name, values in sorted(by_strategy.items())}
 
 
-def write_curves_csv(curves: dict[str, AggregateCurve], sink: IO[str]) -> None:
+def write_curves_csv(curves: dict[str, Curve], sink: IO[str]) -> None:
     """Plot-ready curve rows (strategy,x,y) followed by one AUC summary row
     per strategy, computed over the strategies' common x-range."""
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["strategy", "x", "y"])
     for name in sorted(curves):
-        for x, y in curves[name].points:
+        for x, y in curves[name]:
             writer.writerow([name, x, y])
     for name, area in sorted(common_range_aucs(curves).items()):
         writer.writerow([name, "auc", area])

@@ -155,6 +155,20 @@ def brute_ccdf_value(values, x):
     return sum(1 for v in values if v >= x) / len(values)
 
 
+def brute_auc(values, x_lo, x_hi):
+    """Trapezoid sum over [x_lo, x_hi] under the CCDF of values, with a
+    vertex at each distinct value inside the window and every y counted
+    from the values."""
+    if x_hi <= x_lo:
+        return 0.0
+    xs = [x_lo, *sorted({v for v in values if x_lo < v < x_hi}), x_hi]
+    ys = [brute_ccdf_value(values, x) for x in xs]
+    area = 0.0
+    for i in range(1, len(xs)):
+        area += (xs[i] - xs[i - 1]) * (ys[i] + ys[i - 1]) / 2.0
+    return area
+
+
 # The label-keyed Louvain that detect_communities replaced, kept verbatim but
 # for its names and the local_move parameter: dict-of-dicts keyed by the
 # positions of the labels, built from the sorted label API.  With its

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netprobe import cli, graphs
-from netprobe.cli import build_parser, main
+from netprobe.cli import main
 from netprobe.generators import planted_partition_graph
 from netprobe.graphs import CompleteGraph, ObservedGraph, load_edge_list
 from netprobe.sampling import SAMPLER_NAMES
@@ -431,9 +431,15 @@ class TestSweep:
         ("--budget-fracs", "0.1,0.2,0.10"),
         ("--strategies", "highdeg,highdeg"),
         ("--samplers", "rw,rw"),
+        # lists with no entry
+        ("--samplers", ""),
+        ("--strategies", ","),
+        ("--budget-fracs", ","),
     ])
-    def test_repeated_grid_entry_is_usage_error(self, graph_file, tmp_path, capsys, flag, value):
-        out = tmp_path / "repeat"
+    def test_empty_or_repeated_grid_list_is_usage_error(
+        self, graph_file, tmp_path, capsys, flag, value
+    ):
+        out = tmp_path / "grid"
         argv = {"--samplers": "randedge", "--strategies": "highdeg", "--budget-fracs": "0.1"}
         argv[flag] = value
         code = run("sweep", "--graph", graph_file, *chain(*argv.items()), "--repeats", "1",
@@ -441,17 +447,19 @@ class TestSweep:
         assert_usage_error(code, capsys, flag)
         assert not out.exists()
 
-    def test_bad_jobs_environment_is_usage_error(self, graph_file, tmp_path, monkeypatch):
+    def test_bad_jobs_environment_is_usage_error(self, graph_file, tmp_path, capsys, monkeypatch):
+        argv = ["sweep", "--graph", graph_file, "--samplers", "randedge",
+                "--strategies", "highdeg", "--budget-fracs", "0.1", "--repeats", "1"]
         for value in ("x", "0"):
             monkeypatch.setenv("NETPROBE_JOBS", value)
-            code = run("sweep", "--graph", graph_file, "--samplers", "randedge",
-                       "--strategies", "highdeg", "--budget-fracs", "0.1",
-                       "--repeats", "1", "--out-prefix", tmp_path / "j")
-            assert code == 1
+            code = run(*argv, "--out-prefix", tmp_path / "j")
+            # the error names the variable, not the --jobs flag never given
+            assert_usage_error(code, capsys, "NETPROBE_JOBS")
             assert not (tmp_path / "j.results.csv").exists()
         monkeypatch.setenv("NETPROBE_JOBS", "2")
-        assert build_parser().parse_args(
-            ["sweep", "--graph", "g", "--out-prefix", "p"]).jobs == 2
+        assert run(*argv, "--out-prefix", tmp_path / "env") == 0
+        manifest = read_manifest(tmp_path / "env.results.csv.manifest.json")
+        assert manifest["parameters"]["jobs"] == 2
 
     def test_parallel_jobs_flag(self, graph_file, tmp_path):
         prefix = tmp_path / "par" / "sweep"

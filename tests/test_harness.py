@@ -15,7 +15,6 @@ from netprobe.generators import planted_partition_graph, random_graph
 from netprobe.graphs import ObservedGraph, write_observed
 from netprobe.harness import (
     RESULT_COLUMNS,
-    AggregateCurve,
     TrialConfig,
     auc,
     budget_from_fraction,
@@ -122,14 +121,14 @@ class TestPercentImprovement:
 class TestCcdf:
     def test_simple_counts(self):
         curve = ccdf([1.0, 2.0, 3.0])
-        points = dict(curve.points)
+        points = dict(curve)
         assert points[2.0] == pytest.approx(2 / 3)
         assert points[1.0] == 1.0
         assert points[3.0] == pytest.approx(1 / 3)
 
     def test_all_equal_single_point(self):
         curve = ccdf([5.0, 5.0, 5.0])
-        assert curve.points == ((5.0, 1.0),)
+        assert curve == ((5.0, 1.0),)
         assert auc(curve) == 0.0
 
     def test_matches_brute_force_counting(self):
@@ -137,9 +136,9 @@ class TestCcdf:
         for _ in range(10):
             values = [rng.uniform(-50, 50) for _ in range(40)]
             curve = ccdf(values)
-            for x, y in curve.points:
+            for x, y in curve:
                 assert y == pytest.approx(brute_ccdf_value(values, x))
-            ys = [y for _, y in curve.points]
+            ys = [y for _, y in curve]
             assert ys == sorted(ys, reverse=True)
             assert all(0 < y <= 1 for y in ys)
 
@@ -150,31 +149,29 @@ class TestCcdf:
 
 class TestAuc:
     def test_constant_one(self):
-        curve = AggregateCurve(points=((0.0, 1.0), (10.0, 1.0)))
+        curve = ((0.0, 1.0), (10.0, 1.0))
         assert auc(curve) == pytest.approx(10.0)
 
     def test_constant_half(self):
-        curve = AggregateCurve(points=((0.0, 0.5), (10.0, 0.5)))
+        curve = ((0.0, 0.5), (10.0, 0.5))
         assert auc(curve) == pytest.approx(5.0)
 
     def test_uniform_descent_closed_form(self):
-        curve = AggregateCurve(
-            points=((0.0, 1.0), (1.0, 0.75), (2.0, 0.5), (3.0, 0.25), (4.0, 0.0))
-        )
+        curve = ((0.0, 1.0), (1.0, 0.75), (2.0, 0.5), (3.0, 0.25), (4.0, 0.0))
         # trapezoid of a uniform descent: mean height 0.5 over width 4
         assert auc(curve) == pytest.approx(2.0)
 
     def test_single_point_is_zero(self):
-        assert auc(AggregateCurve(points=((3.0, 1.0),))) == 0.0
+        assert auc(((3.0, 1.0),)) == 0.0
 
     def test_restricted_range(self):
-        curve = AggregateCurve(points=((0.0, 1.0), (10.0, 1.0)))
+        curve = ((0.0, 1.0), (10.0, 1.0))
         assert auc(curve, 2.0, 7.0) == pytest.approx(5.0)
 
     def test_common_range(self):
         curves = {
-            "a": AggregateCurve(points=((0.0, 1.0), (10.0, 1.0))),
-            "b": AggregateCurve(points=((5.0, 1.0), (20.0, 1.0))),
+            "a": ((0.0, 1.0), (10.0, 1.0)),
+            "b": ((5.0, 1.0), (20.0, 1.0)),
         }
         areas = common_range_aucs(curves)
         assert areas["a"] == pytest.approx(5.0)

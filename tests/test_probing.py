@@ -85,7 +85,7 @@ class TestProbe:
 
 
 class TestExplorationGrowth:
-    """ObservedGraph._exploration_growth counts what probing a plan would add."""
+    """ObservedGraph._growth_walk counts what probing a plan would add."""
 
     @staticmethod
     def world():
@@ -104,7 +104,8 @@ class TestExplorationGrowth:
         obs.add_edge("u", "e")
         # u-a is observed, a-e and u-e join planned nodes, only u-e observed
         plan = ["u", "a", "e"]
-        assert obs._exploration_growth([g._index[u] for u in plan]) == (1, 2)
+        ixs = [g._index[u] for u in plan]
+        assert next(obs._growth_walk(ixs, [len(ixs)])) == (1, 2)
         ledger = ProbeLedger(budget=3)
         for u in plan:
             probe(g, obs, ledger, u)
@@ -121,7 +122,7 @@ class TestExplorationGrowth:
                 probe(g, probed, ledger, u)
         expected = refused.value
         with pytest.raises(type(expected), match=re.escape(str(expected))):
-            obs._exploration_growth([g._index[u] for u in plan])
+            next(obs._growth_walk([g._index[u] for u in plan], [len(plan)]))
 
 
 class TestCandidates:

@@ -23,7 +23,8 @@ on random grids with known samples and failing trials, a work unit's
 outcomes equal its trials counted alone, also where the plan that a
 budget-free ranker's trials share fails, and one walk along a plan counts
 the growth of each of its prefixes.  Then properties
-of the CCDF and AUC aggregation."""
+of the CCDF and AUC aggregation: the AUC equals a trapezoid sum over the
+brute-force CCDF on any window."""
 
 import io
 import random
@@ -73,6 +74,7 @@ from netprobe.strategies import (
 
 from oracles import (
     adjacency,
+    brute_auc,
     brute_edge_dispersion,
     brute_local_clustering,
     brute_max_out_scores,
@@ -272,7 +274,7 @@ def test_exploration_growth_equals_probing_the_plan_on_a_copy(
     plan = data.draw(st.permutations(candidates))[: data.draw(st.integers(1, len(candidates)))]
     start = _text(obs)
     ixs = [g._index[u] for u in plan]
-    new_nodes, new_edges = obs._exploration_growth(ixs)
+    new_nodes, new_edges = next(obs._growth_walk(ixs, [len(ixs)]))
     assert _text(obs) == start
     probed = obs.copy()
     ledger = ProbeLedger(budget=len(plan))
@@ -808,7 +810,8 @@ def test_the_growth_walk_counts_each_prefix(n, p, graph_seed, sampler, seed, dat
         walked.append((type(exc), str(exc)))
     expected = []
     for end in ends:
-        expected.append(_outcome(obs._exploration_growth, ixs[:end]))
+        prefix = ixs[:end]
+        expected.append(_outcome(next, obs._growth_walk(prefix, [len(prefix)])))
         if not isinstance(expected[-1][0], int):
             break
     assert walked == expected
@@ -834,8 +837,8 @@ def _width_bound(width: float) -> float:
 @given(values=value_lists)
 def test_ccdf_is_a_step_survival_curve(values):
     curve = ccdf(values)
-    xs = [x for x, _ in curve.points]
-    ys = [y for _, y in curve.points]
+    xs = [x for x, _ in curve]
+    ys = [y for _, y in curve]
     assert xs == sorted(set(values))
     assert all(a < b for a, b in zip(xs, xs[1:]))
     assert all(a >= b for a, b in zip(ys, ys[1:]))
@@ -846,17 +849,40 @@ def test_ccdf_is_a_step_survival_curve(values):
 @given(values=value_lists, window=st.tuples(finite, finite))
 def test_auc_is_bounded_by_the_range_width(values, window):
     curve = ccdf(values)
-    x_lo, x_hi = curve.points[0][0], curve.points[-1][0]
+    x_lo, x_hi = curve[0][0], curve[-1][0]
     assert 0.0 <= auc(curve) <= _width_bound(x_hi - x_lo)
     lo, hi = window
     assert 0.0 <= auc(curve, lo, hi) <= _width_bound(hi - lo)
 
 
+@pytest.mark.parametrize("window", ["below", "across", "inside", "above"])
+@given(values=value_lists, data=st.data())
+def test_auc_equals_the_trapezoid_sum_of_the_counted_ccdf(window, values, data):
+    """auc's steps are exactly the brute-force CCDF's values, on windows
+    below, across, inside and above the support; a window end often falls
+    on a point, where the step takes that point's y."""
+    curve = ccdf(values)
+    first, last = curve[0][0], curve[-1][0]
+    support = st.one_of(st.sampled_from([x for x, _ in curve]), st.floats(first, last))
+    below, above = st.floats(-2e6, first), st.floats(last, 2e6)
+    ends = {
+        "below": (below, below),
+        "across": (st.one_of(below, support), st.one_of(support, above)),
+        "inside": (support, support),
+        "above": (above, above),
+    }[window]
+    x_lo, x_hi = sorted(data.draw(st.tuples(*ends)))
+    assert auc(curve, x_lo, x_hi) == brute_auc(values, x_lo, x_hi)
+    assert auc(curve) == brute_auc(values, first, last)
+
+
 @given(curves=st.dictionaries(st.text(max_size=3), value_lists, min_size=1, max_size=5))
 def test_common_range_aucs_are_bounded_by_the_shared_width(curves):
     built = {name: ccdf(values) for name, values in curves.items()}
-    x_lo = max(c.points[0][0] for c in built.values())
-    x_hi = min(c.points[-1][0] for c in built.values())
+    x_lo = max(c[0][0] for c in built.values())
+    x_hi = min(c[-1][0] for c in built.values())
     areas = common_range_aucs(built)
     assert set(areas) == set(built)
     assert all(0.0 <= area <= _width_bound(x_hi - x_lo) for area in areas.values())
+    # each area is its curve's over the shared window
+    assert areas == {name: brute_auc(values, x_lo, x_hi) for name, values in curves.items()}
