@@ -14,7 +14,10 @@ and degree order while it is unchanged, and shares them with its copies
 (ObservedGraph._derived), so every trial on the unit reads the same ones.
 The trials of one budget-free ranker (strategies.BUDGET_FREE) share its
 plan at their largest budget, and _count_trials counts each smaller
-budget's prefix in the same walk along the plan.
+budget's prefix in the same walk along the plan.  A trial whose
+estimation phase probes changes the graph it plans on, so the unit runs
+those trials last, each on a copy but the last, which probes the sample
+itself: no trial reads the sample after it.
 
 A work unit runs with CPython's cyclic garbage collector paused.  A trial
 allocates many container objects but builds no reference cycle, so every
@@ -341,10 +344,11 @@ def _detached(exc: NetProbeError) -> NetProbeError:
 @_collector_paused()
 def _run_unit(g: CompleteGraph, specs: list[_TrialSpec]) -> list:
     """Draw the sample the specs share, once, then count the specs' trials
-    on it; no trial changes it.  The specs of one budget-free ranker share
-    one plan.  Returns one TrialResult or NetProbeError per spec; a sample
-    that fails fails every trial.  Runs with the cyclic garbage collector
-    paused."""
+    on it.  The specs of one budget-free ranker share one plan.  The plans
+    that probe to estimate (_probes) run after every other, each on its
+    own copy but the last, which probes the sample itself.  Returns one
+    TrialResult or NetProbeError per spec; a sample that fails fails every
+    trial.  Runs with the cyclic garbage collector paused."""
     c = specs[0].config
     try:
         sample, fractions = run_sampler(
@@ -356,36 +360,44 @@ def _run_unit(g: CompleteGraph, specs: list[_TrialSpec]) -> list:
     for spec in specs:
         strategy = spec.config.strategy
         plans.setdefault(strategy if strategy in BUDGET_FREE else spec, []).append(spec)
+    ordered = sorted(plans.values(), key=lambda shared: _probes(shared[0].config))
+    last = len(ordered) - 1
     outcomes = {}
-    for shared in plans.values():
-        outcomes.update(zip(shared, _count_trials(g, shared, sample, fractions)))
+    for i, shared in enumerate(ordered):
+        obs = sample.copy() if i < last and _probes(shared[0].config) else sample
+        outcomes.update(zip(shared, _count_trials(g, shared, obs, fractions)))
     return list(map(outcomes.__getitem__, specs))
+
+
+def _probes(config: TrialConfig) -> bool:
+    """Whether a trial of config probes the graph it plans on, to estimate."""
+    return config.strategy in ESTIMATED and not config.known_sample
 
 
 def _count_trials(
     g: CompleteGraph,
     specs: list[_TrialSpec],
-    sample: ObservedGraph,
+    obs: ObservedGraph,
     fractions: SampleFractions,
 ) -> list:
-    """The outcomes of the specs' trials on sample, which their sampler
+    """The outcomes of the specs' trials on obs, a sample their sampler
     drew with these fractions, when they share one plan: one trial, or one
     budget-free ranker's trials at several budgets.
 
     Plan as run_session does at the largest budget, then count what probing
     each budget's prefix of the plan would add, in one walk along it.  A
     plan fixes every selection probe before the first is made, so the count
-    equals the probes' growth.  sample is never changed: a trial whose
-    estimation phase probes (an estimated strategy without a known sample)
-    plans on its own copy.  A plan that fails fails every spec, and a count
-    that fails on a node, every spec whose prefix reaches it.
+    equals the probes' growth.  Only the estimation phase changes obs, and
+    only for a trial that probes (_probes); the caller copies obs for such
+    a trial if it reads obs later.  A plan that fails fails every spec, and
+    a count that fails on a node, every spec whose prefix reaches it.
     """
     try:
         budgets = [budget_from_fraction(s.config.budget_fraction, g.n_nodes) for s in specs]
         top = specs[budgets.index(max(budgets))]
         c = top.config
         known = c.known_sample
-        obs = sample.copy() if c.strategy in ESTIMATED and not known else sample
+        nodes_before = obs.n_nodes
         ledger, plan, est = _plan_session(
             g, obs, c.strategy, max(budgets), top.strategy_seed,
             estimation_probes=c.estimation_probes,
@@ -400,7 +412,7 @@ def _count_trials(
     try:
         for end, (new_nodes, new_edges) in zip(walked, obs._growth_walk(ixs, walked)):
             results[end] = TrialResult(
-                nodes_before=sample.n_nodes,
+                nodes_before=nodes_before,
                 nodes_after=obs.n_nodes + new_nodes,
                 edges_after=obs.n_edges + new_edges,
                 probes_spent=ledger.spent + end,
@@ -440,13 +452,14 @@ def sweep(
     Each repeat is one incomplete network probed by every strategy at every
     budget, and the Random baseline sees the byte-identical sample, drawn
     once.  Each trial counts the growth its plan would bring on that sample
-    instead of probing it, and no trial changes the sample: one whose
-    estimation phase probes works on a copy.  A config that no trial could
-    run, an out-of-range fraction among them, a config listed twice (equal
-    but for n_repeats, or for a jump probability, which only rwj reads), or
-    jobs below 1 raises ConfigError before any trial runs; trials that fail
-    on their own become rows with blank measurements, and the sweep
-    continues.
+    instead of probing it, and every trial plans on the sample as drawn:
+    those whose estimation phase probes run after the others, each on a
+    copy but the last, which probes the sample.  A config that no trial
+    could run, an out-of-range fraction among them, a config listed twice
+    (equal but for n_repeats, or for a jump probability, which only rwj
+    reads), or jobs below 1 raises ConfigError before any trial runs;
+    trials that fail on their own become rows with blank measurements, and
+    the sweep continues.
     Rows list the grid's trials in grid order, then in pair-key order the
     baselines the grid does not list itself: each trial is written once.
     """

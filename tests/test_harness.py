@@ -346,7 +346,7 @@ class TestSweep:
         assert len(rows) == 2 * 2 * (2 + 3)
         assert all(r["nodes_after"] != "" for r in rows)
 
-    def test_each_estimating_trial_copies_the_sample_once(self, monkeypatch):
+    def test_each_estimating_trial_but_the_last_copies_the_sample(self, monkeypatch):
         g = planted_partition_graph(6, 10, 0.5, 0.02, seed=8)
         copies = []
         copy = ObservedGraph.copy
@@ -364,56 +364,113 @@ class TestSweep:
         rows = sweep(g, self.small_grid(n_repeats=2), master_seed=1)
         assert all(r["nodes_after"] != "" for r in rows)
         # per sample: 2 strategies x 2 budgets plus 2 baselines, and only
-        # the 2 maxoutprobe trials probe the sample, to estimate
-        assert units == [(6, 2), (6, 2)]
-        # an estimating trial that ends its unit copies the sample too
+        # the 2 maxoutprobe trials probe the sample, to estimate; the last
+        # of them probes the sample itself
+        assert units == [(6, 1), (6, 1)]
+        # a unit's only estimating trial copies nothing, wherever the grid
+        # lists it
         units.clear()
         grid = [TrialConfig(sampler="randedge", strategy=strategy, edge_fraction=0.2,
                             budget_fraction=0.1, n_repeats=2, estimation_probes=4)
                 for strategy in ("random", "maxoutprobe")]
         rows = sweep(g, grid, master_seed=1)
         assert all(r["nodes_after"] != "" for r in rows)
-        assert units == [(2, 1), (2, 1)]
+        assert units == [(2, 0), (2, 0)]
 
-    def test_every_trial_gets_the_shared_sample_and_leaves_it_unchanged(self, monkeypatch):
+    @pytest.mark.parametrize("n_probing", [0, 1, 2, 4])
+    def test_a_unit_with_k_probing_plans_makes_k_minus_one_copies(self, monkeypatch, n_probing):
+        # the probing plans (maxoutprobe without a known sample) are listed
+        # first; known-sample maxoutprobe plans read the sample unchanged,
+        # like every other strategy
+        g = planted_partition_graph(6, 10, 0.5, 0.02, seed=8)
+        budgets = (0.05, 0.1, 0.15, 0.2)[:n_probing]
+        configs = [
+            *(TrialConfig(sampler="randedge", strategy="maxoutprobe", edge_fraction=0.2,
+                          budget_fraction=b, n_repeats=1, estimation_probes=4)
+              for b in budgets),
+            TrialConfig(sampler="randedge", strategy="highdeg", edge_fraction=0.2,
+                        budget_fraction=0.1, n_repeats=1),
+            *(TrialConfig(sampler="randedge", strategy="maxoutprobe", edge_fraction=0.2,
+                          budget_fraction=b, n_repeats=1, known_sample=True)
+              for b in (0.05, 0.1)),
+            TrialConfig(sampler="randedge", strategy="random", edge_fraction=0.2,
+                        budget_fraction=0.1, n_repeats=1),
+        ]
+        specs = [harness._TrialSpec.derive(4, config, 0) for config in configs]
+        alone = [harness._run_unit(g, [spec]) for spec in specs]
+        copies = []
+        copy = ObservedGraph.copy
+        monkeypatch.setattr(ObservedGraph, "copy", lambda obs: copies.append(1) or copy(obs))
+        outcomes = harness._run_unit(g, specs)
+        assert len(copies) == max(n_probing - 1, 0)
+        assert all(isinstance(o, harness.TrialResult) for o in outcomes)
+        assert [[o] for o in outcomes] == alone
+
+    def test_run_trial_of_an_estimating_strategy_copies_nothing(self, monkeypatch):
+        # a unit of one: its one probing plan probes the sample it drew
+        g = planted_partition_graph(6, 10, 0.5, 0.02, seed=8)
+        copies = []
+        copy = ObservedGraph.copy
+        monkeypatch.setattr(ObservedGraph, "copy", lambda obs: copies.append(1) or copy(obs))
+        for sampler in SAMPLER_NAMES:
+            config = TrialConfig(sampler=sampler, strategy="maxoutprobe", edge_fraction=0.2,
+                                 budget_fraction=0.1, n_repeats=1, estimation_probes=4)
+            result = run_trial(g, config, sampler_seed=3, strategy_seed=5)
+            assert result.estimate is not None and result.probes_spent == 6
+        assert copies == []
+
+    def test_every_plan_gets_the_sample_as_drawn_and_only_the_last_may_probe_it(
+        self, monkeypatch
+    ):
         g = planted_partition_graph(6, 10, 0.5, 0.02, seed=8)
         samples = []
-
-        def recording_run_sampler(*args, **kwargs):
-            sample, fractions = run_sampler(*args, **kwargs)
-            samples.append(sample)
-            return sample, fractions
 
         def text(obs):
             sink = io.StringIO()
             write_observed(obs, sink)
             return sink.getvalue()
 
-        trials = []
+        def recording_run_sampler(*args, **kwargs):
+            sample, fractions = run_sampler(*args, **kwargs)
+            samples.append((sample, text(sample), []))
+            return sample, fractions
+
         count_trials = harness._count_trials
 
         def recording_count_trials(g, specs, obs, *args):
             before = text(obs)
             outcomes = count_trials(g, specs, obs, *args)
-            trials.extend((spec.config, obs, before == text(obs)) for spec in specs)
+            samples[-1][2].append((specs[0].config, obs, before, text(obs)))
             return outcomes
 
         monkeypatch.setattr(harness, "run_sampler", recording_run_sampler)
         monkeypatch.setattr(harness, "_count_trials", recording_count_trials)
+        # two budgets, so each sample has two probing plans: maxoutprobe
+        # without a known sample, listed first in the grid
         grid = [TrialConfig(sampler=sampler, strategy=strategy, edge_fraction=0.2,
-                            budget_fraction=0.1, n_repeats=1, estimation_probes=4,
+                            budget_fraction=budget, n_repeats=1, estimation_probes=4,
                             known_sample=known)
                 for sampler in ("randnode", "randedge", "rw")
                 for strategy in strategies.STRATEGIES
                 for known in ((False, True) if sampler != "rw" and strategy == "maxoutprobe"
-                              else (False,))]
+                              else (False,))
+                for budget in (0.1, 0.2)]
         rows = sweep(g, grid, master_seed=2)
         assert all(r["nodes_after"] != "" for r in rows)
-        assert len(samples) == 3 and len(trials) == len(rows)
-        # the maxoutprobe trials without a known sample estimate on a copy
-        for config, obs, unchanged in trials:
-            assert obs is samples[("randnode", "randedge", "rw").index(config.sampler)]
-            assert unchanged
+        assert len(samples) == 3
+        for sample, drawn, plans in samples:
+            probing = [harness._probes(config) for config, *_ in plans]
+            # the probing plans run last, after every plan that reads the sample
+            assert probing == sorted(probing) and sum(probing) == 2
+            for k, (config, obs, before, after) in enumerate(plans):
+                assert before == drawn
+                if not probing[k]:
+                    assert obs is sample and after == drawn
+                elif k < len(plans) - 1:
+                    assert obs is not sample and after != drawn
+                else:
+                    assert obs is sample
+            assert text(sample) != drawn
 
     def test_parallel_matches_serial(self):
         g = planted_partition_graph(5, 8, 0.5, 0.02, seed=13)

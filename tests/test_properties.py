@@ -682,10 +682,10 @@ def test_a_counted_trial_leaves_its_sample_and_equals_the_probed_one(
 
 
 def _counted(g, config, sample, fractions, strategy_seed):
-    """The trial of config on sample counted alone: the outcome, or its
-    error raised."""
+    """The trial of config on a copy of sample counted alone: the outcome,
+    or its error raised."""
     spec = harness._TrialSpec(config, 0, 0, strategy_seed)
-    (outcome,) = harness._count_trials(g, [spec], sample, fractions)
+    (outcome,) = harness._count_trials(g, [spec], sample.copy(), fractions)
     if isinstance(outcome, NetProbeError):
         raise outcome
     return outcome
