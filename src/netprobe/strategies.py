@@ -81,14 +81,18 @@ def score_max_out_probe(obs: ObservedGraph, est: EstimateSet, b: int | None = No
 
     Only candidates that can be among the top b are scored (b=None: every
     candidate).  The same expression with w = 0 bounds each score from
-    above, as ĉ ≥ 0 and w ≥ 0, so candidates are visited by descending
-    bound and the scan stops at the first bound below the b-th best score
-    so far (the threshold algorithm of Fagin, Lotem and Naor).
+    above, as ĉ ≥ 0 (else ConfigError) and w ≥ 0, so candidates are
+    visited by descending bound and the scan stops at the first bound below
+    the b-th best score so far (the threshold algorithm of Fagin, Lotem and
+    Naor).  A node's candidate neighbours are listed once per call, when a
+    scanned candidate first reaches it.
     """
     nbrs = obs._nbrs
     order = obs._candidate_ixs()
     cands = set(order)
     m_hat, c_hat = est.scale_multiplier, est.clustering
+    if not c_hat >= 0:  # also NaN
+        raise ConfigError(f"clustering estimate must be at least 0, got {c_hat}")
 
     def score(d: int, w: int) -> float:
         return max(0.0, m_hat * d - d - c_hat * w)
@@ -98,20 +102,29 @@ def score_max_out_probe(obs: ObservedGraph, est: EstimateSet, b: int | None = No
     elif b < 1:
         raise ConfigError(f"b must be at least 1, got {b}")
     # bounds by position in order; few distinct degrees, so one score call each
-    degrees = [len(nbrs[i]) for i in order]
+    degrees = list(map(len, map(nbrs.__getitem__, order)))
     bound_of = {d: score(d, 0) for d in set(degrees)}
     bounds = list(map(bound_of.__getitem__, degrees))
     best: list[float] = []  # min-heap of the b best scores so far
     scored = {}  # position -> score
+    # observed node -> its candidate neighbours, a tuple: a set per entry
+    # would double the call's peak memory
+    cand_nbrs = {}
     # descending bound; a bound equal to the b-th best is still scored, so
     # every candidate that can tie it is there for the label tie-break
     for k in sorted(range(len(order)), key=bounds.__getitem__, reverse=True):
         if len(best) == b and bounds[k] < best[0]:
             break
         mine = nbrs[order[k]]
-        # graphs._open_wedge_partners in bulk, less the candidate itself
-        partners = set().union(*map(nbrs.__getitem__, mine))
-        partners &= cands
+        # graphs._open_wedge_partners in bulk, less the candidate itself:
+        # (∪ N(v)) ∩ C is the union of the entries N(v) ∩ C
+        parts = []
+        for v in mine:
+            p = cand_nbrs.get(v)
+            if p is None:
+                p = cand_nbrs[v] = tuple(nbrs[v] & cands)
+            parts.append(p)
+        partners = set().union(*parts)
         partners -= mine
         s = scored[k] = score(degrees[k], len(partners) - 1)
         if len(best) < b:

@@ -664,7 +664,7 @@ class TestCollectorPause:
 
         def recording_enable():
             observed_at_enable.append(
-                sum(isinstance(o, ObservedGraph) for o in gc.get_objects())
+                sum(isinstance(o, ObservedGraph) and o.graph is g for o in gc.get_objects())
             )
             enable()
 

@@ -119,10 +119,37 @@ class TestScoreMaxOutProbe:
         assert by_label(obs, pruned) == {"a": 1.0, "j": 1.0, "k": 0.0}
         assert select_top_b(obs, pruned, 1).nodes == ("a",)
 
+    def test_shared_candidate_neighbour_sets(self):
+        # a, b, c, d share the explored hub H, whose neighbour E is explored
+        # too; a's neighbour b is also reached through H, and c's partner h
+        # only through c's other neighbour g
+        g = CompleteGraph([
+            ("H", "a"), ("H", "b"), ("H", "c"), ("H", "d"), ("H", "E"),
+            ("E", "f"), ("a", "b"), ("c", "g"), ("g", "h"), ("d", "i"), ("i", "a"),
+        ])
+        obs = full_view(g)
+        for u in ("H", "E"):
+            obs.mark_explored(u)
+        for est in (unclamped_est(obs), probe_est(3.0, 0.5)):
+            full = score_max_out_probe(obs, est)
+            assert by_label(obs, full) == brute_max_out_scores(obs, est)
+            for b in range(1, len(full) + 1):
+                pruned = score_max_out_probe(obs, est, b)
+                assert select_top_b(obs, pruned, b) == select_top_b(obs, full, b)
+
     def test_no_budget_rejected(self):
         obs = full_view(star())
         with pytest.raises(ConfigError):
             score_max_out_probe(obs, probe_est(2.0, 0.1), 0)
+
+    @pytest.mark.parametrize("clustering", [-0.5, float("nan")])
+    def test_clustering_below_zero_rejected(self, clustering):
+        # the bound max(0, m̂·d − d) holds only for ĉ ≥ 0: with ĉ = −0.5,
+        # m̂ = 3 the pruned b = 1 plan on this sample missed the winner
+        g = hub_community_graph(30, 8, 0.8, 6, 20, seed=5)
+        obs, _ = sample_random_edge(g, 0.2, seed=3)
+        with pytest.raises(ConfigError, match=str(clustering)):
+            score_max_out_probe(obs, probe_est(3.0, clustering), 1)
 
 
 class TestSelectTopB:
