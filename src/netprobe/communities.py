@@ -24,7 +24,9 @@ of observed edges.  These orders fix the partition of a seed:
 * the shuffle of range(n) depends on the positions, that is on label order;
 * ties in gain within 1e-12 go to the lower community id;
 * the first level's pairs[u] holds its neighbours in ascending position,
-  and each aggregated level lists them as _aggregate first meets them (u
+  as detect_communities builds it in one walk over the positions in
+  ascending order, appending each position to its neighbours' lists; each
+  aggregated level lists them as _aggregate first meets them (u
   ascending, then pairs[u] in its order).  This fixes the order in which a
   node's links are summed, its candidate communities compared and its
   neighbours queued.  Every weight is a whole number, whose sums are
@@ -47,14 +49,20 @@ Pairs = list[list[tuple[int, float]]]
 def _local_move(pairs: Pairs, strength: list[float], rng: random.Random) -> list[int]:
     """One level of Louvain local moving, from a queue.  Returns the
     community of each node; some node moved iff there are fewer
-    communities than nodes, as a node only joins a neighbour's community."""
+    communities than nodes, as a node only joins a neighbour's community.
+
+    Only nodes with pairs are queued.  A node without pairs (a super-node
+    whose community took in a whole component) has no community to join,
+    so its visit would keep it where it is, and as no node has it for a
+    neighbour it is never queued again; every node is still shuffled, so
+    the generator's state is the same either way."""
     n = len(pairs)
     community = list(range(n))
     comm_total = list(strength)
     m2 = sum(strength)
     order = list(range(n))
     rng.shuffle(order)
-    queue = deque(order)
+    queue = deque(filter(pairs.__getitem__, order))
     queued = [True] * n
 
     while queue:
@@ -128,7 +136,12 @@ def detect_communities(obs: ObservedGraph, seed: int = 0) -> dict[str, int]:
     if not order:
         return {}
     position = {ix: k for k, ix in enumerate(order)}
-    pairs = [[(v, 1.0) for v in sorted(map(position.__getitem__, nbrs[ix]))] for ix in order]
+    # u ascending, so each list comes out in ascending position
+    pairs: Pairs = [[] for _ in order]
+    for u, ix in enumerate(order):
+        pair = (u, 1.0)
+        for v in map(position.__getitem__, nbrs[ix]):
+            pairs[v].append(pair)
     strength = [float(len(p)) for p in pairs]
     rng = random.Random(seed)
 

@@ -165,7 +165,12 @@ def _by_degree(obs: ObservedGraph) -> list[int]:
 
 def score_dispersion(obs: ObservedGraph, direction: str = HIGH) -> Scores:
     """Mean dispersion of a candidate's incident observed edges (every
-    observed node has at least one)."""
+    observed node has at least one).
+
+    An edge's dispersion counts pairs of its ends' common neighbours, so
+    an edge with fewer than two common neighbours adds 0 and is skipped;
+    each other edge's dispersion is computed once per call.
+    """
     sign = _direction_sign(direction)
     nbrs = obs._nbrs
     scores = {}
@@ -176,6 +181,8 @@ def score_dispersion(obs: ObservedGraph, direction: str = HIGH) -> Scores:
         mine = nbrs[i]
         total = 0
         for j in mine:
+            if len(mine & nbrs[j]) < 2:
+                continue
             edge = (i, j) if i < j else (j, i)
             d = dispersion.pop(edge, None)
             if d is None:
@@ -195,9 +202,8 @@ def score_cross_comm(obs: ObservedGraph, partition: dict[str, int]) -> Scores:
     scores = {}
     for i in obs._candidate_ixs():
         mine = nbrs[i]
-        cu = community[i]
-        outside = sum(community[j] != cu for j in mine)
-        scores[i] = outside / len(mine)
+        inside = list(map(community.__getitem__, mine)).count(community[i])
+        scores[i] = (len(mine) - inside) / len(mine)
     return scores
 
 

@@ -257,6 +257,27 @@ class TestScoreDispersion:
         low = by_label(obs, score_dispersion(obs, "low"))
         assert low["u"] == -high["u"]
 
+    def test_edges_by_number_of_common_neighbours(self):
+        # c-x: common s and t, not adjacent and sharing only c and x
+        # (dispersion 1), cached at c and never dropped, as x is explored;
+        # c-s: one common neighbour, x; c-q: common a and b, which are
+        # adjacent (dispersion 0), in the K4 c, q, a, b
+        g = CompleteGraph([
+            ("c", "x"), ("c", "s"), ("c", "t"), ("x", "s"), ("x", "t"),
+            ("c", "q"), ("c", "a"), ("c", "b"), ("q", "a"), ("q", "b"), ("a", "b"),
+        ])
+        obs = full_view(g)
+        obs.mark_explored("x")
+        assert [brute_edge_dispersion(obs, "c", v) for v in ("x", "s", "q")] == [1, 0, 0]
+        adj = adjacency(obs)
+        for direction, sign in (("high", 1), ("low", -1)):
+            scores = by_label(obs, score_dispersion(obs, direction))
+            assert scores == {
+                u: sign * sum(brute_edge_dispersion(obs, u, v) for v in adj[u]) / len(adj[u])
+                for u in obs.candidate_nodes()
+            }
+            assert scores["c"] == sign / 6
+
 
 class TestScoreCrossComm:
     def test_fraction_outside(self):
