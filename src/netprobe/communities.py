@@ -51,11 +51,9 @@ def _local_move(pairs: Pairs, strength: list[float], rng: random.Random) -> list
     community of each node; some node moved iff there are fewer
     communities than nodes, as a node only joins a neighbour's community.
 
-    Only nodes with pairs are queued.  A node without pairs (a super-node
-    whose community took in a whole component) has no community to join,
-    so its visit would keep it where it is, and as no node has it for a
-    neighbour it is never queued again; every node is still shuffled, so
-    the generator's state is the same either way."""
+    Only nodes with pairs are queued: one without (a super-node holding a
+    whole component) cannot move, and no node queues it.  Every node is
+    still shuffled, so the generator's state is unchanged."""
     n = len(pairs)
     community = list(range(n))
     comm_total = list(strength)

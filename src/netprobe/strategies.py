@@ -168,26 +168,17 @@ def score_dispersion(obs: ObservedGraph, direction: str = HIGH) -> Scores:
     observed node has at least one).
 
     An edge's dispersion counts pairs of its ends' common neighbours, so
-    an edge with fewer than two common neighbours adds 0 and is skipped;
-    each other edge's dispersion is computed once per call.
+    an edge with fewer than two common neighbours adds 0 and is skipped.
     """
     sign = _direction_sign(direction)
     nbrs = obs._nbrs
     scores = {}
-    # (lower, higher index) -> an edge's dispersion, computed at the first of
-    # its candidate ends and dropped at the second
-    dispersion = {}
     for i in obs._candidate_ixs():
         mine = nbrs[i]
         total = 0
         for j in mine:
-            if len(mine & nbrs[j]) < 2:
-                continue
-            edge = (i, j) if i < j else (j, i)
-            d = dispersion.pop(edge, None)
-            if d is None:
-                d = dispersion[edge] = _edge_dispersion(nbrs, i, j)
-            total += d
+            if len(mine & nbrs[j]) >= 2:
+                total += _edge_dispersion(nbrs, i, j)
         scores[i] = sign * (total / len(mine))
     return scores
 
@@ -202,8 +193,9 @@ def score_cross_comm(obs: ObservedGraph, partition: dict[str, int]) -> Scores:
     scores = {}
     for i in obs._candidate_ixs():
         mine = nbrs[i]
-        inside = list(map(community.__getitem__, mine)).count(community[i])
-        scores[i] = (len(mine) - inside) / len(mine)
+        cu = community[i]
+        outside = sum(community[j] != cu for j in mine)
+        scores[i] = outside / len(mine)
     return scores
 
 

@@ -259,7 +259,7 @@ class TestScoreDispersion:
 
     def test_edges_by_number_of_common_neighbours(self):
         # c-x: common s and t, not adjacent and sharing only c and x
-        # (dispersion 1), cached at c and never dropped, as x is explored;
+        # (dispersion 1), an edge to an explored node, so scored at c only;
         # c-s: one common neighbour, x; c-q: common a and b, which are
         # adjacent (dispersion 0), in the K4 c, q, a, b
         g = CompleteGraph([
