@@ -18,10 +18,13 @@ be a whole number of at least 1.  Each list flag of sweep must list at
 least one entry, and none twice.
 
 main runs with CPython's cyclic garbage collector paused, from parsing the
-flags to the command's last write: a command builds no reference cycle, so
-what it drops is freed by reference counting, and its graph is gone before
-the pause ends, so the collector never walks it.  main restores the
-collector state its caller had, whatever the exit code.
+flags to the command's last write: no part of a command's graph is in a
+reference cycle, so what it drops is freed by reference counting, and its
+graph is gone before the pause ends, so the collector never walks it.  The
+cycles a command does leave are small: each JSON text it writes leaves
+json's indenting encoder, its closures and their cells (33 objects), which
+the collector frees after the pause.  main restores the collector state
+its caller had, whatever the exit code.
 """
 
 from __future__ import annotations
@@ -432,9 +435,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-# the whole of main: a command allocates many container objects but builds
-# no reference cycle, so a pass of the collector would find nothing, yet
-# each full pass walks the graph the command loaded
+# the whole of main: a command allocates many container objects, but its
+# only cycles are the few a JSON write leaves, so a pass of the collector
+# would find next to nothing, yet each full pass walks the graph it loaded
 @_collector_paused()
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()

@@ -10,8 +10,9 @@ primitive has one path for both.  All public interfaces speak external
 string labels.
 
 Edge lists and observed-graph files each have one reader, which reads a
-text in blocks of whole lines: a run of plain lines is split into labels in
-one call, and every other line is read on its own.  The complete graph is
+text in blocks of whole lines: a span of plain lines is split into labels in
+one call, with a NUL marker at every line end that shows each line held two
+fields, and every other line is read on its own.  The complete graph is
 built block by block into its one adjacency, ``_nbrs``: each index's
 neighbours as a sorted list, which walks step through and edge tests
 bisect.  The observed graph keeps a set per node, which probes and scorers
@@ -27,14 +28,13 @@ and keeps its candidate listing until it changes.
 from __future__ import annotations
 
 import math
-import re
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from operator import eq, length_hint, ne
-from typing import IO, AbstractSet, Iterable, Iterator, Mapping
+from typing import IO, AbstractSet, Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     EmptyGraphError,
@@ -218,19 +218,18 @@ class CompleteGraph:
         return max(map(len, self._nbrs))
 
 
-# The runs of plain lines that the readers split into labels in one call:
-# lines that each end in "\n" and are blank (spaces and tabs only) or, for
-# _EDGE_RUN, two labels, neither starting with "#", separated by spaces or
-# tabs and followed by nothing but spaces or tabs; for _STATUS_RUN, the
-# same with E or C for the second label.
-_EDGE_RUN = re.compile(r"(?:[^\s#]\S*[ \t]+[^\s#]\S*[ \t]*\n|[ \t]*\n)*")
-_STATUS_RUN = re.compile(r"(?:[^\s#]\S*[ \t]+[EC][ \t]*\n|[ \t]*\n)*")
 # the error for a second label that starts with "#": write_observed puts
 # each label first on a line, where it would read as a comment
 _HASH_LABEL = "node label {!r} starts with '#', which marks a comment"
-# a match keeps state for every line it has matched, next to the half-built
-# graph, and a split makes a string of every label, so a text is read in
-# blocks of whole lines of about this many characters
+# A text is read in blocks of whole lines of about _BLOCK characters, and a
+# block in spans of whole lines.  A span is plain when it holds no "#" and
+# no NUL and each of its lines is blank or two fields: a NUL marker put at
+# every line end then splits out as every third field, once the blank lines
+# are left out, so one str.split() reads the span and its count checks
+# every line.  A span that is not plain is halved at a line end and each
+# half tried again; a single line that is not plain is read on its own.
+# A split makes a string of every label, next to the half-built graph, so
+# the blocks are kept this small.
 _BLOCK = 1 << 13
 
 
@@ -242,6 +241,58 @@ def _blocks(text: str, start: int) -> Iterator[tuple[int, int]]:
         stop = text.find("\n", start + _BLOCK, end) + 1 or end
         yield start, stop
         start = stop
+
+
+def _plain_fields(span: str, listed: set[str] | None = None) -> list[str] | None:
+    """span's fields, flat, if span is plain (see above), else None.  With
+    listed, span is read as status lines: each second field must also be E
+    or C, and each first field must be new to listed and the span, and is
+    then added to listed."""
+    if "#" in span or "\0" in span:
+        return None
+    n = span.count("\n")
+    fields = span.replace("\n", " \0 ").split()
+    if len(fields) != 3 * n or fields[2::3].count("\0") != n:
+        # a blank line leaves its marker two fields short of a line of two:
+        # if the fields fall short by a positive multiple of two, try once
+        # more with the blank lines left out
+        short = 3 * n - len(fields)
+        if short <= 0 or short % 2:
+            return None
+        lines = list(filter(str.strip, span.split("\n")))
+        n = len(lines)
+        fields = " \0 ".join(lines + [""]).split()
+        if len(fields) != 3 * n or fields[2::3].count("\0") != n:
+            return None
+    del fields[2::3]
+    if listed is not None:
+        labels, flags = set(fields[0::2]), fields[1::2]
+        if (flags.count("E") + flags.count("C") != n or len(labels) != n
+                or not listed.isdisjoint(labels)):
+            return None
+        listed |= labels
+    return fields
+
+
+def _spans(
+    text: str, a: int, b: int, plain: Callable[[str], list[str] | None]
+) -> Iterator[tuple[int, int, list[str] | None]]:
+    """text[a:b], whole lines, as spans in file order, each yielded as
+    (start, stop, fields) with plain's fields for it, or with None for a
+    single line it refuses.  A refused span of more lines is halved at a
+    line end and each half tried again, after the lines before it have
+    been yielded."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        fields = plain(text[a:b])
+        if fields is None:
+            mid = (a + b) // 2
+            cut = text.rfind("\n", a, mid) + 1 or text.find("\n", mid, b - 1) + 1
+            if cut:
+                todo += (cut, b), (a, cut)
+                continue
+        yield a, b, fields
 
 
 def _line_error(text: str, pos: int, message: str) -> ParseError:
@@ -268,24 +319,20 @@ def load_edge_list(source: IO[str]) -> CompleteGraph:
 def _edge_line_labels(text: str) -> Iterator[list[str]]:
     """The labels of text's edge lines, less one leading byte-order mark, a
     list per block of lines, raising ParseError on the first line that is
-    neither blank, a comment nor two labels.  Each run of lines that
-    _EDGE_RUN matches is split in one call; each other line is read on its
-    own."""
+    neither blank, a comment nor two labels.  Each plain span is split in
+    one call; each other line is read on its own."""
     for a, b in _blocks(text, int(text.startswith("\ufeff"))):
-        run = _EDGE_RUN.match(text, a, b).end()
-        labels = text[a:run].split()
-        while run < b:
-            # the line after the run, then the next run
-            pos = text.find("\n", run, b) + 1 or b
-            fields = text[run:pos].split()
-            if fields and not fields[0].startswith("#"):
+        labels: list[str] = []
+        for start, stop, fields in _spans(text, a, b, _plain_fields):
+            if fields is None:
+                fields = text[start:stop].split()
+                if not fields or fields[0].startswith("#"):
+                    continue
                 if len(fields) != 2:
-                    raise _line_error(text, run, f"expected 2 node labels, got {len(fields)}")
+                    raise _line_error(text, start, f"expected 2 node labels, got {len(fields)}")
                 if fields[1].startswith("#"):
-                    raise _line_error(text, run, _HASH_LABEL.format(fields[1]))
-                labels += fields
-            run = _EDGE_RUN.match(text, pos, b).end()
-            labels += text[pos:run].split()
+                    raise _line_error(text, start, _HASH_LABEL.format(fields[1]))
+            labels += fields
         yield labels
 
 
@@ -691,39 +738,31 @@ def _fill_observed(obs: ObservedGraph, edges: list[str], statuses: list[str]) ->
 def _observed_lines(text: str) -> tuple[str, float, list[str], list[str]]:
     """Read an observed-graph text: its origin, target edge fraction, edge
     endpoints and (label, flag) status pairs, the last two as flat label
-    lists, raising ParseError on the first bad line.  In a section, each run
-    of lines that _EDGE_RUN or _STATUS_RUN matches is split in one call;
-    each other line is read on its own, and so is each line of a status run
-    that names a node already listed, or one twice, so that the error names
-    the line."""
+    lists, raising ParseError on the first bad line.  In a section, each
+    plain span is split in one call, and under [status] only if it also
+    names no node twice or already listed; each other line is read on its
+    own, so that an error names its line."""
     origin = ""
     target_fraction = 0.0
     section = None
-    runs = {"edges": _EDGE_RUN, "status": _STATUS_RUN}
     edges: list[str] = []
     statuses: list[str] = []
     listed: set[str] = set()
-    # lines before this position are read one by one
-    lines_to = 0
-    for pos, b in _blocks(text, 0):
-        while pos < b:
-            if section and pos >= lines_to:
-                run = runs[section].match(text, pos, b).end()
-                tokens = text[pos:run].split()
+
+    def plain(span: str) -> list[str] | None:
+        # outside any section no line is plain
+        if section:
+            return _plain_fields(span, listed if section == "status" else None)
+        return None
+
+    for a, b in _blocks(text, 0):
+        for line_at, pos, fields in _spans(text, a, b, plain):
+            if fields is not None:
                 if section == "edges":
-                    edges += tokens
-                    pos = run
+                    edges += fields
                 else:
-                    n_listed = len(listed)
-                    listed.update(tokens[0::2])
-                    if len(listed) - n_listed == len(tokens) // 2:
-                        statuses += tokens
-                        pos = run
-                    else:
-                        # a repeated label: read the run line by line
-                        listed = set(statuses[0::2])
-                        lines_to = run
-            line_at, pos = pos, text.find("\n", pos, b) + 1 or b
+                    statuses += fields
+                continue
             line = text[line_at:pos].strip()
             if not line:
                 continue

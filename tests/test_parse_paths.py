@@ -1,9 +1,10 @@
 """The edge-list and observed-graph readers against frozen copies of their
 line-by-line predecessors, on generated texts whose lines each reader
-splits in runs or reads on its own: both give equal graphs, or both raise
+splits in bulk or reads on its own: both give equal graphs, or both raise
 the same error with the same message."""
 
 import io
+import math
 import tracemalloc
 from contextlib import contextmanager
 
@@ -26,8 +27,8 @@ from netprobe.sampling import sample_random_edge
 from oracles import ref_load_edge_list, ref_read_observed
 
 LABELS = ("a", "b", "c", "é", "节点", "#h", "x#")
-# str.isspace() whitespace other than space, tab and "\n": a line with any
-# of it is read on its own
+# str.isspace() whitespace other than space, tab and "\n": it separates
+# fields within a line, so a line with it is still split in bulk
 ODD_SPACE = ("\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u3000", "\r")
 CLEAN_GAPS = (" ", "\t", " \t", "  ")
 CLEAN_TRAILS = ("", "", " ", "\t")
@@ -114,6 +115,15 @@ def _outcome(read, text, *args, summary):
 @example("a\n", DEFAULT_BLOCK)
 @example("", DEFAULT_BLOCK)
 @example("a a\n", DEFAULT_BLOCK)
+# lines the bulk check must refuse: a 3-field and a 1-field line whose
+# field counts balance, a NUL in a label or standing for a marker, a "#"
+# inside a label mid-run; and a plain run whose last line has no "\n"
+@example("a b c\nd\n", DEFAULT_BLOCK)
+@example("d\na b c\n", DEFAULT_BLOCK)
+@example("a\x00 b\nb c\n", DEFAULT_BLOCK)
+@example("a\n\x00 b c\n", DEFAULT_BLOCK)
+@example("a b\nx# a\nb c\n", DEFAULT_BLOCK)
+@example("a b\nb c\nc a", DEFAULT_BLOCK)
 def test_load_edge_list_equals_line_reader(text, block):
     with blocks_of(block):
         new = _outcome(load_edge_list, text, summary=_graph_state)
@@ -216,6 +226,15 @@ def _observed_state(obs):
 @example("[edges]\na b\n[status]\nc C\na C\n", DEFAULT_BLOCK)
 @example("[edges]\na b\n[status]\na E\nb C\nzz C\n", DEFAULT_BLOCK)
 @example("[edges]\na b\na é\n[status]\na C\nb C\né C\nb C\n", DEFAULT_BLOCK)
+# lines the bulk check must refuse, as for edge lists; a status run with
+# an X flag; and, at block size 7, a status label in a later block than
+# its first listing
+@example("[edges]\na b c\nb\n[status]\na C\nb C\n", DEFAULT_BLOCK)
+@example("[edges]\na\x00 b\nb c\n[status]\nb C\nc C\n", DEFAULT_BLOCK)
+@example("[edges]\na b\nx# a\nb c\n[status]\na C\nb C\nc C\n", DEFAULT_BLOCK)
+@example("[edges]\na b\nb c\n[status]\na C\nb C\nc C", DEFAULT_BLOCK)
+@example("[edges]\na b\n[status]\na C\nb X\n", DEFAULT_BLOCK)
+@example("[edges]\na b\nb c\n[status]\na C\nb C\nc C\na C\n", 7)
 def test_read_observed_equals_line_reader(text, block):
     with blocks_of(block):
         new = _outcome(read_observed, text, G, summary=_observed_state)
@@ -281,6 +300,43 @@ def test_a_real_file_reads_as_the_line_readers_read_it(tmp_path, comment):
 # a 1230-node graph as an edge list, plain and with a comment line
 HUB = hub_community_graph(100, 12, 0.85, 30, 20, seed=1)
 HUB_TEXT = "".join(f"{u} {v}\n" for u, v in HUB.edges())
+
+
+def test_only_odd_lines_are_read_one_by_one(monkeypatch):
+    """Every edge line is split in bulk, in few spans: the check refuses no
+    span of an edge list whose lines are edges or blank, and of one with a
+    header line only the spans that hold it, one per halving of the first
+    block down to that line."""
+    check = graphs._plain_fields
+    seen = []
+
+    def counted(span, *listed):
+        fields = check(span, *listed)
+        seen.append((span, fields))
+        return fields
+
+    def load(text):
+        seen.clear()
+        load_edge_list(io.StringIO(text))
+        assert sum(len(fields) for _, fields in seen if fields) == 2 * HUB.n_edges
+        return [span for span, fields in seen if fields is None]
+
+    monkeypatch.setattr(graphs, "_plain_fields", counted)
+    assert load(HUB_TEXT) == []
+    assert len(seen) == len(list(graphs._blocks(HUB_TEXT, 0)))
+    # blank lines, empty or not, cost no halving
+    spaced = HUB_TEXT.replace("0\n", "0\n\n").replace("5\n", "5\n \t\n")
+    assert load(spaced) == []
+    assert len(seen) == len(list(graphs._blocks(spaced, 0)))
+
+    text = "# header\n" + HUB_TEXT
+    refused = load(text)
+    blocks = list(graphs._blocks(text, 0))
+    lines = text.count("\n", *blocks[0])
+    assert all(span.startswith("# header\n") for span in refused)
+    assert 0 < len(refused) <= math.ceil(math.log2(lines)) + 1
+    # each refused span but the header line is cut in two
+    assert len(seen) == len(blocks) + 2 * (len(refused) - 1)
 
 
 @pytest.mark.parametrize("header", ["", "# header\n"])
