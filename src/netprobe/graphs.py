@@ -21,8 +21,9 @@ grow and intersect.
 Every listing of nodes is in ascending label order, so that rankings can
 break ties by label and files are canonical.  The complete graph sorts its
 indices by label once, at load (``_by_label``); the observed graph lists
-its nodes by filtering that list on their status, with no sort of its own,
-and keeps its candidate listing until it changes.
+its nodes by filtering that list on membership, in its neighbour sets or in
+its explored set, with no sort of its own, and keeps its candidate listing
+until it changes.
 """
 
 from __future__ import annotations
@@ -63,13 +64,6 @@ class TriangleWedgeCounts:
 class NodeStatus(str, Enum):
     EXPLORED = "E"
     CANDIDATE = "C"
-
-
-# ObservedGraph._status holds one of these per complete-graph index; 0 marks
-# a node not yet observed.
-_CANDIDATE = 1
-_EXPLORED = 2
-_STATUSES = (None, NodeStatus.CANDIDATE, NodeStatus.EXPLORED)
 
 
 class _Numbering(dict):
@@ -341,8 +335,10 @@ class ObservedGraph:
 
     Every node carries a status: EXPLORED nodes have had their complete
     neighborhood revealed; CANDIDATE nodes are present but only partially
-    known.  Nodes are stored by their index in ``graph``.  Mutation is
-    single-writer: one trial owns one instance.
+    known.  Nodes are stored by their index in ``graph``: a node is observed
+    iff it has a neighbour set in ``_nbrs``, and explored iff it is also in
+    ``_explored``.  Listings filter the complete graph's label order on
+    these.  Mutation is single-writer: one trial owns one instance.
     """
 
     def __init__(
@@ -358,11 +354,12 @@ class ObservedGraph:
         self._labels = graph._labels
         self._by_label = graph._by_label
         self._nbrs: dict[int, set[int]] = {}
-        self._status = bytearray(graph.n_nodes)
+        self._explored: set[int] = set()
         self._n_edges = 0
-        # values derived from the present nodes, edges and statuses, filled
-        # on first use (_candidate_ixs) and shared with copies; every change
-        # drops the reference, never empties the dict, as a copy may hold it
+        # values derived from the present nodes, edges and explored set,
+        # filled on first use (_candidate_ixs) and shared with copies; every
+        # change drops the reference, never empties the dict, as a copy may
+        # hold it
         self._derived: dict | None = None
 
     @property
@@ -375,25 +372,22 @@ class ObservedGraph:
 
     def _ix(self, u: str) -> int:
         i = self._index.get(u)
-        if i is None or not self._status[i]:
+        if i not in self._nbrs:
             raise UnknownNodeError(f"node {u!r} not in observed graph")
         return i
 
-    def _in_label_order(self, only: int | None = None) -> list[int]:
+    def _in_label_order(self, among: AbstractSet[int] | None = None) -> list[int]:
         """Observed indices in ascending label order: every observed node, or
-        only those whose status is ``only`` (_CANDIDATE or _EXPLORED)."""
-        status = self._status
-        if only is None:
-            return [i for i in self._by_label if status[i]]
-        return [i for i in self._by_label if status[i] == only]
+        only those in ``among``, a set of observed indices."""
+        keep = self._nbrs if among is None else among
+        return list(filter(keep.__contains__, self._by_label))
 
     def nodes(self) -> list[str]:
         """Observed nodes in ascending label order."""
         return list(map(self._labels.__getitem__, self._in_label_order()))
 
     def has_node(self, u: str) -> bool:
-        i = self._index.get(u)
-        return i is not None and self._status[i] != 0
+        return self._index.get(u) in self._nbrs
 
     def has_edge(self, u: str, v: str) -> bool:
         return self._adjacent(self._index.get(u), self._index.get(v))
@@ -411,11 +405,13 @@ class ObservedGraph:
         return sorted(map(self._labels.__getitem__, self._nbrs[self._ix(u)]))
 
     def status(self, u: str) -> NodeStatus:
-        return _STATUSES[self._status[self._ix(u)]]
+        if self._ix(u) in self._explored:
+            return NodeStatus.EXPLORED
+        return NodeStatus.CANDIDATE
 
     def is_candidate(self, u: str) -> bool:
         i = self._index.get(u)
-        return i is not None and self._status[i] == _CANDIDATE
+        return i in self._nbrs and i not in self._explored
 
     def _derived_values(self) -> dict:
         """The dict of values derived from the present state (see __init__)."""
@@ -428,14 +424,14 @@ class ObservedGraph:
         listed once per state; callers must not change the list."""
         derived = self._derived_values()
         if "by_label" not in derived:
-            derived["by_label"] = self._in_label_order(_CANDIDATE)
+            derived["by_label"] = self._in_label_order(self._nbrs.keys() - self._explored)
         return derived["by_label"]
 
     def candidate_nodes(self) -> list[str]:
         return list(map(self._labels.__getitem__, self._candidate_ixs()))
 
     def explored_nodes(self) -> list[str]:
-        return list(map(self._labels.__getitem__, self._in_label_order(_EXPLORED)))
+        return list(map(self._labels.__getitem__, self._in_label_order(self._explored)))
 
     def add_edge(self, u: str, v: str) -> bool:
         """Record an observed edge; returns True if it was new.
@@ -455,13 +451,11 @@ class ObservedGraph:
         mine = nbrs.get(i)
         if mine is None:
             mine = nbrs[i] = set()
-            self._status[i] = _CANDIDATE
         elif j in mine:
             return False
         theirs = nbrs.get(j)
         if theirs is None:
             theirs = nbrs[j] = set()
-            self._status[j] = _CANDIDATE
         mine.add(j)
         theirs.add(i)
         self._n_edges += 1
@@ -476,7 +470,7 @@ class ObservedGraph:
         """
         i = self.graph._ix(u)
         self._derived = None
-        nbrs, status = self._nbrs, self._status
+        nbrs = self._nbrs
         n_before = len(nbrs) + (i not in nbrs)
         mine = nbrs.setdefault(i, set())
         complete = self.graph._nbrs[i]
@@ -484,7 +478,6 @@ class ObservedGraph:
             theirs = nbrs.get(j)
             if theirs is None:
                 nbrs[j] = {i}
-                status[j] = _CANDIDATE
             else:
                 # a no-op for an edge already observed
                 theirs.add(i)
@@ -492,7 +485,7 @@ class ObservedGraph:
         mine.update(complete)
         n_fresh = len(mine) - n_known
         self._n_edges += n_fresh
-        status[i] = _EXPLORED
+        self._explored.add(i)
         return len(nbrs) - n_before, n_fresh
 
     def _growth_walk(self, ixs: list[int], ends: Iterable[int]) -> Iterator[tuple[int, int]]:
@@ -506,7 +499,7 @@ class ObservedGraph:
         when it reaches such an index, after every prefix before it has
         been counted.
         """
-        nbrs, status, labels = self._nbrs, self._status, self._labels
+        nbrs, explored, labels = self._nbrs, self._explored, self._labels
         complete = self.graph._nbrs
         planned: set[int] = set()
         reached: set[int] = set()
@@ -514,9 +507,9 @@ class ObservedGraph:
         for end in ends:
             chunk = ixs[start:end]
             for i in chunk:
-                if not status[i]:
+                if i not in nbrs:
                     raise UnknownNodeError(f"cannot probe {labels[i]!r}: not in the observed graph")
-                if status[i] == _EXPLORED or i in planned:
+                if i in explored or i in planned:
                     raise NotCandidateError(f"cannot probe {labels[i]!r}: already explored")
                 # i's unobserved edges, less those to nodes planned before
                 # it, which were counted at their other end
@@ -536,12 +529,12 @@ class ObservedGraph:
         other = ObservedGraph(self.graph, self.origin, self.target_edge_fraction)
         other._derived = self._derived_values()
         other._nbrs = {i: neighbors.copy() for i, neighbors in self._nbrs.items()}
-        other._status[:] = self._status
+        other._explored = self._explored.copy()
         other._n_edges = self._n_edges
         return other
 
     def mark_explored(self, u: str) -> None:
-        self._status[self._ix(u)] = _EXPLORED
+        self._explored.add(self._ix(u))
         self._derived = None
 
 
@@ -606,12 +599,13 @@ def _neighbour_sets(
 
 def _open_wedge_partners(obs: ObservedGraph, i: int) -> set[int]:
     """Indices of the candidates two hops from index i and not adjacent to it."""
-    nbrs, status = obs._nbrs, obs._status
+    nbrs = obs._nbrs
     direct = nbrs[i]
     partners = set().union(*map(nbrs.__getitem__, direct))
     partners -= direct
+    partners -= obs._explored
     partners.discard(i)
-    return {w for w in partners if status[w] == _CANDIDATE}
+    return partners
 
 
 def _local_clustering(nbrs: Mapping[int, AbstractSet[int]], i: int) -> float:
@@ -647,7 +641,7 @@ def two_hop_open_wedges(obs: ObservedGraph, u: str) -> set[str]:
     them is known to be absent rather than merely unobserved.
     """
     i = obs._ix(u)
-    if obs._status[i] != _CANDIDATE:
+    if i in obs._explored:
         raise NotCandidateError(f"node {u!r} is already explored")
     labels = obs._labels
     return {labels[w] for w in _open_wedge_partners(obs, i)}
@@ -674,9 +668,8 @@ def write_observed(obs: ObservedGraph, sink: IO[str]) -> None:
     pairs.sort()
     sink.writelines(f"{a} {b}\n" for a, b in pairs)
     sink.write("[status]\n")
-    status = obs._status
-    codes = [s and s.value for s in _STATUSES]
-    sink.writelines(f"{labels[i]} {codes[status[i]]}\n" for i in obs._in_label_order())
+    explored = obs._explored
+    sink.writelines(labels[i] + (" E\n" if i in explored else " C\n") for i in obs._in_label_order())
 
 
 def read_observed(source: IO[str], g: CompleteGraph) -> ObservedGraph:
@@ -705,7 +698,7 @@ def _fill_observed(obs: ObservedGraph, edges: list[str], statuses: list[str]) ->
     complete graph; else the first observed node, in label order, with no
     status entry; else the first status entry, in file order, with no
     incident edge or marked explored with an incomplete neighborhood.  The
-    status writes keep obs's derived values, as nothing lists obs before
+    explored marks keep obs's derived values, as nothing lists obs before
     the fill returns."""
     g = obs.graph
     index, adjacent, link = g._index, g._adjacent, obs._link
@@ -723,7 +716,7 @@ def _fill_observed(obs: ObservedGraph, edges: list[str], statuses: list[str]) ->
     if missing:
         u = min(map(g._labels.__getitem__, missing))
         raise ParseError(f"node {u!r} has an edge but no status entry")
-    status = obs._status
+    explored = obs._explored
     for u, i, flag in zip(status_labels, listed, statuses[1::2]):
         if i not in nbrs:
             raise ParseError(f"status entry for {u!r} but no incident edge")
@@ -732,7 +725,7 @@ def _fill_observed(obs: ObservedGraph, edges: list[str], statuses: list[str]) ->
                 raise ParseError(
                     f"node {u!r} marked explored but its neighborhood is incomplete"
                 )
-            status[i] = _EXPLORED
+            explored.add(i)
 
 
 def _observed_lines(text: str) -> tuple[str, float, list[str], list[str]]:

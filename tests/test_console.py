@@ -1,7 +1,9 @@
 """`netprobe stats` on edge lists and observed files that the readers must
-read as their plain forms, each command run in a fresh interpreter as the
-console script runs it."""
+read as their plain forms, and `netprobe sweep`'s worker count, each command
+run in a fresh interpreter as the console script runs it."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -16,10 +18,10 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 MAIN = "import sys; from netprobe.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def netprobe(*argv):
+def netprobe(*argv, env=()):
     """Run the CLI with argv in a new interpreter that imports this tree's
-    package."""
-    env = dict(os.environ)
+    package, with the variables of env set over this process's."""
+    env = {**os.environ, **dict(env)}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-c", MAIN, *map(str, argv)],
@@ -95,3 +97,51 @@ def test_a_second_label_that_starts_with_a_hash_exits_2_naming_its_line(work):
     result = netprobe("stats", "--graph", edited)
     assert result.returncode == 2
     assert "line 3: node label '#b'" in result.stderr
+
+
+# a grid that runs Louvain and lists the paired random baseline itself
+SWEEP = ("sweep", "--budget-fracs", "0.05,0.1", "--repeats", 2,
+         "--strategies", "maxoutprobe,highdeg,crosscomm,random", "--master-seed", 7)
+
+
+def sweep(work, prefix, *argv, env=()):
+    """Run SWEEP on the work graph; its results and curves CSVs, as bytes."""
+    result = netprobe(*SWEEP, "--graph", work / "graph.edges", "--out-prefix", work / prefix,
+                      *argv, env=env)
+    assert result.returncode == 0, result.stderr
+    return [(work / f"{prefix}.{name}.csv").read_bytes() for name in ("results", "curves")]
+
+
+@pytest.fixture(scope="module")
+def in_process(work):
+    """SWEEP's CSVs at one worker."""
+    return sweep(work, "sweep.serial", "--jobs", 1)
+
+
+def test_a_two_worker_sweep_writes_the_in_process_csvs(work, in_process):
+    # the pool is forked from a process whose collector is paused
+    assert sweep(work, "sweep.two", "--jobs", 2) == in_process
+
+
+def test_the_sweep_writes_each_strategys_rows_none_blank_or_twice(in_process):
+    rows = [tuple(row.items()) for row in csv.DictReader(io.StringIO(in_process[0].decode()))]
+    assert rows and len(set(rows)) == len(rows)
+    assert all(dict(row)["nodes_after"] != "" for row in rows)
+    strategies = {dict(row)["strategy"] for row in rows}
+    assert strategies == {"maxoutprobe", "highdeg", "crosscomm", "random"}
+
+
+def test_without_jobs_the_sweep_takes_its_worker_count_from_netprobe_jobs(work, in_process):
+    assert sweep(work, "sweep.env", env={"NETPROBE_JOBS": "2"}) == in_process
+    manifest = json.loads((work / "sweep.env.results.csv.manifest.json").read_text())
+    assert manifest["parameters"]["jobs"] == 2
+
+
+def test_netprobe_jobs_0_exits_1_naming_the_variable_and_writes_no_results(work):
+    result = netprobe("sweep", "--graph", work / "graph.edges", "--budget-fracs", 0.05,
+                      "--repeats", 1, "--out-prefix", work / "sweep.badenv",
+                      env={"NETPROBE_JOBS": "0"})
+    assert result.returncode == 1
+    errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "NETPROBE_JOBS" in errors[0]
+    assert not (work / "sweep.badenv.results.csv").exists()

@@ -2,6 +2,7 @@
 
 import io
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -15,7 +16,6 @@ from netprobe.errors import (
 )
 from netprobe.generators import random_graph
 from netprobe.graphs import (
-    _CANDIDATE,
     CompleteGraph,
     NodeStatus,
     ObservedGraph,
@@ -370,6 +370,21 @@ class TestObservedGraph:
         text = f"# target_edge_fraction: {value}\n[edges]\na b\n[status]\na E\nb E\n"
         assert read_observed(io.StringIO(text), g).target_edge_fraction == float(value)
 
+    def test_memory_follows_the_sample_not_the_complete_graph(self):
+        n = 100_000
+        g = CompleteGraph((str(k), str(k + 1)) for k in range(n - 1))
+        tracemalloc.start()
+        try:
+            obs = ObservedGraph(g)
+            obs._link(0, 1)
+            obs.copy()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # an observation of two nodes, and its copy, keep a few small
+        # containers: nothing as long as the complete graph
+        assert peak < n // 10
+
 
 # a-b observed at first; each change then alters the candidates or degrees
 DERIVED_GRAPH = CompleteGraph(
@@ -396,9 +411,8 @@ def _list(obs, what):
 
 def _check_derived(obs):
     """obs's derived values equal those listed afresh from its state."""
-    expected = obs._in_label_order(_CANDIDATE)
-    assert obs._candidate_ixs() == expected
-    labels = [obs._labels[i] for i in expected]
+    labels = [u for u in obs.nodes() if obs.status(u) is NodeStatus.CANDIDATE]
+    assert [obs._labels[i] for i in obs._candidate_ixs()] == labels
     by_degree = sorted(labels, key=lambda u: (-obs.degree(u), u))
     assert [obs._labels[i] for i in strategies._by_degree(obs)] == by_degree
 

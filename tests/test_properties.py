@@ -108,7 +108,7 @@ def _check_representation(obs) -> None:
     candidates, explored = obs.candidate_nodes(), obs.explored_nodes()
     assert candidates == sorted(candidates) and explored == sorted(explored)
     assert sorted(candidates + explored) == obs.nodes() == sorted(adj)
-    # nodes() reads the statuses, n_nodes the neighbour sets
+    # nodes() filters the label order on the neighbour sets, n_nodes counts them
     assert len(obs.nodes()) == obs.n_nodes
     status_lines = _text(obs).split("[status]\n")[1].splitlines()
     assert [line.split()[0] for line in status_lines] == obs.nodes()
