@@ -66,7 +66,7 @@ def probe(
 
 def write_probe_log(ledger: ProbeLedger, sink: IO[str]) -> None:
     """CSV export: phase,node,new_nodes,new_edges,spent_after."""
-    writer = csv.writer(sink)
+    writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["phase", "node", "new_nodes", "new_edges", "spent_after"])
     for i, entry in enumerate(ledger.log, start=1):
         writer.writerow([entry.phase, entry.node, entry.new_nodes, entry.new_edges, i])

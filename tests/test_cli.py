@@ -299,15 +299,30 @@ class TestEstimate:
         assert code == 0
         assert json.loads(out.read_text())["method"] == "known_node_sample"
 
-    def test_equals_the_estimate_probe_plans_with(self, graph_file, tmp_path):
-        obs = TestProbe().make_sample(graph_file, tmp_path)
-        flags = ("--graph", graph_file, "--observed", obs, "--budget", "10", "--seed", "7")
+    @pytest.mark.parametrize("known, method, probes_used", [
+        (None, "probe_based", 4),
+        (("randedge", "--f-e", "achieved_edge_fraction"), "known_edge_sample", 0),
+        (("randnode", "--f-n", "achieved_node_fraction"), "known_node_sample", 0),
+    ], ids=["probe-based", "randedge", "randnode"])
+    def test_equals_the_estimate_probe_plans_with(
+        self, graph_file, tmp_path, known, method, probes_used
+    ):
+        """`estimate` with `probe`'s flags writes the very bytes of the
+        estimate the probe planned with; a known sample is given the fraction
+        its sample's manifest records."""
+        obs = TestProbe().make_sample(graph_file, tmp_path, known[0] if known else "randedge")
+        flags = ["--graph", graph_file, "--observed", obs, "--budget", "10", "--seed", "7"]
+        if known:
+            sampler, flag, field = known
+            fraction = json.loads(Path(f"{obs}.manifest.json").read_text())["parameters"][field]
+            flags += ["--known-sampler", sampler, flag, repr(fraction)]
         assert run("probe", *flags, "--strategy", "maxoutprobe",
                    "--estimation-probes", "4", "--out-prefix", tmp_path / "run") == 0
         assert run("estimate", *flags, "--n-probes", "4", "--out", tmp_path / "r.json") == 0
-        planned = json.loads((tmp_path / "run.estimate.json").read_text())
-        assert planned["probes_used"] == 4
-        assert json.loads((tmp_path / "r.json").read_text()) == planned
+        planned = (tmp_path / "run.estimate.json").read_bytes()
+        assert (tmp_path / "r.json").read_bytes() == planned
+        report = json.loads(planned)
+        assert (report["method"], report["probes_used"]) == (method, probes_used)
 
 
     def test_an_observation_with_no_candidate_is_not_blamed_on_the_budget(

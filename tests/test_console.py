@@ -1,6 +1,11 @@
-"""`netprobe stats` on edge lists and observed files that the readers must
-read as their plain forms, and `netprobe sweep`'s worker count, each command
-run in a fresh interpreter as the console script runs it."""
+"""The console commands end to end, each run in a fresh interpreter as the
+installed `netprobe` script runs it: every command pauses the cyclic
+collector, and a sweep forks its worker pool from that paused process.
+
+`netprobe stats` on edge lists and observed files that the readers must
+read as their plain forms, and `netprobe sweep` on grids that share work
+across trials, whose two-worker and in-process CSVs must be byte-equal,
+and its worker count from `--jobs` or `NETPROBE_JOBS`."""
 
 import csv
 import io
@@ -103,6 +108,19 @@ def test_a_second_label_that_starts_with_a_hash_exits_2_naming_its_line(work):
 SWEEP = ("sweep", "--budget-fracs", "0.05,0.1", "--repeats", 2,
          "--strategies", "maxoutprobe,highdeg,crosscomm,random", "--master-seed", 7)
 
+# flags appended to SWEEP, whose values replace SWEEP's own
+GRIDS = {
+    "louvain": (),
+    # random first: each sample's one estimating trial probes the sample itself
+    "random-first": ("--strategies", "random,maxoutprobe", "--estimation-probes", 4),
+    # the budget-free rankers share one plan across three budgets
+    "nested": ("--budget-fracs", "0.01,0.03,0.05", "--strategies", "maxoutprobe,highdeg,highcc",
+               "--estimation-probes", 4),
+    # maxoutprobe plans on the shared sample, with no copy
+    "known": ("--known-sample", "--samplers", "randnode,randedge",
+              "--strategies", "maxoutprobe,highdeg"),
+}
+
 
 def sweep(work, prefix, *argv, env=()):
     """Run SWEEP on the work graph; its results and curves CSVs, as bytes."""
@@ -118,9 +136,12 @@ def in_process(work):
     return sweep(work, "sweep.serial", "--jobs", 1)
 
 
-def test_a_two_worker_sweep_writes_the_in_process_csvs(work, in_process):
+@pytest.mark.parametrize("grid", GRIDS)
+def test_a_two_worker_sweep_writes_the_in_process_csvs(work, in_process, grid):
     # the pool is forked from a process whose collector is paused
-    assert sweep(work, "sweep.two", "--jobs", 2) == in_process
+    flags = GRIDS[grid]
+    serial = sweep(work, f"sweep.{grid}.serial", *flags, "--jobs", 1) if flags else in_process
+    assert sweep(work, f"sweep.{grid}.two", *flags, "--jobs", 2) == serial
 
 
 def test_the_sweep_writes_each_strategys_rows_none_blank_or_twice(in_process):

@@ -186,6 +186,7 @@ class TestLedgerAndLog:
         probe(g, obs, ledger, "a")
         buf = io.StringIO()
         write_probe_log(ledger, buf)
+        assert "\r" not in buf.getvalue()
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "phase,node,new_nodes,new_edges,spent_after"
         assert lines[1] == "estimation,u,2,2,1"
