@@ -16,7 +16,12 @@ fields, and every other line is read on its own.  The complete graph is
 built block by block into its one adjacency, ``_nbrs``: each index's
 neighbours as a sorted list, which walks step through and edge tests
 bisect.  The observed graph keeps a set per node, which probes and scorers
-grow and intersect.
+grow and intersect.  Single edges enter those sets in two places: the walk
+sampler writes each step's edge itself, as its stall rule needs each
+step's newness, and every other insert (random-edge samples, observed-file
+reads, ``add_edge``) goes through one bulk insert of index pairs,
+:meth:`ObservedGraph._link_pairs`.  Exploring a node adds its whole
+neighbourhood at once.
 
 Every listing of nodes is in ascending label order, so that rankings can
 break ties by label and files are canonical.  The complete graph sorts its
@@ -442,24 +447,32 @@ class ObservedGraph:
         i, j = self._index.get(u), self._index.get(v)
         if not self.graph._adjacent(i, j):
             raise UnknownNodeError(f"({u!r}, {v!r}) is not an edge of the complete graph")
-        return self._link(i, j)
+        return self._link_pairs((i,), (j,)) == 1
 
-    def _link(self, i: int, j: int) -> bool:
-        """add_edge on indices of an edge known to be in the complete graph."""
-        self._derived = None
+    def _link_pairs(self, firsts: Iterable[int], seconds: Iterable[int]) -> int:
+        """Record the edge between each index of firsts and the index at the
+        same place in seconds, which must be an edge of the complete graph,
+        and return how many were new.  An edge already observed, or listed
+        twice, is recorded once."""
         nbrs = self._nbrs
-        mine = nbrs.get(i)
-        if mine is None:
-            mine = nbrs[i] = set()
-        elif j in mine:
-            return False
-        theirs = nbrs.get(j)
-        if theirs is None:
-            theirs = nbrs[j] = set()
-        mine.add(j)
-        theirs.add(i)
-        self._n_edges += 1
-        return True
+        new = 0
+        for i, j in zip(firsts, seconds):
+            mine = nbrs.get(i)
+            if mine is None:
+                nbrs[i] = {j}
+            elif j in mine:
+                continue
+            else:
+                mine.add(j)
+            theirs = nbrs.get(j)
+            if theirs is None:
+                nbrs[j] = {i}
+            else:
+                theirs.add(i)
+            new += 1
+        self._n_edges += new
+        self._derived = None
+        return new
 
     def explore(self, u: str) -> tuple[int, int]:
         """Reveal u's complete neighbourhood and mark u explored.
@@ -701,15 +714,18 @@ def _fill_observed(obs: ObservedGraph, edges: list[str], statuses: list[str]) ->
     explored marks keep obs's derived values, as nothing lists obs before
     the fill returns."""
     g = obs.graph
-    index, adjacent, link = g._index, g._adjacent, obs._link
-    pairs = iter(list(map(index.get, edges)))
-    for i, j in zip(pairs, pairs):
-        if not adjacent(i, j):
-            # the pair just read ends where the iterator stands
-            end = len(edges) - length_hint(pairs)
-            u, v = edges[end - 2:end]
-            raise UnknownNodeError(f"({u!r}, {v!r}) is not an edge of the complete graph")
-        link(i, j)
+    index = g._index
+    ends = list(map(index.get, edges))
+    # every pair is checked before any is recorded; a pair is two steps of
+    # one iterator
+    pairs = iter(ends)
+    if not all(map(g._adjacent, pairs, pairs)):
+        # the pair that failed ends where the iterator stands
+        end = len(ends) - length_hint(pairs)
+        u, v = edges[end - 2:end]
+        raise UnknownNodeError(f"({u!r}, {v!r}) is not an edge of the complete graph")
+    pairs = iter(ends)
+    obs._link_pairs(pairs, pairs)
     status_labels, nbrs = statuses[0::2], obs._nbrs
     listed = list(map(index.get, status_labels))
     missing = nbrs.keys() - set(listed)

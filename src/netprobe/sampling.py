@@ -99,13 +99,15 @@ def sample_random_edge(
     without replacement.  No node is fully explored."""
     m = _edge_target(g.n_edges, edge_fraction)
     rng = random.Random(seed)
-    # sample reads only its population's length, so drawing positions in
-    # g.edges() order draws what drawing the edges themselves would
-    chosen = rng.sample(range(g.n_edges), m)
+    # edge k's ends sit at positions 2k and 2k + 1 of the edge-end array.
+    # sample reads only its population's length, so drawing the positions
+    # 2k in g.edges() order draws what drawing the edges themselves would
+    chosen = rng.sample(range(0, 2 * g.n_edges, 2), m)
     ends = g._edge_end_array()
+    # a view one position on reads each chosen edge's second end
+    seconds = memoryview(ends)[1:]
     obs = ObservedGraph(g, origin="randedge", target_edge_fraction=edge_fraction)
-    for k in chosen:
-        obs._link(ends[2 * k], ends[2 * k + 1])
+    obs._link_pairs(map(ends.__getitem__, chosen), map(seconds.__getitem__, chosen))
     return obs, SampleFractions(node_fraction=0.0, edge_fraction=m / g.n_edges)
 
 
@@ -127,7 +129,8 @@ def sample_random_walk(
     consecutive steps without a new edge, so disconnected graphs still get
     covered.  No node is marked explored: a walk learns one edge at a time.
 
-    If ``stats`` is given it is filled with step/jump/restart counters.
+    If ``stats`` is given it is filled with step/jump/restart counters,
+    also when the walk stops at max_steps steps and raises SamplingError.
     """
     m = _edge_target(g.n_edges, edge_fraction)
     _check_jump_prob(jump_prob)
@@ -137,43 +140,61 @@ def sample_random_walk(
         max_steps = max(1_000_000, 1000 * g.n_nodes)
 
     rng = random.Random(seed)
-    origin = "rwj" if jump_prob > 0 else "rw"
+    choice, randrange, draw = rng.choice, rng.randrange, rng.random
+    jumping = jump_prob > 0
+    origin = "rwj" if jumping else "rw"
     obs = ObservedGraph(g, origin=origin, target_edge_fraction=edge_fraction)
     # the walk steps on indices: randrange(n) draws as choice(g.labels())
     # would, and choice(adj[i]) takes i's neighbours in index order, not in
-    # the label order of g.neighbors(u)
+    # the label order of g.neighbors(u).  It records each edge in obs's
+    # neighbour sets itself, as the stall rule needs each step's newness,
+    # and keeps mine, the set of the node it stands on (None while that
+    # node is unobserved), and its own edge count, which stops it at m.
     n = g.n_nodes
     adj = g._nbrs
-    current = rng.randrange(n)
-    steps = 0
-    jumps = 0
-    restarts = 0
-    stalled = 0
-    while obs.n_edges < m:
-        steps += 1
-        if steps > max_steps:
-            raise SamplingError(
-                f"walk step limit {max_steps} exceeded at "
-                f"{obs.n_edges / g.n_edges:.4f} of {edge_fraction} edge fraction"
-            )
-        if jump_prob > 0 and rng.random() < jump_prob:
-            current = rng.randrange(n)
+    nbrs = obs._nbrs
+    current = randrange(n)
+    mine = None
+    steps = jumps = restarts = stalled = n_edges = 0
+    for steps in range(1, max_steps + 1):
+        if jumping and draw() < jump_prob:
+            current = randrange(n)
+            mine = nbrs.get(current)
             jumps += 1
             continue
-        nxt = rng.choice(adj[current])
-        if obs._link(current, nxt):
+        nxt = choice(adj[current])
+        if mine is None:
+            mine = nbrs[current] = set()
+        if nxt not in mine:
+            mine.add(nxt)
+            theirs = nbrs.get(nxt)
+            if theirs is None:
+                theirs = nbrs[nxt] = {current}
+            else:
+                theirs.add(current)
+            n_edges += 1
+            if n_edges == m:
+                break
             stalled = 0
         else:
+            theirs = nbrs[nxt]
             stalled += 1
-            if jump_prob == 0 and stalled > stall_threshold:
-                current = rng.randrange(n)
+            if not jumping and stalled > stall_threshold:
+                current = randrange(n)
+                mine = nbrs.get(current)
                 restarts += 1
                 stalled = 0
                 continue
-        current = nxt
+        current, mine = nxt, theirs
+    obs._n_edges = n_edges
     if stats is not None:
         stats.update(steps=steps, jumps=jumps, restarts=restarts)
-    return obs, SampleFractions(node_fraction=0.0, edge_fraction=obs.n_edges / g.n_edges)
+    if n_edges < m:
+        raise SamplingError(
+            f"walk step limit {max_steps} exceeded at "
+            f"{n_edges / g.n_edges:.4f} of {edge_fraction} edge fraction"
+        )
+    return obs, SampleFractions(node_fraction=0.0, edge_fraction=n_edges / g.n_edges)
 
 
 def run_sampler(

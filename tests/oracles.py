@@ -8,10 +8,12 @@ with the queue-based local move and match in modularity with the
 pass-based one it replaced, and the line-by-line edge-list and
 observed-graph readers with the per-pair graph construction and the
 random-edge sampler that draws from a list of every edge: the library
-must equal these.  The reference trial probes its plan node by node
-through the public run_session, where the library counts what the plan
-would add, and the reference sweep is built on it, with seeds, pairing and
-row order of its own.  Two helpers serve the estimator tests and no
+must equal these.  The reference walk records each step through the
+public add_edge, where the library's walk writes the neighbour sets
+itself.  The reference trial probes its plan node by node through the
+public run_session, where the library counts what the plan would add, and
+the reference sweep is built on it, with seeds, pairing and row order of
+its own.  Two helpers serve the estimator tests and no
 program: sample_node_bernoulli, the Bernoulli node selection the
 closed-form estimators assume, and random_bipartite_graph, their
 triangle-free control.
@@ -429,6 +431,58 @@ def ref_sample_random_edge(g: CompleteGraph, edge_fraction: float, seed: int) ->
     for u, v in chosen:
         obs.add_edge(u, v)
     return obs
+
+
+def ref_sample_random_walk(
+    g: CompleteGraph,
+    edge_fraction: float,
+    jump_prob: float,
+    seed: int,
+    stall_threshold: int | None = None,
+    max_steps: int | None = None,
+    stats: dict | None = None,
+) -> tuple[ObservedGraph, SampleFractions]:
+    """The walk sampler that records each step through the public add_edge,
+    by label, and reads the step's newness and the edge count from the
+    observed graph: the same draws on the same index lists (g._nbrs), the
+    same stall, restart and jump rules, and the same stats and step-limit
+    error."""
+    m = int(edge_fraction * g.n_edges)
+    if stall_threshold is None:
+        stall_threshold = 100 * g.n_nodes
+    if max_steps is None:
+        max_steps = max(1_000_000, 1000 * g.n_nodes)
+    rng = random.Random(seed)
+    origin = "rwj" if jump_prob > 0 else "rw"
+    obs = ObservedGraph(g, origin=origin, target_edge_fraction=edge_fraction)
+    labels = g.labels()
+    current = rng.randrange(g.n_nodes)
+    steps = jumps = restarts = stalled = 0
+    while obs.n_edges < m and steps < max_steps:
+        steps += 1
+        if jump_prob > 0 and rng.random() < jump_prob:
+            current = rng.randrange(g.n_nodes)
+            jumps += 1
+            continue
+        nxt = rng.choice(g._nbrs[current])
+        if obs.add_edge(labels[current], labels[nxt]):
+            stalled = 0
+        else:
+            stalled += 1
+            if jump_prob == 0 and stalled > stall_threshold:
+                current = rng.randrange(g.n_nodes)
+                restarts += 1
+                stalled = 0
+                continue
+        current = nxt
+    if stats is not None:
+        stats.update(steps=steps, jumps=jumps, restarts=restarts)
+    if obs.n_edges < m:
+        raise SamplingError(
+            f"walk step limit {max_steps} exceeded at "
+            f"{obs.n_edges / g.n_edges:.4f} of {edge_fraction} edge fraction"
+        )
+    return obs, SampleFractions(0.0, obs.n_edges / g.n_edges)
 
 
 def sample_node_bernoulli(

@@ -50,10 +50,10 @@ SESSION_DIGESTS = {
 }
 
 
-def _sha(*texts: str) -> str:
+def _sha(*outputs: bytes) -> str:
     h = hashlib.sha256()
-    for text in texts:
-        h.update(text.encode("utf-8"))
+    for output in outputs:
+        h.update(output)
         h.update(b"\0")
     return h.hexdigest()
 
@@ -105,7 +105,9 @@ def _run(*argv) -> None:
     assert code == 0, argv
 
 
-def session_outputs(tmp_path) -> dict[str, tuple[str, ...]]:
+def session_outputs(tmp_path) -> dict[str, tuple[bytes, ...]]:
+    """Each session's output files, as the bytes written: a change of line
+    endings or encoding changes a digest."""
     graph = tmp_path / "graph.edges"
     with open(graph, "w") as fh:
         for u, v in _graph().edges():
@@ -122,7 +124,7 @@ def session_outputs(tmp_path) -> dict[str, tuple[str, ...]]:
              "--strategy", "maxoutprobe", "--budget-frac", "0.2", "--seed", "5",
              "--out-prefix", prefix, *extra)
         return tuple(
-            (tmp_path / f"{name}{suffix}").read_text()
+            (tmp_path / f"{name}{suffix}").read_bytes()
             for suffix in (".observed.txt", ".probelog.csv", ".estimate.json")
         )
 
@@ -130,7 +132,7 @@ def session_outputs(tmp_path) -> dict[str, tuple[str, ...]]:
         out = tmp_path / f"{name}.json"
         _run("estimate", "--graph", graph, "--observed", observed,
              "--seed", "2", "--out", out, *extra)
-        return (out.read_text(),)
+        return (out.read_bytes(),)
 
     return {
         "probe-based": probe("pb", samples["rw"], "--estimation-probes", "4"),
@@ -149,7 +151,7 @@ def session_outputs(tmp_path) -> dict[str, tuple[str, ...]]:
 
 def test_sweep_digests():
     outputs = sweep_outputs()
-    assert {k: _sha(v) for k, v in outputs.items()} == SWEEP_DIGESTS
+    assert {k: _sha(v.encode("utf-8")) for k, v in outputs.items()} == SWEEP_DIGESTS
 
 
 def test_session_digests(tmp_path):

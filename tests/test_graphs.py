@@ -376,7 +376,7 @@ class TestObservedGraph:
         tracemalloc.start()
         try:
             obs = ObservedGraph(g)
-            obs._link(0, 1)
+            obs._link_pairs((0,), (1,))
             obs.copy()
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -393,7 +393,9 @@ DERIVED_GRAPH = CompleteGraph(
 CHANGES = {
     # both ends new: the case of a copy listing into a dict it still shares
     "add_edge": lambda obs: obs.add_edge("c", "d"),
-    "_link": lambda obs: obs._link(obs._index["b"], obs._index["c"]),
+    # one new edge and one already observed, in one bulk insert
+    "_link_pairs": lambda obs: obs._link_pairs(
+        [obs._index["b"], obs._index["b"]], [obs._index["c"], obs._index["a"]]),
     "explore": lambda obs: obs.explore("b"),
     "mark_explored": lambda obs: obs.mark_explored("a"),
     "probe": lambda obs: probe(DERIVED_GRAPH, obs, ProbeLedger(budget=1), "a"),
@@ -450,3 +452,18 @@ class TestDerivedValues:
         _check_derived(copy)
         assert strategies._by_degree(original) is by_degree
         assert [original._labels[i] for i in by_degree] == ["b", "a", "c"]
+
+    def test_a_bulk_insert_on_a_copy_drops_the_shared_dict_and_leaves_it_whole(self):
+        original = ObservedGraph(DERIVED_GRAPH)
+        original.add_edge("a", "b")
+        listing = original._candidate_ixs()
+        shared = original._derived
+        copy = original.copy()
+        assert copy._derived is shared
+        b, c = copy._index["b"], copy._index["c"]
+        assert copy._link_pairs([b, copy._index["a"]], [c, b]) == 1
+        assert copy._derived is None
+        assert original._derived is shared and shared == {"by_label": listing}
+        _check_derived(original)
+        _check_derived(copy)
+        assert copy.nodes() == ["a", "b", "c"] and copy.n_edges == 2

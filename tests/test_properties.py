@@ -58,7 +58,7 @@ from netprobe.graphs import (
 )
 from netprobe.harness import TrialConfig, auc, ccdf, common_range_aucs, run_session, sweep
 from netprobe.probing import PHASE_ESTIMATION, ProbeLedger, probe
-from netprobe.sampling import SAMPLER_NAMES, run_sampler, sample_random_edge
+from netprobe.sampling import SAMPLER_NAMES, run_sampler, sample_random_edge, sample_random_walk
 from netprobe.strategies import (
     BUDGET_FREE,
     HIGH,
@@ -87,6 +87,7 @@ from oracles import (
     ref_detect_communities,
     ref_queue_local_move,
     ref_sample_random_edge,
+    ref_sample_random_walk,
     ref_sweep,
     ref_trial,
 )
@@ -572,6 +573,85 @@ def test_random_edge_sample_equals_the_edge_list_draw(n, p, graph_seed, edge_fra
     assert obs.n_edges == ref.n_edges
     assert fractions.edge_fraction == ref.n_edges / g.n_edges
     _check_representation(obs)
+
+
+def _check_walk_equals_the_reference(g, edge_fraction, jump_prob, seed, **limits) -> dict:
+    """sample_random_walk equals the walk through add_edge in its neighbour
+    sets (insertion order too), edge count, fractions and stats, or raises
+    the same error after the same stats; returns the stats."""
+    stats, ref_stats = {}, {}
+    try:
+        ref = ref_sample_random_walk(g, edge_fraction, jump_prob, seed, stats=ref_stats, **limits)
+    except SamplingError as exc:
+        with pytest.raises(SamplingError) as raised:
+            sample_random_walk(g, edge_fraction, jump_prob, seed, stats=stats, **limits)
+        assert str(raised.value) == str(exc)
+    else:
+        obs, fractions = sample_random_walk(g, edge_fraction, jump_prob, seed, stats=stats, **limits)
+        assert obs._nbrs == ref[0]._nbrs and list(obs._nbrs) == list(ref[0]._nbrs)
+        assert obs.n_edges == ref[0].n_edges
+        assert fractions == ref[1]
+        assert obs.origin == ref[0].origin
+    assert stats == ref_stats
+    return stats
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 30),
+    p=st.floats(0.05, 0.6),
+    graph_seed=st.integers(0, 10_000),
+    edge_fraction=st.floats(0.05, 1.0),
+    jump_prob=st.one_of(st.just(0.0), st.floats(0.01, 0.9)),
+    seed=st.integers(0, 2**32),
+    stall_threshold=st.one_of(st.none(), st.integers(0, 5)),
+    max_steps=st.one_of(st.none(), st.integers(0, 300)),
+)
+def test_the_walk_equals_the_walk_through_add_edge(
+    n, p, graph_seed, edge_fraction, jump_prob, seed, stall_threshold, max_steps
+):
+    try:
+        g = random_graph(n, p, seed=graph_seed)
+    except EmptyGraphError:
+        assume(False)
+    assume(int(edge_fraction * g.n_edges) >= 1)
+    _check_walk_equals_the_reference(g, edge_fraction, jump_prob, seed,
+                                     stall_threshold=stall_threshold, max_steps=max_steps)
+
+
+@pytest.mark.parametrize("max_steps", [None, 40])
+def test_the_walk_equals_the_walk_through_add_edge_across_restarts(max_steps):
+    # ten components: a plain walk covers them only by restarting
+    g = CompleteGraph([(f"c{k}{a}", f"c{k}{b}") for k in range(10) for a, b in ("ab", "bc")])
+    stats = _check_walk_equals_the_reference(g, 1.0, 0.0, 4, stall_threshold=2,
+                                             max_steps=max_steps)
+    assert stats["restarts"] > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 30),
+    p=st.floats(0.05, 0.6),
+    graph_seed=st.integers(0, 10_000),
+    sampler=st.sampled_from(SAMPLER_NAMES),
+    edge_fraction=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**32),
+)
+def test_the_edge_count_is_half_the_neighbour_set_sizes(
+    n, p, graph_seed, sampler, edge_fraction, seed
+):
+    try:
+        g = random_graph(n, p, seed=graph_seed)
+        obs, _ = run_sampler(g, sampler, edge_fraction, seed)
+    except (EmptyGraphError, SamplingError):
+        assume(False)
+    assert obs.n_edges == sum(map(len, obs._nbrs.values())) // 2
+    # read back from a file that lists its first edge twice more, once
+    # reversed
+    head, status = _text(obs).split("[status]\n")
+    a, b = head.split("[edges]\n")[1].split("\n", 1)[0].split()
+    read = read_observed(io.StringIO(f"{head}{a} {b}\n{b} {a}\n[status]\n{status}"), g)
+    assert read.n_edges == sum(map(len, read._nbrs.values())) // 2 == obs.n_edges
 
 
 def _failing_highcc(obs, seed, est, b):

@@ -171,11 +171,14 @@ class TestRandomWalk:
         assert obs.n_edges == 3
 
     def test_step_cap_reports_fraction(self):
+        # the walk never leaves its first component, one of the two edges
         edges = [("a", "b"), ("c", "d")]
         g = CompleteGraph(edges)
-        with pytest.raises(SamplingError, match="step limit"):
+        stats = {}
+        with pytest.raises(SamplingError, match=r"step limit 50 exceeded at 0\.5000 of 1\.0 "):
             sample_random_walk(g, 1.0, 0.0, seed=2, stall_threshold=10**9,
-                               max_steps=50)
+                               max_steps=50, stats=stats)
+        assert stats == {"steps": 50, "jumps": 0, "restarts": 0}
 
     def test_determinism(self):
         g = random_graph(30, 0.3, seed=17)
